@@ -9,12 +9,10 @@ frame rotating with offset Omega.  The evolution law is
                   * d2/(dtheta deta) [R(theta) R(eta) sin(eta - theta)],
 
 with A the chord length between boundary points and avg the normalized
-(1/2pi) eta-integral.  The two kernel pieces are always evaluated jointly:
-their log singularities cancel, leaving a continuous kernel with diagonal
-value log(2 alpha) - gamma.  A separate-piece path (smooth remainders by
-trapezoid plus the exact circle convolutions, whose Fourier coefficients
-are -1/(2n) for the log kernel and I_n K_n(1/alpha) for the screened one)
-is provided as a cross-check only.
+(1/2pi) eta-integral.  The kernel is evaluated on the chord matrix by
+:func:`vortexalpha.greens.combined_boundary_kernel`: the log singularities
+of its two pieces cancel, leaving a continuous kernel with diagonal value
+log(2 alpha) - gamma, so the plain trapezoid rule applies.
 
 The linearization uses d rho/dt = -d/dtheta (V rho + L rho) with
 V = Omega - V^E - V^SW and L = L^E + L^SW.  Note the relative signs: they
@@ -37,14 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun as sf
 from . import spectrum
 from .errors import DomainError, GeometryError, GridError, InstabilityError
-from .greens import green_kernel
+from .greens import combined_boundary_kernel, green_kernel
 from .numerics import dealias_twothirds, spectral_derivative
-
-_LOG = math.log
-EULER_GAMMA = sf.EULER_GAMMA
 
 
 @dataclass(frozen=True)
@@ -131,26 +125,6 @@ def _eval_trig(samples, theta):
     return out
 
 
-def chord(patch, theta, eta):
-    """Chord length |R(theta) e^{i theta} - R(eta) e^{i eta}|.
-
-    Accepts scalars or arrays; r is evaluated by trigonometric
-    interpolation, so off-grid angles are consistent with the sampled
-    deformation.
-    """
-    rt = _eval_trig(patch.samples, theta)
-    re = _eval_trig(patch.samples, eta)
-    if np.min(1.0 + 2.0 * rt) <= 0 or np.min(1.0 + 2.0 * re) <= 0:
-        raise GeometryError("interpolated deformation leaves 1 + 2r > 0")
-    Rt = np.sqrt(1.0 + 2.0 * rt)
-    Re = np.sqrt(1.0 + 2.0 * re)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    a2 = Rt * Rt + Re * Re - 2 * Rt * Re * np.cos(theta - eta)
-    out = np.sqrt(np.maximum(a2, 0.0))
-    return float(out[0]) if out.size == 1 else out
-
-
 class _Workspace:
     """Per-grid trigonometric tables shared by all kernel sums."""
 
@@ -162,14 +136,14 @@ class _Workspace:
         self.M = M
 
 
-_workspaces = {}
+_workspaces = {}  # the most recent grid size only: 2 M^2 doubles
 
 
 def _workspace(M):
     ws = _workspaces.get(M)
     if ws is None:
-        ws = _Workspace(M)
-        _workspaces[M] = ws
+        _workspaces.clear()
+        ws = _workspaces[M] = _Workspace(M)
     return ws
 
 
@@ -192,25 +166,11 @@ def _chord_matrix(R, ws, msec=None):
     return np.sqrt(np.maximum(a2, 0.0))
 
 
-def _combined_kernel_matrix(alpha, A):
-    """log A + K_0(A/alpha) with the exact diagonal limit log(2 alpha) - gamma.
-
-    The zero diagonal of A is replaced by a sentinel before the vectorized
-    evaluation (cheaper than boolean masking) and overwritten by the limit.
-    """
-    diag = (np.arange(A.shape[0]), np.arange(A.shape[0]))
-    A[diag] = 1.0
-    vals = np.log(A) + sf.k0_array(A / alpha)
-    vals[diag] = _LOG(2 * alpha) - EULER_GAMMA
-    A[diag] = 0.0
-    return vals
-
-
 def _interaction(patch, msec=None):
     ws = _workspace(patch.size)
     R, Rp = _geometry(patch)
     A = _chord_matrix(R, ws, msec)
-    G = _combined_kernel_matrix(patch.alpha, A)
+    G = combined_boundary_kernel(patch.alpha, A)
     return ws, R, Rp, G
 
 
@@ -240,13 +200,6 @@ def rhs(patch, dealias=True):
     return out - out.mean()
 
 
-def advection_field(patch):
-    """Transport speed V = Omega - V^E - V^SW of the linearized equation."""
-    ws, R, Rp, G = _interaction(patch)
-    dsrc = Rp[None, :] * ws.sin + R[None, :] * ws.cos  # d_eta (R(eta) sin(eta-theta))
-    return patch.rotation_offset - (G * dsrc).mean(axis=1) / R
-
-
 def linearized_rhs(patch, direction, dealias=True):
     """Action of the linearized evolution on a zero-mean direction rho.
 
@@ -265,55 +218,6 @@ def linearized_rhs(patch, direction, dealias=True):
     if dealias:
         out = dealias_twothirds(out)
     return out - out.mean()
-
-
-def rhs_separate(patch):
-    """(F^E, F^SW) via the cross-check path with exact circle convolutions.
-
-    Each piece is split into a smooth remainder (plain trapezoid) plus the
-    unit-circle convolution handled exactly in Fourier space with the
-    coefficients -1/(2n) (log kernel) and I_n K_n(1/alpha) (screened
-    kernel).  Used to validate the joint evaluation; the joint path is
-    the production one.
-    """
-    ws, R, Rp, G = _interaction(patch)
-    M = patch.size
-    alpha = patch.alpha
-    A = _chord_matrix(R, ws)
-    # circle chord A_0 and the two smooth remainders
-    theta = patch.theta()
-    u = theta[None, :] - theta[:, None]
-    A0 = 2.0 * np.abs(np.sin(u / 2.0))
-    off = ~np.eye(M, dtype=bool)
-    # diagonal limits: A/A_0 -> |z'(theta)| = sqrt(R^2 + R'^2), and
-    # K_0(A/a) - K_0(A_0/a) -> -log(A/A_0)
-    speed = np.sqrt(R * R + Rp * Rp)
-    smooth_log = np.empty_like(A)
-    smooth_log[off] = np.log(A[off] / A0[off])
-    np.fill_diagonal(smooth_log, np.log(speed))
-    sw_kernel = np.empty_like(A)
-    sw_kernel[off] = sf.k0_array(A[off] / alpha) - sf.k0_array(A0[off] / alpha)
-    np.fill_diagonal(sw_kernel, -np.log(speed))
-    D = (
-        (Rp[:, None] * Rp[None, :] + R[:, None] * R[None, :]) * ws.sin
-        + (Rp[:, None] * R[None, :] - R[:, None] * Rp[None, :]) * ws.cos
-    )
-    # exact convolutions: rows of D resampled as functions of u = eta - theta
-    rows = np.arange(M)[:, None]
-    cols = np.arange(M)[None, :]
-    Q = D[rows, (rows + cols) % M]
-    qhat = np.fft.rfft(Q, axis=1) / M
-    k = np.arange(1, qhat.shape[1])
-    log_w = -1.0 / (2.0 * k)
-    P = sf.product_IK_array(int(k[-1]), np.array([1.0 / alpha]))[1:, 0]
-    wgt = np.ones_like(k, dtype=float) * 2.0
-    if M % 2 == 0:
-        wgt[-1] = 1.0  # Nyquist counted once
-    f_log = (qhat.real[:, 1:] * (log_w * wgt)).sum(axis=1)
-    f_sw = (qhat.real[:, 1:] * (P * wgt)).sum(axis=1)
-    FE = (smooth_log * D).mean(axis=1) + f_log
-    FSW = (sw_kernel * D).mean(axis=1) + f_sw
-    return FE, FSW
 
 
 def default_timestep(patch, c=0.25):
@@ -459,6 +363,12 @@ def vstate_to_radial(branch_point, M, Omega=None):
     The resulting mean of r is (area/pi - 1)/2 < 0: conformal V-states
     enclose area pi (1 - sum n a_n^2).  Rescaling it away would change
     the effective length-scale parameter, so the mean is kept.
+
+    ``Omega`` overrides the patch's rotation offset.  By default the offset
+    is -Omega of the V-state, which makes it a steady state of :func:`rhs`:
+    a flat-state mode e_j evolves with frequency j (offset +
+    omega_bifurcation(j, alpha)), while V-states bifurcate at
+    Omega = omega_bifurcation(m, alpha).
     """
     pert = branch_point.perturbation
     theta = 2 * np.pi * np.arange(M) / M
@@ -476,6 +386,6 @@ def vstate_to_radial(branch_point, M, Omega=None):
     z = pert.map_points(w)
     residual = float(np.max(np.abs(np.angle(z * np.exp(-1j * theta)))))
     r = 0.5 * (np.abs(z) ** 2 - 1.0)
-    om = branch_point.Omega if Omega is None else Omega
+    om = -branch_point.Omega if Omega is None else Omega
     fold = branch_point.m if M % branch_point.m == 0 else 1
     return RadialPatch(r, om, branch_point.alpha, fold=fold), residual

@@ -3,9 +3,12 @@
 The stream kernel is G(rho) = (1/2pi)(log rho + K_0(rho/alpha)): the Euler
 log kernel plus a screened correction.  The two pieces have cancelling log
 singularities, so their sum extends continuously to the diagonal with value
-log(2 alpha) - gamma; all boundary quadratures here exploit that by
-evaluating the combined kernel and replacing the diagonal node by the
-analytic limit (the trapezoid weights and symmetry are preserved).
+log(2 alpha) - gamma.  :func:`combined_boundary_kernel` is the one
+evaluator of that sum in the package: the boundary quadratures here, the
+contour dynamics in :mod:`vortexalpha.contour` and the rotating-patch
+functional in :mod:`vortexalpha.vstates` all call it on their chord
+matrices, and its zero entries take the analytic limit (the trapezoid
+weights and symmetry are preserved).
 
 Line integrals over the circle parameter use the plain (1/2pi) d-theta
 convention of the velocity representation
@@ -73,72 +76,59 @@ def green_kernel(alpha, rho):
 
     Accepts scalars or arrays; every entry must be positive.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    arr = np.asarray(rho, dtype=float)
-    if np.any(arr <= 0):
+    if np.any(np.asarray(rho, dtype=float) <= 0):
         raise DomainError("green_kernel requires rho > 0")
-    out = (np.log(arr) + sf.k0_array(arr / alpha)) / (2 * np.pi)
-    return float(out) if np.isscalar(rho) else out
+    out = combined_boundary_kernel(alpha, rho)
+    out /= 2 * np.pi
+    return out
 
 
 def combined_boundary_kernel(alpha, rho):
-    """log rho + K_0(rho/alpha), continued by log(2 alpha) - gamma at rho = 0."""
+    """log rho + K_0(rho/alpha), continued by log(2 alpha) - gamma at rho = 0.
+
+    A scalar gives a float; an array of any shape gives an array of that
+    shape.  The input is not modified.  Zero entries are evaluated at
+    rho = alpha, whose K_0 argument lies in the series band (the mid-band
+    quadrature sizes its grid from the smallest argument it is given), and
+    then overwritten by the limit.
+    """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    arr = np.atleast_1d(np.asarray(rho, dtype=float))
+    arr = np.asarray(rho, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
     if np.any(arr < 0):
         raise DomainError("rho must be nonnegative")
-    out = np.full(arr.shape, math.log(2 * alpha) - EULER_GAMMA)
-    pos = arr > 0
-    if pos.any():
-        out[pos] = np.log(arr[pos]) + sf.k0_array(arr[pos] / alpha)
-    return float(out[0]) if np.isscalar(rho) or np.ndim(rho) == 0 else out
+    x = arr / alpha
+    zero = arr == 0.0
+    has_zero = zero.any()
+    if has_zero:
+        x[zero] = 1.0
+    out = sf.k0_array(x)
+    with np.errstate(divide="ignore"):
+        out += np.log(arr, out=x)
+    if has_zero:
+        out[zero] = math.log(2 * alpha) - EULER_GAMMA
+    return float(out[0]) if scalar else out
 
 
-def _kernel_values(alpha, rho, kind):
-    """Kernel values on a nonnegative distance array, by kernel kind."""
-    rho = np.asarray(rho, dtype=float)
-    on_diag = rho == 0.0
-    if kind == "combined":
-        return combined_boundary_kernel(alpha, rho)
-    if on_diag.any():
-        raise GridError(
-            f"kernel {kind!r} is singular on the diagonal; evaluate the "
-            "combined kernel or move the target off the node"
-        )
-    if kind == "euler":
-        return np.log(rho)
-    if kind == "sw":
-        return sf.k0_array(rho / alpha)
-    raise DomainError(f"unknown kernel kind {kind!r}")
-
-
-def velocity_at(alpha, boundary, z, kernel="combined"):
+def velocity_at(alpha, boundary, z):
     """Filtered velocity at a complex point from the boundary integral.
 
     Trapezoidal rule on the uniform parameter grid; if z falls on a grid
     node the (continuous) combined kernel takes its diagonal limit there.
-    ``kernel`` selects the combined evaluation (default) or the separate
-    Euler / screened pieces for superposition cross-checks.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    return complex(velocity_field(alpha, boundary, z))
+
+
+def velocity_field(alpha, boundary, targets):
+    """:func:`velocity_at` over an array of targets, in one kernel call."""
     if not isinstance(boundary, Boundary):
         raise GridError("boundary must be a Boundary instance")
-    rho = np.abs(complex(z) - boundary.points)
-    vals = _kernel_values(alpha, rho, kernel)
-    return complex(-(vals * boundary.tangents).mean())
-
-
-def velocity_field(alpha, boundary, targets, kernel="combined"):
-    """velocity_at over an array of targets (read-only boundary sharing)."""
     targets = np.asarray(targets, dtype=complex)
-    flat = targets.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    for i, z in enumerate(flat):
-        out[i] = velocity_at(alpha, boundary, z, kernel=kernel)
-    return out.reshape(targets.shape)
+    rho = np.abs(targets.reshape(-1, 1) - boundary.points)
+    vals = combined_boundary_kernel(alpha, rho)
+    return -(vals * boundary.tangents).mean(axis=1).reshape(targets.shape)
 
 
 @dataclass(frozen=True)
@@ -150,14 +140,14 @@ class ConvergenceReport:
     observed_order: float
 
 
-def velocity_convergence(alpha, curve, z, M0=64, levels=3, kernel="combined"):
+def velocity_convergence(alpha, curve, z, M0=64, levels=3):
     """Observed convergence order of velocity_at under grid doubling.
 
     ``curve(M)`` must return the Boundary resampled at M nodes.  The order
     is estimated from the last three levels by Richardson comparison.
     """
     sizes = [M0 * 2**k for k in range(levels + 1)]
-    vals = [velocity_at(alpha, curve(M), z, kernel=kernel) for M in sizes]
+    vals = [velocity_at(alpha, curve(M), z) for M in sizes]
     d1 = abs(vals[-2] - vals[-1])
     d0 = abs(vals[-3] - vals[-2])
     order = math.log2(d0 / d1) if d1 > 0 else math.inf

@@ -78,12 +78,3 @@ def sine_coefficients(samples):
     fk = np.fft.rfft(samples)
     return -2.0 * fk.imag[1:] / m
 
-
-def cosine_coefficients(samples):
-    """Coefficients c_n, n>=0, of samples = c_0 + sum_{n>=1} c_n cos(n theta)."""
-    samples = np.asarray(samples, dtype=float)
-    m = samples.size
-    fk = np.fft.rfft(samples)
-    c = 2.0 * fk.real / m
-    c[0] *= 0.5
-    return c

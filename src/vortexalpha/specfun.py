@@ -206,11 +206,6 @@ def _k01e_asy(x):
     return pref * _asy_scaled(0.0, x, 1.0), pref * _asy_scaled(4.0, x, 1.0)
 
 
-def _k0e(x):
-    k0, _ = _k01e(x)
-    return k0
-
-
 def _k01e(x):
     """(e^x K_0(x), e^x K_1(x)) for arbitrary positive x (vectorized)."""
     x = np.asarray(x, dtype=float)
@@ -292,20 +287,6 @@ def i0_array(x):
     pos = x > 0
     if pos.any():
         out[pos] = _i0e(x[pos]) * np.exp(x[pos])
-    return out
-
-
-def i1_array(x):
-    """I_1 over a nonnegative array; unscaled, so x must stay below 700."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("I_1 requires x >= 0")
-    if np.any(x > _X_OVERFLOW):
-        raise OverflowError("e^x overflows for x > 700")
-    out = np.zeros_like(x)
-    pos = x > 0
-    if pos.any():
-        out[pos] = _i1e(x[pos]) * np.exp(x[pos])
     return out
 
 

@@ -9,9 +9,10 @@ functional
     I(w) = (1/2 i pi) oint Phi'(tau) [log|Phi(w)-Phi(tau)|
                                       + K_0(|Phi(w)-Phi(tau)|/alpha)] d tau,
 
-vanishes exactly on V-states.  It is sampled on M uniform circle nodes
-with the combined (log + K_0) kernel, whose diagonal limit is
-log(2 alpha) - gamma, and projected onto sine modes; outputs live in the
+vanishes exactly on V-states.  It is sampled on M uniform circle nodes,
+with the kernel evaluated on the chord matrix by
+:func:`vortexalpha.greens.combined_boundary_kernel` (diagonal limit
+log(2 alpha) - gamma), and projected onto sine modes; outputs live in the
 sine-coefficient basis e_n(w) = Im(w^n).
 
 The sign convention of the linearized multiplier relative to the
@@ -27,8 +28,7 @@ amplitudes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,30 +120,9 @@ class FunctionalValue:
         return float(self.sine_coefficients[n - 1])
 
 
-
-
-def _log_circle_exact(pert, w):
-    """S(w) = (1/2 i pi) oint Phi'(tau) log|w - tau| d tau, exactly.
-
-    Fourier evaluation: S(w) = -w/2 + (1/2) sum_{n>=1} a_n conj(w)^n.
-    """
-    w = np.asarray(w, dtype=complex)
-    wb = np.conj(w)
-    out = -w / 2.0
-    p = np.ones_like(w)  # conj(w)^n at index n
-    for n, a in enumerate(pert.coefficients):
-        if n >= 1 and a != 0.0:
-            out = out + 0.5 * a * p
-        p = p * wb
-    return out
-
-
-def evaluate_F(alpha, Omega, perturbation, grid_size, kernel="combined", band=None):
+def evaluate_F(alpha, Omega, perturbation, grid_size, band=None):
     """Sample the rotating-patch functional and project onto sine modes.
 
-    ``kernel`` selects the joint evaluation (default), the Euler piece
-    (rigid term + log kernel, with the circle-log convolution done exactly
-    in Fourier space) or the screened remainder ("sw" = combined - euler).
     ``band`` truncates the returned coefficients.
     """
     if alpha <= 0:
@@ -155,12 +134,7 @@ def evaluate_F(alpha, Omega, perturbation, grid_size, kernel="combined", band=No
         raise GridError(
             f"grid {M} under-resolves degree {perturbation.degree}; need M >= 4(N+1)"
         )
-    if kernel == "sw":
-        full = _f_samples(alpha, Omega, perturbation, M, "combined")
-        eul = _f_samples(alpha, Omega, perturbation, M, "euler")
-        samples = full - eul
-    else:
-        samples = _f_samples(alpha, Omega, perturbation, M, kernel)
+    samples = _f_samples(alpha, Omega, perturbation, M)
     g = sine_coefficients(samples)
     fk = np.fft.rfft(samples)
     cos_res = float(np.max(np.abs(fk.real)) * 2.0 / M)
@@ -169,9 +143,7 @@ def evaluate_F(alpha, Omega, perturbation, grid_size, kernel="combined", band=No
     return FunctionalValue(g, cos_res, M)
 
 
-def _f_samples(alpha, Omega, pert, M, kind):
-    if kind not in ("combined", "euler"):
-        raise DomainError(f"unknown kernel kind {kind!r}")
+def _f_samples(alpha, Omega, pert, M):
     theta = 2 * np.pi * np.arange(M) / M
     w = np.exp(1j * theta)
     z = pert.map_points(w)
@@ -184,24 +156,12 @@ def _f_samples(alpha, Omega, pert, M, kind):
     msec = M // m if (m > 1 and M % m == 0) else M
     zr, wr, dphir = z[:msec], w[:msec], dphi[:msec]
     dist = np.abs(zr[:, None] - z[None, :])
-    diag = (np.arange(msec), np.arange(msec))
-    dist_check = dist.copy()
-    dist_check[diag] = 1.0
-    if dist_check.min() < 1e-12:
+    # the msec diagonal chords are exactly zero; any other chord this
+    # short means the curve crosses itself
+    if np.count_nonzero(dist < 1e-12) != msec:
         raise GeometryError("boundary self-intersects on the grid")
-    if kind == "combined":
-        G = combined_boundary_kernel(alpha, dist)
-    else:
-        # Euler piece desingularized: log|dPhi| = log(|dPhi|/|dw|) + log|dw|;
-        # the smooth ratio (diagonal limit |Phi'|) is quadratured here and
-        # the circle-log part is added exactly in Fourier space below.
-        dw = np.abs(wr[:, None] - w[None, :])
-        ratio = np.where(dw > 0, dist / np.where(dw > 0, dw, 1.0), 1.0)
-        ratio[diag] = np.abs(dphir)
-        G = np.log(ratio)
+    G = combined_boundary_kernel(alpha, dist)
     I = (G * (dphi * w)[None, :]).mean(axis=1)
-    if kind == "euler":
-        I = I + _log_circle_exact(pert, wr)
     sector = np.imag((Omega * zr + I) * np.conj(wr) * np.conj(dphir))
     return np.tile(sector, m) if msec < M else sector
 
@@ -314,9 +274,11 @@ def continue_branch(
     For each amplitude s the system {g_{nm} = 0, n = 1..band} is solved for
     (Omega, a_{2m-1}, ..., a_{band*m-1}), warm-started from the previous
     point; the first point starts at the bifurcation frequency with zero
-    higher coefficients.  Raises :class:`ConvergenceError` carrying the
-    last iterate when Newton stalls, and :class:`GridError` when the
-    discarded sine tail exceeds ``tail_tol`` (under-resolved band).
+    higher coefficients.  A line-search trial point outside the
+    bi-Lipschitz regime counts as a rejected step.  Raises
+    :class:`ConvergenceError` carrying the last iterate when Newton stalls,
+    and :class:`GridError` when the discarded sine tail exceeds
+    ``tail_tol`` (under-resolved band).
     """
     if m < 2:
         raise DomainError("branch continuation requires m >= 2")
@@ -395,9 +357,13 @@ def _newton_solve(alpha, m, s, u0, M, N, tol, max_steps):
             ) from exc
         lam = 1.0
         for _ in range(10):
-            r_new, tail, pert = _branch_residual(alpha, m, s, u + lam * step, M, N)
-            if np.max(np.abs(r_new)) < rnorm:
-                break
+            try:
+                r_new, tail, pert = _branch_residual(alpha, m, s, u + lam * step, M, N)
+            except GeometryError:
+                pass  # trial point outside the bi-Lipschitz regime: reject it
+            else:
+                if np.max(np.abs(r_new)) < rnorm:
+                    break
             lam *= 0.5
         else:
             if not fd_fresh:

@@ -75,6 +75,23 @@ class TestCombinedKernel:
         out = greens.combined_boundary_kernel(1.0, np.array([0.0, 1.0, 2.0]))
         assert out.shape == (3,)
         assert out[0] == pytest.approx(LOG2_MINUS_GAMMA)
+        assert isinstance(greens.combined_boundary_kernel(1.0, 2.0), float)
+
+    def test_zeros_leave_other_entries_and_input_alone(self):
+        # alpha = 0.3 puts three positive entries in the 3 < x < 20 band
+        rho = np.array([[0.0, 0.5, 1.5], [2.0, 0.0, 4.0]])
+        before = rho.copy()
+        out = greens.combined_boundary_kernel(0.3, rho)
+        assert np.array_equal(rho, before)
+        assert out.shape == rho.shape
+        limit = math.log(0.6) - greens.EULER_GAMMA
+        assert out[0, 0] == out[1, 1] == pytest.approx(limit, rel=1e-15)
+        pos = rho > 0
+        assert np.array_equal(out[pos], greens.combined_boundary_kernel(0.3, rho[pos]))
+        with pytest.raises(DomainError):
+            greens.combined_boundary_kernel(0.3, rho - 0.1)
+        with pytest.raises(DomainError):
+            greens.combined_boundary_kernel(0.0, rho)
 
 
 class TestVelocity:
@@ -135,17 +152,15 @@ class TestVelocity:
             assert abs(radial) < 1e-10
 
     def test_euler_sw_superposition(self):
+        # the combined kernel is the Euler log kernel plus the screened K_0
+        alpha = 1.0
         b = greens.boundary_circle(1.0, 128)
         z = 1.5 * np.exp(1.1j)
-        vc = greens.velocity_at(1.0, b, z)
-        ve = greens.velocity_at(1.0, b, z, kernel="euler")
-        vs = greens.velocity_at(1.0, b, z, kernel="sw")
+        vc = greens.velocity_at(alpha, b, z)
+        rho = np.abs(z - b.points)
+        ve = -(np.log(rho) * b.tangents).mean()
+        vs = -(sf.k0_array(rho / alpha) * b.tangents).mean()
         assert abs(vc - (ve + vs)) < 1e-14
-
-    def test_separate_kernel_on_node_rejected(self):
-        b = greens.boundary_circle(1.0, 64)
-        with pytest.raises(GridError):
-            greens.velocity_at(1.0, b, b.points[0], kernel="euler")
 
     def test_grid_validation(self):
         theta = 2 * np.pi * np.arange(6) / 6
@@ -155,8 +170,6 @@ class TestVelocity:
         pts = np.exp(1j * np.linspace(0, 2 * np.pi, 65))  # duplicated endpoint
         with pytest.raises(GridError):
             greens.Boundary(pts, 1j * pts)
-        with pytest.raises(DomainError):
-            greens.velocity_at(1.0, greens.boundary_circle(1.0, 64), 0.5, kernel="bad")
 
     def test_convergence_estimator(self):
         rep = greens.velocity_convergence(

@@ -6,12 +6,34 @@ import pytest
 from vortexalpha import spectrum as sp
 from vortexalpha import vstates as vs
 from vortexalpha.errors import ConvergenceError, DomainError, GeometryError, GridError
+from vortexalpha.numerics import sine_coefficients
 
 
 def single_mode(n, value, fold=1, size=None):
     c = np.zeros((size or n + 1))
     c[n] = value
     return vs.ConformalPerturbation(c, fold=fold)
+
+
+def euler_piece(Omega, pert, M):
+    """Sine coefficients of the Euler piece of F: rigid term + log kernel.
+
+    log|Phi(w) - Phi(tau)| = log(|Phi(w) - Phi(tau)| / |w - tau|) + log|w - tau|:
+    the smooth ratio (diagonal limit |Phi'(w)|) is summed by the trapezoid
+    rule, and the circle-log convolution is added exactly in Fourier space,
+    (1/2 i pi) oint Phi'(tau) log|w - tau| d tau = -w/2 + sum_n a_n conj(w)^n / 2.
+    """
+    w = np.exp(2j * np.pi * np.arange(M) / M)
+    z = pert.map_points(w)
+    dphi = pert.map_derivative(w)
+    dw = np.abs(w[:, None] - w[None, :])
+    np.fill_diagonal(dw, 1.0)
+    ratio = np.abs(z[:, None] - z[None, :]) / dw
+    np.fill_diagonal(ratio, np.abs(dphi))
+    I = (np.log(ratio) * (dphi * w)[None, :]).mean(axis=1)
+    powers = np.conj(w)[:, None] ** np.arange(1, pert.degree + 1)
+    I = I - w / 2.0 + 0.5 * powers @ pert.coefficients[1:]
+    return sine_coefficients(np.imag((Omega * z + I) * np.conj(w) * np.conj(dphi)))
 
 
 class TestConformalPerturbation:
@@ -121,15 +143,16 @@ class TestMultiplierAndSuperposition:
         # -(n+1) omega_sw(n+1, 1/alpha); their sum is the full multiplier
         alpha, Om, M, eps = 1.0, 0.13, 256, 1e-6
         for n in [1, 3, 6]:
-            cols = {}
-            for kind in ("euler", "sw", "combined"):
-                fp = vs.evaluate_F(
-                    alpha, Om, single_mode(n, eps), M, kernel=kind
-                ).sine_coefficients
-                fm = vs.evaluate_F(
-                    alpha, Om, single_mode(n, -eps), M, kernel=kind
-                ).sine_coefficients
-                cols[kind] = ((fp - fm) / (2 * eps))[n]
+            pieces = {}
+            for sign in (1, -1):
+                pert = single_mode(n, sign * eps)
+                full = vs.evaluate_F(alpha, Om, pert, M).sine_coefficients
+                eul = euler_piece(Om, pert, M)
+                pieces[sign] = {"euler": eul, "sw": full - eul, "combined": full}
+            cols = {
+                kind: ((pieces[1][kind] - pieces[-1][kind]) / (2 * eps))[n]
+                for kind in ("euler", "sw", "combined")
+            }
             pred_euler = (n + 1) * (n / (2 * (n + 1)) - Om)
             pred_sw = -(n + 1) * sp.omega_sw(n + 1, 1.0 / alpha)
             assert cols["euler"] == pytest.approx(pred_euler, abs=2e-7)
@@ -210,3 +233,11 @@ class TestBranchContinuation:
             )
         assert err.value.last_iterate is not None
         assert "residual" in err.value.last_iterate
+
+    @pytest.mark.parametrize("ladder", [[1e-4, 0.1], [1e-4, 0.02, 0.05, 0.1]])
+    def test_line_search_rejects_non_bilipschitz_trials(self, ladder):
+        # trial steps at s = 0.1 leave the bi-Lipschitz regime; they must
+        # shorten the step, not escape as GeometryError
+        with pytest.raises(ConvergenceError) as err:
+            vs.continue_branch(0.7, 3, ladder)
+        assert err.value.last_iterate is not None
