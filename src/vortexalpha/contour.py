@@ -126,17 +126,18 @@ def _eval_trig(samples, theta):
 
 
 class _Workspace:
-    """Per-grid trigonometric tables shared by all kernel sums."""
+    """Per-grid trigonometric tables and upper-triangle mask for the kernel sums."""
 
     def __init__(self, M):
         theta = 2 * np.pi * np.arange(M) / M
         diff = theta[None, :] - theta[:, None]  # eta - theta
         self.cos = np.cos(diff)
         self.sin = np.sin(diff)
+        self.upper = np.triu(np.ones((M, M), dtype=bool))
         self.M = M
 
 
-_workspaces = {}  # the most recent grid size only: 2 M^2 doubles
+_workspaces = {}  # the most recent grid size only: 2 M^2 doubles and an M^2 mask
 
 
 def _workspace(M):
@@ -167,10 +168,20 @@ def _chord_matrix(R, ws, msec=None):
 
 
 def _interaction(patch, msec=None):
+    """Workspace, R, R' and the kernel matrix G on the chord matrix.
+
+    The full-grid chord matrix is bitwise symmetric, so its kernel is
+    evaluated on the upper triangle (diagonal included) and mirrored.
+    """
     ws = _workspace(patch.size)
     R, Rp = _geometry(patch)
     A = _chord_matrix(R, ws, msec)
-    G = combined_boundary_kernel(patch.alpha, A)
+    if A.shape[0] < A.shape[1]:
+        return ws, R, Rp, combined_boundary_kernel(patch.alpha, A)
+    upper = combined_boundary_kernel(patch.alpha, A[ws.upper])
+    G = np.empty_like(A)
+    G[ws.upper] = upper
+    G.T[ws.upper] = upper
     return ws, R, Rp, G
 
 

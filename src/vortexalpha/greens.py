@@ -88,9 +88,8 @@ def combined_boundary_kernel(alpha, rho):
 
     A scalar gives a float; an array of any shape gives an array of that
     shape.  The input is not modified.  Zero entries are evaluated at
-    rho = alpha, whose K_0 argument lies in the series band (the mid-band
-    quadrature sizes its grid from the smallest argument it is given), and
-    then overwritten by the limit.
+    rho = alpha, whose K_0 argument lies in the series band, and then
+    overwritten by the limit.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")

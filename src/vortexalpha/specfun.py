@@ -8,16 +8,16 @@ errors cross the accuracy targets, see below):
   for every order whenever ``x <= 600``.  Beyond that the exponentially
   scaled value is assembled from the large-argument expansion of I_0, I_1
   and a continued-fraction-seeded backward recurrence for higher orders.
-* ``K_0, K_1``: the log + psi power series for ``x <= 3`` (its cancellation
-  error grows like ``e^(2x) * eps``, which crosses 1e-13 near x = 4); the
-  large-argument expansion for ``x >= 20`` (optimal-truncation error
-  ~ e^(-2x), below 1e-15 there).  On the middle band ``3 < x < 20``
-  neither representation reaches the accuracy contract in double
-  precision, so the values are produced from the integral representation
-  K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt by trapezoidal
-  quadrature with step ``h = 0.15`` (the integrand extends to an even
-  entire function of t, making the trapezoid error ~ 1e-16 at this step;
-  verified by regime-overlap tests).
+* ``K_0, K_1``: the log + psi power series for ``x < 3``.  Its
+  cancellation error grows like ``e^(2x) * eps``: below 1e-14 relative up
+  to x = 2.5, up to about 4e-14 just below 3.  For ``x >= 3`` the smooth
+  functions ``sqrt(x) e^x K_n(x)``, n = 0, 1, are one degree-20 Chebyshev
+  series in ``t = 6/x - 1`` on [-1, 1] (the classical form of W. J. Cody,
+  ACM TOMS Algorithm 715), summed by a Clenshaw recurrence that runs both
+  orders in one pass.  The coefficients interpolate ``mpmath.besselk`` at
+  the 21 Chebyshev nodes and decay below 1e-17; the relative error is a
+  few ulp on the whole half-line, and the cost per point does not depend
+  on x (both checked against mpmath in the tests).
 * ``K_n``, n >= 2: upward recurrence ``K_{n+1} = K_{n-1} + (2n/x) K_n``
   (forward-stable since K grows with the order).
 
@@ -47,14 +47,41 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # Regime boundaries (documented above).
 _X_SWITCH_K_SERIES = 3.0
-_X_SWITCH_K_ASY = 20.0
 _X_SWITCH_I_SERIES = 30.0   # i0/i1 fast path; higher orders use series to 600
 _X_SWITCH_I_MILLER = 600.0
 _X_OVERFLOW = 700.0
 
 _SERIES_STOP = 1e-17        # stop when term < this fraction of the partial sum
-_QUAD_H = 0.15              # trapezoid step for the cosh-integral bridge
-_QUAD_DECAY = 55.0          # truncate once x(cosh t - 1) exceeds this
+
+# Chebyshev coefficients c[k, n] of sqrt(x) e^x K_n(x) = sum_k c[k, n] T_k(t),
+# t = 6/x - 1, for x >= 3: the degree-20 interpolant at the Chebyshev nodes
+# t_j = cos(pi (j + 1/2) / 21), values from mpmath.besselk at 40 digits
+# (regenerated in tests/test_specfun.py).
+_K01E_CHEB = np.array(
+    [
+        [1.2301183280819676, 1.326613562665711],
+        [-0.022327477849515456, 0.07177264900566749],
+        [0.0008138235764746633, -0.0014463372373090208],
+        [-4.989330066984828e-05, 7.419433327185522e-05],
+        [4.135774336266082e-06, -5.629886891577862e-06],
+        [-4.209883679090034e-07, 5.432849568937565e-07],
+        [4.990724437509742e-08, -6.21286348592956e-08],
+        [-6.666329034798239e-09, 8.085538935224152e-09],
+        [9.811708427460499e-10, -1.1667431339488899e-09],
+        [-1.566053686935619e-10, 1.8334389212321316e-10],
+        [2.6785845678669498e-11, -3.096548708626957e-11],
+        [-4.864747505577724e-12, 5.565269261050936e-12],
+        [9.313746905735515e-13, -1.0561231894758438e-12],
+        [-1.8687711547513004e-13, 2.1031088815626315e-13],
+        [3.910803307775287e-14, -4.3724378560691266e-14],
+        [-8.501789586724971e-15, 9.450876021576496e-15],
+        [1.9134401704560245e-15, -2.1162594289113016e-15],
+        [-4.445415291455503e-16, 4.894384274337634e-16],
+        [1.0631760191336011e-16, -1.1658037733576906e-16],
+        [-2.602044889990399e-17, 2.842883570799864e-17],
+        [6.1408470203229396e-18, -6.689331904367647e-18],
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -105,10 +132,9 @@ def _i_series_scaled(n, x):
     return np.exp(-x) * s
 
 
-def _asy_scaled(mu, x, sign):
-    """Large-argument expansion sum for order parameter mu = 4 n^2.
+def _asy_scaled(mu, x):
+    """Large-argument expansion factor of sqrt(2 pi x) e^-x I_n, mu = 4 n^2.
 
-    sign=-1 gives the alternating I-series factor, +1 the K-series factor.
     Terms are added until they stop decreasing or drop below 1e-18*sum.
     """
     x = np.asarray(x, dtype=float)
@@ -119,7 +145,7 @@ def _asy_scaled(mu, x, sign):
     k = 0
     while active.any() and k < 60:
         k += 1
-        term = term * (sign * (mu - (2 * k - 1) ** 2)) / (8.0 * k * x)
+        term = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
         grow = np.abs(term) >= prev
         active &= ~grow
         s = np.where(active, s + term, s)
@@ -136,7 +162,7 @@ def _i0e(x):
         out[lo] = _i_series_scaled(0, x[lo])
     if (~lo).any():
         xs = x[~lo]
-        out[~lo] = _asy_scaled(0.0, xs, -1.0) / np.sqrt(2 * np.pi * xs)
+        out[~lo] = _asy_scaled(0.0, xs) / np.sqrt(2 * np.pi * xs)
     return out
 
 
@@ -148,12 +174,12 @@ def _i1e(x):
         out[lo] = _i_series_scaled(1, x[lo])
     if (~lo).any():
         xs = x[~lo]
-        out[~lo] = _asy_scaled(4.0, xs, -1.0) / np.sqrt(2 * np.pi * xs)
+        out[~lo] = _asy_scaled(4.0, xs) / np.sqrt(2 * np.pi * xs)
     return out
 
 
 def _k01e_series(x):
-    """(e^x K_0, e^x K_1) by the log + psi series; x array, x <= 3."""
+    """(e^x K_0, e^x K_1) by the log + psi series; x array, x < 3."""
     x = np.asarray(x, dtype=float)
     z2 = x * x / 4.0
     lg = np.log(x / 2.0)
@@ -185,25 +211,28 @@ def _k01e_series(x):
     return ex * k0, ex * k1
 
 
-def _k01e_quad(x):
-    """(e^x K_0, e^x K_1) from the cosh-integral trapezoid; x array > 0."""
-    x = np.asarray(x, dtype=float)
-    tmax = float(np.arccosh(1.0 + _QUAD_DECAY / x.min()))
-    n = int(np.ceil(tmax / _QUAD_H)) + 2
-    t = _QUAD_H * np.arange(n + 1)
-    ch = np.cosh(t)
-    f = np.exp(-np.outer(x, ch - 1.0))
-    w = np.full(n + 1, _QUAD_H)
-    w[0] = _QUAD_H / 2.0
-    k0 = f @ w
-    k1 = f @ (w * ch)
-    return k0, k1
+def _clenshaw(t, coef):
+    """sum_k coef[k] T_k(t) over a 1-d array t.
+
+    ``coef`` of shape (deg+1, 2) sums both columns in one pass and gives
+    shape (2, t.size); shape (deg+1,) gives shape t.shape.
+    """
+    c = coef[..., None]
+    t2 = 2.0 * t
+    b1, b2 = c[-1], 0.0
+    for ck in c[-2:0:-1]:
+        b0 = t2 * b1
+        b0 -= b2
+        b0 += ck
+        b1, b2 = b0, b1
+    return c[0] + 0.5 * t2 * b1 - b2
 
 
-def _k01e_asy(x):
+def _k01e_cheb(x):
+    """(e^x K_0, e^x K_1) by the Chebyshev series in 6/x - 1; x array, x >= 3."""
     x = np.asarray(x, dtype=float)
-    pref = np.sqrt(np.pi / (2 * x))
-    return pref * _asy_scaled(0.0, x, 1.0), pref * _asy_scaled(4.0, x, 1.0)
+    k0e, k1e = _clenshaw(6.0 / x - 1.0, _K01E_CHEB) / np.sqrt(x)
+    return k0e, k1e
 
 
 def _k01e(x):
@@ -211,15 +240,12 @@ def _k01e(x):
     x = np.asarray(x, dtype=float)
     k0 = np.empty_like(x)
     k1 = np.empty_like(x)
-    lo = x <= _X_SWITCH_K_SERIES
-    hi = x >= _X_SWITCH_K_ASY
-    mid = ~(lo | hi)
+    lo = x < _X_SWITCH_K_SERIES
+    hi = ~lo
     if lo.any():
         k0[lo], k1[lo] = _k01e_series(x[lo])
-    if mid.any():
-        k0[mid], k1[mid] = _k01e_quad(x[mid])
     if hi.any():
-        k0[hi], k1[hi] = _k01e_asy(x[hi])
+        k0[hi], k1[hi] = _k01e_cheb(x[hi])
     return k0, k1
 
 
@@ -253,16 +279,18 @@ def k0_array(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("K_0 requires x > 0")
-    lo = x <= _X_SWITCH_K_SERIES
+    lo = x < _X_SWITCH_K_SERIES
     if lo.all():
         return _k0_series_fast(x)
     out = np.empty_like(x)
     if lo.any():
         out[lo] = _k0_series_fast(x[lo])
     hi = ~lo
-    k0e, _ = _k01e(x[hi])
+    xh = x[hi]
     with np.errstate(under="ignore"):
-        out[hi] = k0e * np.exp(-x[hi])
+        out[hi] = _clenshaw(6.0 / xh - 1.0, _K01E_CHEB[:, 0]) * (
+            np.exp(-xh) / np.sqrt(xh)
+        )
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from vortexalpha import contour, specfun as sf, vstates as vs
 from vortexalpha.errors import DomainError, InstabilityError
+from vortexalpha.greens import combined_boundary_kernel
 from vortexalpha.numerics import dealias_twothirds, spectral_derivative
 
 
@@ -84,6 +85,15 @@ class TestRhs:
         contour.rhs(two_mode_patch(96, 0.7))
         assert list(contour._workspaces) == [96]
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_triangle_kernel_matches_full_matrix(self, alpha):
+        patch = two_mode_patch(128, alpha)
+        ws, R, _, G = contour._interaction(patch)
+        A = contour._chord_matrix(R, ws)
+        assert ws.upper.shape == A.shape == (128, 128)
+        assert np.array_equal(G, combined_boundary_kernel(alpha, A))
+        assert np.array_equal(G, G.T)
+
 
 class TestEvolution:
     def test_mean_conserved(self):
@@ -93,6 +103,13 @@ class TestEvolution:
         assert len(snaps) >= 2
         for _, p in snaps:
             assert abs(p.mean - patch.mean) < 1e-14
+
+    def test_angular_momentum_conserved(self):
+        patch = two_mode_patch(128, 0.3)
+        final, _ = contour.evolve(patch, 0.5)
+        J0 = contour.diagnostics(patch, include_energy=False).J
+        J1 = contour.diagnostics(final, include_energy=False).J
+        assert abs(J1 - J0) / J0 <= 1e-10
 
     def test_dt_bound(self):
         patch = two_mode_patch(64, 0.7)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,20 +87,83 @@ class TestBesselK:
             sf.bessel_K(0, -2.0)
 
     def test_switch_continuity(self):
-        # regime overlap agreement to 1e-9 relative at both switches
-        for x, paths in [
-            (3.0, (sf._k01e_series, sf._k01e_quad)),
-            (20.0, (sf._k01e_quad, sf._k01e_asy)),
-        ]:
-            a = paths[0](np.array([x]))
-            b = paths[1](np.array([x]))
-            assert a[0][0] == pytest.approx(b[0][0], rel=1e-9)
-            assert a[1][0] == pytest.approx(b[1][0], rel=1e-9)
+        # the series and the Chebyshev fit agree to 1e-9 relative at x = 3
+        x = np.array([3.0])
+        series = sf._k01e_series(x)
+        fit = sf._k01e_cheb(x)
+        for a, b in zip(series, fit):
+            assert a[0] == pytest.approx(b[0], rel=1e-9)
 
     def test_positive(self):
         for n in [0, 2, 9]:
             for x in [0.01, 1.0, 30.0]:
                 assert sf.bessel_K(n, x) > 0
+
+
+def chebyshev_coefficients(degree=20, dps=40):
+    """c[k, n] of sqrt(x) e^x K_n(x) = sum_k c[k, n] T_k(6/x - 1) from mpmath.
+
+    Interpolation at the degree + 1 Chebyshev nodes of the first kind,
+    written from the defining sums; shares no code with the package.
+    """
+    nodes = degree + 1
+    out = np.empty((nodes, 2))
+    with mp.workdps(dps):
+        angles = [mp.pi * (j + mp.mpf(1) / 2) / nodes for j in range(nodes)]
+        xs = [6 / (mp.cos(a) + 1) for a in angles]
+        for n in (0, 1):
+            f = [mp.sqrt(x) * mp.exp(x) * mp.besselk(n, x) for x in xs]
+            for k in range(nodes):
+                c = 2 * mp.fsum(fj * mp.cos(k * a) for fj, a in zip(f, angles)) / nodes
+                out[k, n] = float(c / 2 if k == 0 else c)
+    return out
+
+
+# geometric grid over the Chebyshev band and mpmath values of K_n there
+FIT_GRID = np.geomspace(3.0, 1e8, 241)
+
+
+@pytest.fixture(scope="module")
+def k_oracle():
+    """{n: (e^x K_n, K_n)} on FIT_GRID; K_n underflows to 0 beyond x = 745."""
+    out = {}
+    with mp.workdps(30):
+        for n in (0, 1):
+            vals = [(mp.besselk(n, x), mp.exp(x)) for x in map(mp.mpf, FIT_GRID)]
+            out[n] = (
+                np.array([float(k * e) for k, e in vals]),
+                np.array([float(k) for k, _ in vals]),
+            )
+    return out
+
+
+class TestChebyshevFit:
+    def test_coefficients_regenerate(self):
+        assert np.max(np.abs(chebyshev_coefficients() - sf._K01E_CHEB)) <= 1e-15
+
+    def test_scaled_sweep(self, k_oracle):
+        for n in (0, 1):
+            got = np.array([sf.bessel_K(n, x, scaled=True) for x in FIT_GRID])
+            assert np.max(np.abs(got / k_oracle[n][0] - 1.0)) <= 4e-15
+
+    def test_array_sweep(self, k_oracle):
+        # unscaled values are normal doubles up to x = 700
+        normal = FIT_GRID <= 700.0
+        for n, fn in [(0, sf.k0_array), (1, sf.k1_array)]:
+            ref = k_oracle[n][1][normal]
+            assert np.max(np.abs(fn(FIT_GRID[normal]) / ref - 1.0)) <= 4e-15
+
+    def test_k0_series_band(self):
+        # the log + psi series cancels like e^(2x) eps: 1e-14 up to x = 2.5,
+        # up to about 3e-14 just below the switch at 3
+        x = np.concatenate(
+            [np.geomspace(1e-6, 2.5, 161), np.linspace(2.5, 3.0, 40)[1:]]
+        )
+        with mp.workdps(30):
+            ref = np.array([float(mp.besselk(0, v)) for v in map(mp.mpf, x)])
+        err = np.abs(sf.k0_array(x) / ref - 1.0)
+        assert np.max(err[x <= 2.5]) <= 1e-14
+        assert np.max(err) <= 5e-14
 
 
 class TestProduct:
