@@ -22,6 +22,22 @@ directional finite differences of the nonlinear right-hand side; the
 bookkeeping in which V^SW enters with a plus sign is not self-consistent
 with that multiplier and is rejected here.
 
+The kinetic energy
+E = -(1/4pi^2) int_D int_D [log + K_0(./alpha)](|z - zeta|) dA(z) dA(zeta)
+is computed on the boundary.  The radial function
+
+    F(r) = r^2 (log r - 1)/4 + alpha^2 (K_0(r/alpha) + log r)
+
+has Laplacian log r + K_0(r/alpha), is continuous with
+F(0) = alpha^2 (log(2 alpha) - gamma), and its r^2 log r terms cancel, so
+F - F(0) - c r^2 = O(r^4 log r).  Green's theorem in each variable gives
+the contour-dynamics form (Dritschel, Comput. Phys. Rep. 10 (1989))
+
+    E = (1/4pi^2) oint oint Re(dz conj(d zeta)) F(|z - zeta|),
+
+which the trapezoid rule on the M nodes sums with an observed error of
+order M^-5.
+
 Conventions: spatial mean of r is conserved by the flow (the right-hand
 side is an exact theta-derivative); the Hamiltonian phase space assumes
 zero mean, but patches with nonzero mean (e.g. converted V-states, whose
@@ -37,7 +53,7 @@ import numpy as np
 
 from . import spectrum
 from .errors import DomainError, GeometryError, GridError, InstabilityError
-from .greens import combined_boundary_kernel, green_kernel
+from .greens import EULER_GAMMA, combined_boundary_kernel, green_kernel
 from .numerics import dealias_twothirds, spectral_derivative
 
 
@@ -110,19 +126,6 @@ class Diagnostics:
     E: float
     H: float
     mean_r: float
-
-
-def _eval_trig(samples, theta):
-    """Trigonometric interpolation of uniform samples at arbitrary angles."""
-    samples = np.asarray(samples, dtype=float)
-    M = samples.size
-    fk = np.fft.rfft(samples) / M
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.full(theta.shape, fk[0].real)
-    for k in range(1, fk.size):
-        w = 2.0 if (k < M // 2 or M % 2) else 1.0
-        out += w * (fk[k].real * np.cos(k * theta) - fk[k].imag * np.sin(k * theta))
-    return out
 
 
 class _Workspace:
@@ -295,42 +298,44 @@ def evolve(patch, T, dt=None, snapshot_every=None, dealias=True):
     return current, snaps
 
 
-def diagnostics(patch, n_radial=64, n_angular=None, include_energy=True):
-    """Angular momentum (closed form), kinetic energy (polar quadrature), H.
+def diagnostics(patch, n_radial=None, n_angular=None, include_energy=True):
+    """Angular momentum J (closed form), kinetic energy E and H = (E - Omega J)/2.
 
-    The energy double integral is the weakest-tolerance diagnostic
-    (~1e-4 with the default grid); disable it for per-step monitoring.
+    E is the boundary double integral of the module docstring, summed by
+    the trapezoid rule on the patch's own M nodes: O(M^2) time and memory,
+    one :func:`green_kernel` call on the M(M-1)/2 distinct chords.  The
+    error falls like M^-5 (on the disc at alpha = 0.3: 4e-6 relative at
+    M = 32, 1e-10 at M = 256).  ``n_radial`` and ``n_angular`` are
+    ignored; they are accepted for callers written for the earlier area
+    quadrature.
     """
     r = patch.samples
     J = 0.25 * float(np.mean((1.0 + 2.0 * r) ** 2))
-    E = math.nan
-    if include_energy:
-        E = _energy(patch, n_radial, n_angular or min(patch.size, 128))
+    E = _energy(patch) if include_energy else math.nan
     H = 0.5 * (E - patch.rotation_offset * J)
     return Diagnostics(J=J, E=E, H=H, mean_r=patch.mean)
 
 
-def _energy(patch, n_radial, n_angular):
-    # polar tensor nodes ell_{p,q} = R(theta_q) x_p on the patch interior
-    M = patch.size
-    theta_full = patch.theta()
-    R_full = patch.radii
-    if n_angular == M:
-        theta, R = theta_full, R_full
-    else:
-        theta = 2 * np.pi * np.arange(n_angular) / n_angular
-        R = np.sqrt(1.0 + 2.0 * _eval_trig(patch.samples, theta))
-    x = (np.arange(n_radial) + 0.5) / n_radial
-    ell = R[None, :] * x[:, None]
-    w = (R[None, :] / n_radial) * (2 * np.pi / n_angular) * ell
-    z = (ell * np.exp(1j * theta)[None, :]).ravel()
-    wts = w.ravel()
-    dist = np.abs(z[:, None] - z[None, :])
-    off = ~np.eye(z.size, dtype=bool)
-    g = np.zeros_like(dist)
-    g[off] = green_kernel(patch.alpha, dist[off])
-    psi = g @ wts
-    return -float(np.dot(wts, psi)) / (2 * np.pi)
+def _energy(patch):
+    """mean_{j,k} Re(z'_j conj z'_k) F(|z_j - z_k|), with F of the module docstring.
+
+    The summand is symmetric: the strict upper triangle is summed once and
+    doubled, and the diagonal, where F(0) = alpha^2 (log(2 alpha) - gamma)
+    and |z'_j|^2 = R'_j^2 + R_j^2, is added in closed form.
+    """
+    M, alpha = patch.size, patch.alpha
+    ws = _workspace(M)
+    R, Rp = _geometry(patch)
+    pair = np.triu_indices(M, 1)
+    a = _chord_matrix(R, ws)[pair]
+    W = (np.outer(Rp, Rp) + np.outer(R, R)) * ws.cos + (
+        np.outer(R, Rp) - np.outer(Rp, R)
+    ) * ws.sin
+    F = a * a * (np.log(a) - 1.0) / 4.0
+    F += (2 * np.pi * alpha * alpha) * green_kernel(alpha, a)
+    F0 = alpha * alpha * (math.log(2 * alpha) - EULER_GAMMA)
+    diagonal = F0 * float(np.sum(Rp * Rp + R * R))
+    return (2.0 * float(np.dot(W[pair], F)) + diagonal) / M**2
 
 
 def linear_qp_solution(S, amplitudes, Omega, alpha, t, M):

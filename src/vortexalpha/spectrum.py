@@ -215,30 +215,18 @@ def transversality_report(
         if not np.any(l != 0) and int(j) == int(j0):
             raise DomainError("degenerate combination: l = 0 and j = j0")
 
-    h = (a1 - a0) / (npts - 1)
-    half = 4 + (q0 + 5) // 2  # stencil reach for derivatives up to q0, order 6
-    grid = a0 + h * np.arange(-half, npts + half)
-    if grid[0] <= 0:
-        raise DomainError("interval too close to alpha = 0 for the stencil margin")
+    def combination(grid):
+        f = l @ equilibrium_matrix(S, Omega, grid)
+        if variant == "plus_jV0":
+            f = f + int(j) * v0_curve(Omega, grid)
+        elif variant == "plus_Omega_j":
+            f = f + equilibrium_matrix([int(j)], Omega, grid)[0]
+        elif variant == "difference":
+            extra = equilibrium_matrix([int(j), -int(j0)], Omega, grid)
+            f = f + extra[0] + extra[1]
+        return f
 
-    W = equilibrium_matrix(S, Omega, grid)
-    f = l @ W
-    if variant == "plus_jV0":
-        f = f + int(j) * v0_curve(Omega, grid)
-    elif variant == "plus_Omega_j":
-        f = f + equilibrium_matrix([int(j)], Omega, grid)[0]
-    elif variant == "difference":
-        extra = equilibrium_matrix([int(j), -int(j0)], Omega, grid)
-        f = f + extra[0] + extra[1]
-
-    core = np.arange(half, half + npts)
-    best = np.abs(f[core])
-    for q in range(1, q0 + 1):
-        off, w = central_fd_stencil(q, 6, h)
-        dq = np.zeros(npts)
-        for o, c in zip(off, w):
-            dq += c * f[core + o]
-        best = np.maximum(best, np.abs(dq))
+    alphas, h, best = _derivative_envelope(combination, alpha_interval, q0, npts)
     scaled = best / _angle_bracket(l)
     k = int(np.argmin(scaled))
     return MarginReport(
@@ -247,7 +235,7 @@ def transversality_report(
         grid_size=npts,
         step=h,
         q0=int(q0),
-        argmin_alpha=float(grid[core][k]),
+        argmin_alpha=float(alphas[k]),
     )
 
 
@@ -255,21 +243,37 @@ def difference_derivative_bound(j, j0, Omega, alpha_interval, q0, npts=2001):
     """sup over grid and q <= q0 of |d^q (Omega_j^E - Omega_j0^E)| / |j - j0|."""
     if j == j0:
         raise DomainError("j and j0 must differ")
+
+    def difference(grid):
+        W = equilibrium_matrix([int(j), -int(j0)], Omega, grid)
+        return W[0] + W[1]
+
+    _, _, best = _derivative_envelope(difference, alpha_interval, q0, npts)
+    return float(np.max(best)) / abs(j - j0)
+
+
+def _derivative_envelope(f_on, alpha_interval, q0, npts):
+    """(alphas, h, max_{q <= q0} |d^q f / d alpha^q|) on npts uniform interval nodes.
+
+    ``f_on(grid)`` evaluates f on the nodes padded at both ends by the reach
+    of the order-6 central stencils; q = 0 is |f| itself.
+    """
     a0, a1 = (float(v) for v in alpha_interval)
     h = (a1 - a0) / (npts - 1)
-    half = 4 + (q0 + 5) // 2
+    half = 4 + (q0 + 5) // 2  # stencil reach for derivatives up to q0, order 6
     grid = a0 + h * np.arange(-half, npts + half)
-    W = equilibrium_matrix([int(j), -int(j0)], Omega, grid)
-    f = W[0] + W[1]
+    if grid[0] <= 0:
+        raise DomainError("interval too close to alpha = 0 for the stencil margin")
+    f = f_on(grid)
     core = np.arange(half, half + npts)
-    worst = np.max(np.abs(f[core]))
+    best = np.abs(f[core])
     for q in range(1, q0 + 1):
         off, w = central_fd_stencil(q, 6, h)
         dq = np.zeros(npts)
         for o, c in zip(off, w):
             dq += c * f[core + o]
-        worst = max(worst, float(np.max(np.abs(dq))))
-    return worst / abs(j - j0)
+        best = np.maximum(best, np.abs(dq))
+    return grid[core], h, best
 
 
 # ----------------------------------------------------------------------

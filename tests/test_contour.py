@@ -1,5 +1,9 @@
 """Tests for radial contour dynamics."""
 
+import math
+import tracemalloc
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -57,6 +61,37 @@ def separate_rhs(patch):
         -patch.rotation_offset * spectral_derivative(patch.samples) + FE + FSW
     )
     return out - out.mean()
+
+
+def area_energy(patch, n_radial, n_angular, block=256):
+    """E = -(1/4pi^2) sum_{p != q} w_p w_q [log + K_0](|z_p - z_q|) on polar nodes.
+
+    Midpoint rule in the radial fraction, trapezoid in angle on n_angular
+    of the patch's nodes (n_angular must divide M): O(h^2), a reference
+    that shares no formula with the boundary double integral of
+    :func:`contour.diagnostics`.  Rows are summed in blocks, so memory
+    stays O(block n_radial n_angular).
+    """
+    R = patch.radii[:: patch.size // n_angular]
+    theta = 2 * np.pi * np.arange(n_angular) / n_angular
+    x = (np.arange(n_radial) + 0.5) / n_radial
+    ell = R[None, :] * x[:, None]
+    w = ((R[None, :] / n_radial) * (2 * np.pi / n_angular) * ell).ravel()
+    z = (ell * np.exp(1j * theta)[None, :]).ravel()
+    total = 0.0
+    for s in range(0, z.size, block):
+        dist = np.abs(z[s : s + block, None] - z[None, :])
+        g = combined_boundary_kernel(patch.alpha, dist)
+        g[dist == 0.0] = 0.0
+        total += w[s : s + block] @ g @ w
+    return -total / (4 * np.pi**2)
+
+
+def disc_energy(alpha):
+    """Unit-disc energy 1/16 - alpha^2 (1 - 2 I_1 K_1(1/alpha)) / 2."""
+    x = 1 / mp.mpf(alpha)
+    product = mp.besseli(1, x) * mp.besselk(1, x)
+    return float(mp.mpf(1) / 16 - alpha**2 * (1 - 2 * product) / 2)
 
 
 def two_mode_patch(M, alpha, amplitude=0.02, Omega=0.5, fold=1):
@@ -126,6 +161,56 @@ class TestEvolution:
         patch = contour.RadialPatch(r, 0.5, 0.7)
         with pytest.raises(InstabilityError, match="mid-step"):
             contour.step_rk4(patch, contour.default_timestep(patch, c=0.5))
+
+
+class TestEnergy:
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    @pytest.mark.parametrize("M, tol", [(64, 1e-6), (256, 1e-9)])
+    def test_disc_closed_form(self, alpha, M, tol):
+        E = contour.diagnostics(contour.RadialPatch(np.zeros(M), 0.5, alpha)).E
+        assert abs(E / disc_energy(alpha) - 1) <= tol
+
+    def test_observed_order(self):
+        E = [contour.diagnostics(two_mode_patch(M, 0.3)).E for M in (32, 64, 128)]
+        assert math.log2(abs(E[0] - E[1]) / abs(E[1] - E[2])) >= 4.5
+
+    def test_matches_extrapolated_area_quadrature(self):
+        patch = two_mode_patch(64, 0.3, amplitude=0.1)
+        coarse, fine = area_energy(patch, 16, 32), area_energy(patch, 32, 64)
+        E = contour.diagnostics(patch).E
+        assert abs((4 * fine - coarse) / 3 - E) <= 1e-4 * E
+
+    def test_conserved_by_evolution(self):
+        patch = two_mode_patch(128, 0.3)
+        final, _ = contour.evolve(patch, 0.5)
+        E0 = contour.diagnostics(patch).E
+        assert abs(contour.diagnostics(final).E - E0) / E0 <= 1e-12
+
+    def test_grid_rotation_invariant(self):
+        patch = two_mode_patch(128, 0.3)
+        rolled = patch.replace_samples(np.roll(patch.samples, 37))
+        E = contour.diagnostics(patch).E
+        assert abs(contour.diagnostics(rolled).E - E) <= 1e-14 * E
+
+    def test_fold_matches_full_grid(self):
+        folded = two_mode_patch(128, 0.4, fold=2)
+        full = contour.RadialPatch(folded.samples, folded.rotation_offset, 0.4)
+        assert contour.diagnostics(folded).E == contour.diagnostics(full).E
+
+    def test_hamiltonian(self):
+        patch = two_mode_patch(64, 0.3)
+        d = contour.diagnostics(patch)
+        assert d.H == 0.5 * (d.E - patch.rotation_offset * d.J)
+
+    def test_memory_is_quadratic_in_M(self):
+        patch = two_mode_patch(512, 0.3)
+        tracemalloc.start()
+        try:
+            contour.diagnostics(patch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestVStateConversion:
