@@ -152,24 +152,3 @@ def velocity_convergence(alpha, curve, z, M0=64, levels=3):
     order = math.log2(d0 / d1) if d1 > 0 else math.inf
     return ConvergenceReport(tuple(sizes), tuple(vals), order)
 
-
-def poisson_integral(x):
-    """Closed form of int_{-pi}^{pi} log(1 + x^2 - 2 x cos eta) d eta."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
-    if abs(x) <= 1.0:
-        return 0.0
-    return 4 * math.pi * math.log(abs(x))
-
-
-def poisson_integral_quadrature(x, M=4096):
-    """Midpoint-rule companion to :func:`poisson_integral`.
-
-    The midpoint grid never hits eta = 0, so the boundary case |x| = 1
-    (integrable log singularity) is handled without special-casing.
-    """
-    x = float(x)
-    eta = -np.pi + (np.arange(M) + 0.5) * (2 * np.pi / M)
-    vals = np.log(1.0 + x * x - 2.0 * x * np.cos(eta))
-    return float(vals.sum() * (2 * np.pi / M))

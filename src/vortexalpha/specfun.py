@@ -23,8 +23,8 @@ errors cross the accuracy targets, see below):
 
 Scaling: for ``x > 700`` the unscaled values overflow/underflow doubles;
 ``bessel_ik`` then returns ``e^(-x) I_n`` and ``e^(x) K_n`` with the
-``scaled`` flag set.  Identity checks (Wronskian, ratio bounds, products)
-work in scaled form throughout, so they are valid for every ``x > 0``.
+``scaled`` flag set.  The products I_n K_n are formed in scaled form
+throughout, so they are valid for every ``x > 0``.
 
 Sign conventions on the positive real axis: ``I_n(x) > 0``, ``K_n(x) > 0``,
 ``K_n'(x) < 0``; derivatives come from the exact recurrences
@@ -526,37 +526,3 @@ def product_IK_array(nmax, x):
         P[n + 1] = P[n] * rho[n] * kappa
     return P
 
-
-def check_wronskian(n, x):
-    """|I_n'(x) K_n(x) - I_n(x) K_n'(x) - 1/x|, derivatives by recurrence.
-
-    Evaluated in exponentially scaled form, hence valid for all x > 0.
-    """
-    n = _check_order(n)
-    x = float(x)
-    if x <= 0:
-        raise DomainError("argument must be positive")
-    iv, kv = _ike_seq(n + 1, x)
-    im1 = iv[1] if n == 0 else iv[n - 1]
-    km1 = kv[1] if n == 0 else kv[n - 1]
-    ip = 0.5 * (im1 + iv[n + 1])
-    kp = -0.5 * (km1 + kv[n + 1])
-    return abs(ip * kv[n] - iv[n] * kp - 1.0 / x)
-
-
-def check_ratio_bounds(n, x):
-    """Strict ratio bounds x I_n'/I_n < sqrt(x^2+n^2) < -x K_n'/K_n.
-
-    Returns (holds_for_I, holds_for_K); the contract is (True, True).
-    """
-    n = _check_order(n)
-    x = float(x)
-    if x <= 0:
-        raise DomainError("argument must be positive")
-    iv, kv = _ike_seq(n + 1, x)
-    im1 = iv[1] if n == 0 else iv[n - 1]
-    km1 = kv[1] if n == 0 else kv[n - 1]
-    root = math.hypot(x, n)
-    ratio_i = x * 0.5 * (im1 + iv[n + 1]) / iv[n]
-    ratio_k = -x * 0.5 * (km1 + kv[n + 1]) / kv[n]
-    return bool(ratio_i < root), bool(ratio_k < -root)

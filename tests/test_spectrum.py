@@ -1,9 +1,12 @@
 """Tests for the frequency formulas and their analytic properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import iv, kv
 
 from vortexalpha import spectrum as sp
 from vortexalpha.errors import DomainError
@@ -128,6 +131,15 @@ class TestEquilibriumFrequencies:
         fv = sp.equilibrium_frequencies((2, 3, 5, 11), 0.5, 1.0)
         assert np.all(np.diff(fv.components) > 0)
 
+    def test_matrix_rows_match_scalar_frequencies(self):
+        js = [2, -3, 0, 7, 1]
+        grid = np.linspace(0.3, 2.0, 9)
+        W = sp.equilibrium_matrix(js, 0.5, grid)
+        ref = np.array([[sp.equilibrium_frequency(j, 0.5, a) for a in grid] for j in js])
+        np.testing.assert_allclose(W, ref, rtol=1e-14, atol=0.0)
+        v0 = [0.5 + sp.omega_infinity(a) for a in grid]
+        np.testing.assert_allclose(sp.v0_curve(0.5, grid), v0, rtol=1e-14)
+
     def test_invalid_sets(self):
         for S in [(), (0, 1), (3, 2), (2, 2)]:
             with pytest.raises(DomainError):
@@ -197,8 +209,109 @@ class TestTransversality:
         assert all(np.isfinite(c) for c in consts)
         assert max(consts) <= 3.0 * min(c for c in consts if c > 0)
 
+    @pytest.mark.parametrize("interval", [(0.5, 0.5), (1.5, 0.5), (0.0, 1.0), (-0.2, 1.0)])
+    def test_derivative_bound_rejects_bad_interval(self, interval):
+        with pytest.raises(DomainError):
+            sp.difference_derivative_bound(5, 2, 0.5, interval, 3)
+
+
+def _omega_complex(j, Omega, alpha):
+    """Omega_j^E at complex alpha from scipy's I_n, K_n (no code shared with specfun)."""
+    x, m = 1.0 / alpha, abs(j)
+    return j * (Omega + (m - 1) / (2.0 * m) - (iv(1, x) * kv(1, x) - iv(m, x) * kv(m, x)))
+
+
+def _combination_complex(case, alpha):
+    S, Omega, l, variant, j, j0 = case
+    f = sum(lk * _omega_complex(s, Omega, alpha) for lk, s in zip(l, S))
+    if variant == "plus_jV0":
+        x = 1.0 / alpha
+        f = f + j * (Omega + 0.5 - iv(1, x) * kv(1, x))
+    elif variant == "plus_Omega_j":
+        f = f + _omega_complex(j, Omega, alpha)
+    elif variant == "difference":
+        f = f + _omega_complex(j, Omega, alpha) - _omega_complex(j0, Omega, alpha)
+    return f
+
+
+def cauchy_envelope(case, alpha, q0, n=128):
+    """max_{q <= q0} |f^(q)(alpha)| from Cauchy integrals on |z - alpha| = rho."""
+    rho = min(alpha / 2.0, 0.2)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    vals = _combination_complex(case, alpha + rho * np.exp(1j * theta))
+    best = abs(_combination_complex(case, alpha).real)
+    for q in range(1, q0 + 1):
+        dq = math.factorial(q) / rho**q * np.mean(vals * np.exp(-1j * q * theta))
+        best = max(best, abs(dq.real))
+    return best
+
+
+# one case per variant; l = (1, -2, 1) cancels every constant, so f -> 0 as
+# alpha grows and the derivatives at the right end are small
+ENVELOPE_CASES = [
+    ((2, 3, 4), 0.5, (1, -2, 1), "pure", None, None),
+    ((2, 3, 4), 0.5, (1, 1, -1), "plus_jV0", 3, None),
+    ((2, 3, 4), 0.5, (2, -1, 0), "plus_Omega_j", 5, None),
+    ((2, 3), 0.5, (1, -1), "difference", 5, 7),
+]
+
+
+class TestDerivativeAccuracy:
+    """The q0 = 4 envelope against Cauchy-integral derivatives of the closed form."""
+
+    @pytest.mark.parametrize(
+        "interval,rtol", [((0.3, 0.7), 1e-6), ((0.5, 1.5), 1e-6), ((0.1, 2.0), 1e-4)]
+    )
+    @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=lambda c: c[3])
+    def test_envelope_matches_cauchy_oracle(self, case, interval, rtol):
+        S, Omega, l, variant, j, j0 = case
+        modes, coef, v0_coef = list(S), list(l), 0.0
+        if variant == "plus_jV0":
+            v0_coef = j
+        elif variant == "plus_Omega_j":
+            modes, coef = modes + [j], coef + [1]
+        elif variant == "difference":
+            modes, coef = modes + [j, -j0], coef + [1, 1]
+        coef = np.array(coef, dtype=float)
+
+        def f_on(grid):
+            W = sp.equilibrium_matrix(modes, Omega, grid)
+            return coef @ W + v0_coef * sp.v0_curve(Omega, grid)
+
+        alphas, _, best = sp._derivative_envelope(f_on, interval, 4, 2001)
+        nodes = np.arange(0, 2001, 50)
+        ref = np.array([cauchy_envelope(case, a, 4) for a in alphas[nodes]])
+        assert np.max(np.abs(best[nodes] - ref) / ref) <= rtol
+
+        rep = sp.transversality_report(S, Omega, l, variant, interval, 4, j=j, j0=j0)
+        ref = cauchy_envelope(case, rep.argmin_alpha, 4) / max(1, sum(map(abs, l)))
+        assert rep.margin == pytest.approx(ref, rel=rtol)
+
+
+def nondegeneracy_by_sample_loop(S, Omega, alpha_interval, augment, n_samples=48):
+    """The per-sample scalar loop over the frequency curve, kept as an oracle."""
+
+    def curve(a):
+        comps = [sp.equilibrium_frequency(jk, Omega, a) for jk in S]
+        if augment in ("V0", "V0_and_1"):
+            comps.append(Omega + sp.omega_infinity(a))
+        if augment == "V0_and_1":
+            comps.append(1.0)
+        return comps
+
+    return sp.smallest_singular_value(
+        curve, alpha_interval, n_samples, center=(augment != "V0_and_1")
+    )
+
 
 class TestNondegeneracy:
+    @pytest.mark.parametrize("augment", ["none", "V0", "V0_and_1"])
+    @pytest.mark.parametrize("S,interval", [((2, 3, 4), (0.3, 0.7)), ((2, 5), (0.5, 2.0))])
+    def test_matches_sample_loop(self, S, interval, augment):
+        s = sp.check_nondegeneracy(S, 0.5, interval, augment=augment)
+        ref = nondegeneracy_by_sample_loop(S, 0.5, interval, augment)
+        assert s == pytest.approx(ref, rel=1e-12)
+
     def test_positive_for_frequency_curve(self):
         s = sp.check_nondegeneracy((2, 3), 0.5, (0.5, 2.0), augment="none")
         assert s > 0
