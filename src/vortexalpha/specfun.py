@@ -264,13 +264,22 @@ _K0_PSI_COEF = np.array(
 
 
 def _k0_series_fast(x):
-    """Unscaled K_0 for x <= 3 via two Horner polynomials in x^2/4."""
+    """Unscaled K_0 for x <= 3 via two Horner polynomials in x^2/4.
+
+    The Horner steps update two arrays in place (``p += c; p *= u``) in
+    the same order of operations as the plain form ``p = p * u + c``, so
+    the result is bitwise equal to it, without a fresh array per step.
+    """
     u = x * x * 0.25
-    pi0 = np.full_like(x, _K0_I0_COEF[-1])
-    pps = np.full_like(x, _K0_PSI_COEF[-1])
-    for m in range(_K0_TERMS - 2, -1, -1):
-        pi0 = pi0 * u + _K0_I0_COEF[m]
-        pps = pps * u + _K0_PSI_COEF[m]
+    pi0 = _K0_I0_COEF[-1] * u
+    pps = _K0_PSI_COEF[-1] * u
+    for m in range(_K0_TERMS - 2, 0, -1):
+        pi0 += _K0_I0_COEF[m]
+        pi0 *= u
+        pps += _K0_PSI_COEF[m]
+        pps *= u
+    pi0 += _K0_I0_COEF[0]
+    pps += _K0_PSI_COEF[0]
     return -np.log(0.5 * x) * pi0 + pps
 
 

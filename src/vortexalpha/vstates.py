@@ -15,6 +15,12 @@ with the kernel evaluated on the chord matrix by
 log(2 alpha) - gamma), and projected onto sine modes; outputs live in the
 sine-coefficient basis e_n(w) = Im(w^n).
 
+The coefficients are real, so Phi(conj w) = conj Phi(w) and F is odd,
+F(-theta) = -F(theta); with m-fold symmetry it also has period 2 pi / m.
+Of the msec target nodes of one period (msec = M/m when m divides M, else
+msec = M) only the nodes 0..msec//2 are evaluated, and the rest follow by
+oddness: one sample costs M (msec//2 + 1) kernel entries.
+
 The sign convention of the linearized multiplier relative to the
 frequency formulas is pinned empirically by the finite-difference Jacobian
 test in the suite (diagonal entries (n+1)(Omega^E_{n+1}(alpha) - Omega)),
@@ -105,12 +111,10 @@ class ConformalPerturbation:
 class FunctionalValue:
     """Sine-mode expansion of one functional evaluation.
 
-    ``sine_coefficients[k]`` is the coefficient of sin((k+1) theta); the
-    cosine residual should sit at round-off for symmetric inputs.
+    ``sine_coefficients[k]`` is the coefficient of sin((k+1) theta).
     """
 
     sine_coefficients: np.ndarray
-    cos_residual: float
     grid_size: int
 
     def coefficient(self, n):
@@ -136,11 +140,9 @@ def evaluate_F(alpha, Omega, perturbation, grid_size, band=None):
         )
     samples = _f_samples(alpha, Omega, perturbation, M)
     g = sine_coefficients(samples)
-    fk = np.fft.rfft(samples)
-    cos_res = float(np.max(np.abs(fk.real)) * 2.0 / M)
     if band is not None:
         g = g[: int(band)]
-    return FunctionalValue(g, cos_res, M)
+    return FunctionalValue(g, M)
 
 
 def _f_samples(alpha, Omega, pert, M):
@@ -150,19 +152,28 @@ def _f_samples(alpha, Omega, pert, M):
     dphi = pert.map_derivative(w)
     if np.min(np.abs(dphi)) < _MIN_PHI_PRIME:
         raise GeometryError("Phi' vanishes on the grid")
-    # m-fold symmetry: F has period 2 pi / m, so only the first sector of
-    # target nodes is evaluated and the result is tiled
+    # F has period 2 pi / m and is odd, so of the first msec target nodes
+    # only 0..msec//2 are evaluated (M (msec//2 + 1) kernel entries); node
+    # msec - k takes -F at node k, and the sector is tiled m times.  Every
+    # target node is a rotation or reflection of an evaluated one, so the
+    # self-intersection check below still sees every chord class.
     m = pert.fold
     msec = M // m if (m > 1 and M % m == 0) else M
-    zr, wr, dphir = z[:msec], w[:msec], dphi[:msec]
+    h = msec // 2 + 1
+    zr, wr, dphir = z[:h], w[:h], dphi[:h]
     dist = np.abs(zr[:, None] - z[None, :])
-    # the msec diagonal chords are exactly zero; any other chord this
-    # short means the curve crosses itself
-    if np.count_nonzero(dist < 1e-12) != msec:
+    # the h diagonal chords are exactly zero; any other chord this short
+    # means the curve crosses itself
+    if np.count_nonzero(dist < 1e-12) != h:
         raise GeometryError("boundary self-intersects on the grid")
     G = combined_boundary_kernel(alpha, dist)
-    I = (G * (dphi * w)[None, :]).mean(axis=1)
-    sector = np.imag((Omega * zr + I) * np.conj(wr) * np.conj(dphir))
+    # one real matrix product; G @ c with complex c would copy G to complex
+    c = dphi * w
+    re_im = G @ np.column_stack((c.real, c.imag)) / M
+    I = re_im[:, 0] + 1j * re_im[:, 1]
+    sector = np.empty(msec)
+    sector[:h] = np.imag((Omega * zr + I) * np.conj(wr) * np.conj(dphir))
+    sector[h:] = -sector[msec - h : 0 : -1]
     return np.tile(sector, m) if msec < M else sector
 
 
@@ -206,10 +217,13 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None, kernel_tol=1e-10):
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
+    n_max = int(n_max)
+    # table[n] = omega_bifurcation(n + 1, alpha), one I_n K_n table
+    table = spectrum.bifurcation_table(max(n_max + 1, m), [alpha])[:, 0]
     if Omega is None:
-        Omega = spectrum.omega_bifurcation(m, alpha)
-    pattern = list(range(m - 1, int(n_max) + 1, m))
-    mults = [(n, linearized_multiplier(alpha, Omega, n)) for n in pattern]
+        Omega = table[m - 1]
+    pattern = range(m - 1, n_max + 1, m)
+    mults = [(n, float((n + 1) * (table[n] - Omega))) for n in pattern]
     kernel_modes = tuple(n for n, v in mults if abs(v) < kernel_tol)
     # d/dOmega of the multiplier is -(n+1); for the kernel direction this
     # is the transversality pairing against e_m
@@ -292,12 +306,14 @@ def continue_branch(
     N = int(band)
     M = int(grid_size)
 
+    # omega_bifurcation(n, alpha) for n = m, 2m, ..., Nm from one table
+    omegas = spectrum.bifurcation_table(N * m, [alpha])[m - 1 :: m, 0]
     u = np.zeros(N)
-    u[0] = spectrum.omega_bifurcation(m, alpha)
+    u[0] = omegas[0]
     points = []
     for s in amplitudes:
         u, r, tail, pert, steps = _newton_solve(
-            alpha, m, s, u, M, N, tol, max_steps
+            alpha, m, s, u, M, N, tol, max_steps, omegas
         )
         if tail > tail_tol:
             raise GridError(
@@ -319,28 +335,29 @@ def continue_branch(
     return points
 
 
-def _initial_jacobian(alpha, m, s, u, pert, M, N):
+def _initial_jacobian(m, u, pert, M, N, omegas):
     """Analytic Jacobian seed: exact Omega column + diagonal multipliers.
 
     The Omega derivative of F is kernel-free, so its column is exact at
     the current point; the coefficient columns start from the f = 0
-    linearization (nm)(Omega^E_nm - Omega) and are corrected by Broyden
+    linearization (nm)(Omega^E_nm - Omega), with ``omegas[k]`` =
+    omega_bifurcation((k+1) m, alpha), and are corrected by Broyden
     updates as the iteration proceeds.
     """
     jac = np.zeros((N, N))
     g = sine_coefficients(_omega_derivative_samples(pert, M))
     jac[:, 0] = g[m - 1 : N * m : m]
-    for k in range(1, N):
-        n = (k + 1) * m  # sine mode fed by coefficient a_{(k+1)m-1}
-        jac[k, k] = n * (spectrum.omega_bifurcation(n, alpha) - u[0])
+    k = np.arange(1, N)
+    # sine mode n = (k+1) m is fed by coefficient a_{(k+1)m-1}
+    jac[k, k] = (k + 1) * m * (omegas[1:] - u[0])
     return jac
 
 
-def _newton_solve(alpha, m, s, u0, M, N, tol, max_steps):
+def _newton_solve(alpha, m, s, u0, M, N, tol, max_steps, omegas):
     u = u0.copy()
     r, tail, pert = _branch_residual(alpha, m, s, u, M, N)
     rnorm = np.max(np.abs(r))
-    jac = _initial_jacobian(alpha, m, s, u, pert, M, N)
+    jac = _initial_jacobian(m, u, pert, M, N, omegas)
     fd_fresh = False
     steps = 0
     while rnorm >= tol:

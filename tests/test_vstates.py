@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vortexalpha import greens
 from vortexalpha import spectrum as sp
 from vortexalpha import vstates as vs
 from vortexalpha.errors import ConvergenceError, DomainError, GeometryError, GridError
@@ -34,6 +35,34 @@ def euler_piece(Omega, pert, M):
     powers = np.conj(w)[:, None] ** np.arange(1, pert.degree + 1)
     I = I - w / 2.0 + 0.5 * powers @ pert.coefficients[1:]
     return sine_coefficients(np.imag((Omega * z + I) * np.conj(w) * np.conj(dphi)))
+
+
+def full_sector_samples(alpha, Omega, pert, M):
+    """F on every target node of the first sector, tiled m times.
+
+    The reference for ``vs._f_samples``, which evaluates half a sector and
+    fills the rest by oddness: here every sector row has its own kernel
+    row and its own trapezoid sum.
+    """
+    w = np.exp(2j * np.pi * np.arange(M) / M)
+    z = pert.map_points(w)
+    dphi = pert.map_derivative(w)
+    m = pert.fold
+    msec = M // m if (m > 1 and M % m == 0) else M
+    dist = np.abs(z[:msec, None] - z[None, :])
+    G = greens.combined_boundary_kernel(alpha, dist)
+    I = (G * (dphi * w)[None, :]).mean(axis=1)
+    sector = np.imag(
+        (Omega * z[:msec] + I) * np.conj(w[:msec]) * np.conj(dphi[:msec])
+    )
+    return np.tile(sector, M // msec)
+
+
+def fold_coefficients(m, amps):
+    """a_{km-1} = amps[k-1] (a_0, a_1, ... for m = 1)."""
+    c = np.zeros(len(amps) * m)
+    c[m - 1 :: m] = amps
+    return c
 
 
 class TestConformalPerturbation:
@@ -114,6 +143,42 @@ class TestEvaluateF:
         assert errs[0] / errs[1] > 50
         assert errs[1] / errs[2] > 50
 
+    @pytest.mark.parametrize(
+        "m, M, coeffs",
+        [
+            (1, 128, fold_coefficients(1, [0.02, 0.05, 0.01, -0.004])),
+            (2, 128, fold_coefficients(2, [0.05, 0.01, -0.004])),
+            (3, 192, fold_coefficients(3, [0.05, 0.01, -0.004])),
+            (4, 128, fold_coefficients(4, [0.05, 0.01, -0.004])),
+            (3, 256, fold_coefficients(3, [0.05, 0.01, -0.004])),  # 3 does not divide M
+            (2, 90, fold_coefficients(2, [0.05, 0.01, -0.004])),  # odd sector
+            (1, 128, [0.1]),  # shifted disc
+        ],
+    )
+    def test_half_sector_matches_full_sector(self, m, M, coeffs):
+        pert = vs.ConformalPerturbation(coeffs, fold=m)
+        for alpha, Om in [(0.7, 0.3), (0.3, -0.1)]:
+            ref = sine_coefficients(full_sector_samples(alpha, Om, pert, M))
+            g = vs.evaluate_F(alpha, Om, pert, M).sine_coefficients
+            assert np.max(np.abs(g - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_kernel_rows_cover_half_a_sector(self, monkeypatch, m):
+        M = 256
+        msec = M // m if M % m == 0 else M
+        shapes = []
+
+        def recording_kernel(alpha, rho):
+            shapes.append(np.shape(rho))
+            return greens.combined_boundary_kernel(alpha, rho)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(vs, "combined_boundary_kernel", recording_kernel)
+            pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01]), fold=m)
+            vs.evaluate_F(0.7, 0.3, pert, M)
+        assert vs.combined_boundary_kernel is greens.combined_boundary_kernel
+        assert shapes == [(msec // 2 + 1, M)]
+
     def test_grid_validation(self):
         pert = vs.ConformalPerturbation(np.zeros(10), fold=1)
         with pytest.raises(GridError):
@@ -187,6 +252,15 @@ class TestCrandallRabinowitz:
         rep = vs.check_crandall_rabinowitz(alpha, 2, 32, Omega=Om)
         assert rep.kernel_dim == 0
 
+    def test_multipliers_match_scalar_form(self):
+        for alpha, m in [(0.3, 2), (1.0, 3), (0.2, 7)]:
+            Om = 0.1
+            rep = vs.check_crandall_rabinowitz(alpha, m, 40, Omega=Om)
+            for n, v in rep.multipliers:
+                assert v == pytest.approx(
+                    vs.linearized_multiplier(alpha, Om, n), rel=0, abs=1e-14
+                )
+
     def test_multiplier_table_present(self):
         rep = vs.check_crandall_rabinowitz(1.0, 2, 10)
         assert all(n % 2 == 1 for n, _ in rep.multipliers)
@@ -210,6 +284,26 @@ class TestBranchContinuation:
         c = np.abs(pts[-1].perturbation.coefficients[2::3])
         live = c[c > 0]
         assert np.all(np.diff(np.log(live[:6])) < 0)  # geometric-ish decay
+
+    def test_jacobian_seed_diagonal_matches_scalar_frequencies(self, monkeypatch):
+        alpha, m, N = 0.7, 3, 8
+        seed = vs._initial_jacobian
+        seeds = []
+
+        def recording_seed(fold, u, *rest):
+            jac = seed(fold, u, *rest)
+            seeds.append((u[0], jac))
+            return jac
+
+        monkeypatch.setattr(vs, "_initial_jacobian", recording_seed)
+        vs.continue_branch(alpha, m, [1e-4, 0.01], band=N, grid_size=192)
+        assert len(seeds) == 2
+        assert seeds[0][0] == sp.omega_bifurcation(m, alpha)
+        for Om, jac in seeds:
+            for k in range(1, N):
+                n = (k + 1) * m
+                pred = n * (sp.omega_bifurcation(n, alpha) - Om)
+                assert jac[k, k] == pytest.approx(pred, rel=0, abs=1e-14)
 
     def test_distinct_folds_distinct_limits(self):
         p2 = vs.continue_branch(1.0, 2, [1e-4], band=8, grid_size=128)[0]
