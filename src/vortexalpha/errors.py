@@ -19,10 +19,6 @@ class GeometryError(ValueError):
     """Boundary degenerate: conformal derivative vanishes or 1+2r <= 0."""
 
 
-class HypothesisError(ValueError):
-    """A numerically checked hypothesis (e.g. transversality) fails."""
-
-
 class ConvergenceError(ArithmeticError):
     """Iterative solver failed to reach tolerance.
 

@@ -143,8 +143,11 @@ def velocity_convergence(alpha, curve, z, M0=64, levels=3):
     """Observed convergence order of velocity_at under grid doubling.
 
     ``curve(M)`` must return the Boundary resampled at M nodes.  The order
-    is estimated from the last three levels by Richardson comparison.
+    is estimated from the last three levels by Richardson comparison, so
+    ``levels`` must be at least 2.
     """
+    if levels < 2:
+        raise DomainError(f"levels must be at least 2, got {levels!r}")
     sizes = [M0 * 2**k for k in range(levels + 1)]
     vals = [velocity_at(alpha, curve(M), z) for M in sizes]
     d1 = abs(vals[-2] - vals[-1])

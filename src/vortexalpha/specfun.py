@@ -3,12 +3,17 @@
 Evaluation strategy (regime switches chosen where the estimated truncation
 errors cross the accuracy targets, see below):
 
-* ``I_n``: ascending power series ``sum_m (x/2)^(n+2m) / (m! (n+m)!)``.
-  All terms are positive, so the series is cancellation-free and is used
-  for every order whenever ``x <= 600``.  Beyond that the exponentially
-  scaled value is assembled from the large-argument expansion of I_0, I_1
-  and a continued-fraction-seeded backward recurrence for higher orders.
-* ``K_0, K_1``: the log + psi power series for ``x < 3``.  Its
+* ``I_0``: ascending power series ``sum_m (x^2/4)^m / (m!)^2`` for
+  ``x <= 30`` (all terms positive, so it is cancellation-free), and the
+  large-argument expansion of ``sqrt(2 pi x) e^-x I_0(x)`` beyond; the
+  two agree to a few ulp at the switch.
+* ``I_n``, n >= 1: I_0 times the order ratios ``I_{n+1}/I_n`` from the
+  downward recurrence ``rho_{n-1} = 1/(2n/x + rho_n)`` (W. Gautschi, SIAM
+  Rev. 9 (1967)), seeded well above the top order.  The same recurrence
+  serves the scalar functions and ``product_IK_array``, at every x; its
+  length grows like ``sqrt(n x)``.
+* ``K_0, K_1``: the log + psi power series for ``x < 3``, both orders
+  from one Horner table in ``x^2/4`` (``_K_SERIES``).  Its
   cancellation error grows like ``e^(2x) * eps``: below 1e-14 relative up
   to x = 2.5, up to about 4e-14 just below 3.  For ``x >= 3`` the smooth
   functions ``sqrt(x) e^x K_n(x)``, n = 0, 1, are one degree-20 Chebyshev
@@ -47,8 +52,7 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # Regime boundaries (documented above).
 _X_SWITCH_K_SERIES = 3.0
-_X_SWITCH_I_SERIES = 30.0   # i0/i1 fast path; higher orders use series to 600
-_X_SWITCH_I_MILLER = 600.0
+_X_SWITCH_I_SERIES = 30.0   # I_0: series below, large-argument expansion above
 _X_OVERFLOW = 700.0
 
 _SERIES_STOP = 1e-17        # stop when term < this fraction of the partial sum
@@ -110,30 +114,25 @@ def _check_order(n):
 # scaled core, vectorized over x (float ndarray in, ndarray out)
 # ----------------------------------------------------------------------
 
-def _i_series_scaled(n, x):
-    """e^(-x) I_n(x) by the ascending series; x array, any single order n."""
+def _i_series_scaled(x):
+    """e^(-x) I_0(x) by the ascending series sum (x^2/4)^m / (m!)^2; x array."""
     x = np.asarray(x, dtype=float)
     half = x / 2.0
-    # first term (x/2)^n / n! in log space to survive large n
-    with np.errstate(divide="ignore"):
-        logt0 = n * np.log(np.where(x > 0, half, 1.0)) - math.lgamma(n + 1)
-    term = np.where(x > 0, np.exp(logt0), 0.0)
-    if n == 0:
-        term = np.ones_like(x)
+    term = np.ones_like(x)
     s = term.copy()
     z2 = half * half
     m = 0
     active = np.ones_like(x, dtype=bool)
     while active.any() and m < 2000:
         m += 1
-        term = term * z2 / (m * (m + n))
+        term = term * z2 / (m * m)
         s += term
         active = term > _SERIES_STOP * s
     return np.exp(-x) * s
 
 
-def _asy_scaled(mu, x):
-    """Large-argument expansion factor of sqrt(2 pi x) e^-x I_n, mu = 4 n^2.
+def _asy_scaled(x):
+    """Large-argument expansion factor of sqrt(2 pi x) e^-x I_0(x).
 
     Terms are added until they stop decreasing or drop below 1e-18*sum.
     """
@@ -145,7 +144,7 @@ def _asy_scaled(mu, x):
     k = 0
     while active.any() and k < 60:
         k += 1
-        term = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
+        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
         grow = np.abs(term) >= prev
         active &= ~grow
         s = np.where(active, s + term, s)
@@ -159,56 +158,55 @@ def _i0e(x):
     out = np.empty_like(x)
     lo = x <= _X_SWITCH_I_SERIES
     if lo.any():
-        out[lo] = _i_series_scaled(0, x[lo])
+        out[lo] = _i_series_scaled(x[lo])
     if (~lo).any():
         xs = x[~lo]
-        out[~lo] = _asy_scaled(0.0, xs) / np.sqrt(2 * np.pi * xs)
+        out[~lo] = _asy_scaled(xs) / np.sqrt(2 * np.pi * xs)
     return out
 
 
-def _i1e(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    lo = x <= _X_SWITCH_I_SERIES
-    if lo.any():
-        out[lo] = _i_series_scaled(1, x[lo])
-    if (~lo).any():
-        xs = x[~lo]
-        out[~lo] = _asy_scaled(4.0, xs) / np.sqrt(2 * np.pi * xs)
+def _psi(m):
+    """Digamma at a positive integer: psi(m) = sum_{k < m} 1/k - gamma."""
+    return sum(1.0 / k for k in range(1, m)) - EULER_GAMMA
+
+
+# Horner coefficients c[m, j] in u = x^2/4 of the x < 3 series of K_0, K_1:
+#   K_0 = -log(x/2) p_0 + p_1,  K_1 = 1/x + (x/2) log(x/2) p_2 - (x/4) p_3,
+# with p_j = sum_m c[m, j] u^m and, for m = 0..19,
+#   c[m] = (1/(m!)^2, psi(m+1)/(m!)^2,
+#           1/(m! (m+1)!), (psi(m+1) + psi(m+2))/(m! (m+1)!)).
+# 20 terms keep the truncation below 1e-17 relative for x <= 3.
+_K_SERIES = np.array(
+    [
+        [
+            1.0 / math.factorial(m) ** 2,
+            _psi(m + 1) / math.factorial(m) ** 2,
+            1.0 / (math.factorial(m) * math.factorial(m + 1)),
+            (_psi(m + 1) + _psi(m + 2)) / (math.factorial(m) * math.factorial(m + 1)),
+        ]
+        for m in range(20)
+    ]
+)
+
+
+def _horner(u, coef):
+    """[sum_m coef[m, j] u^m for each column j of ``coef``], one array per column.
+
+    Each column runs its own in-place loop (``p += c; p *= u``) in the
+    order of operations of the plain form ``p = p * u + c``, so it is
+    bitwise equal to it, without a fresh array per step.  One stacked
+    (cols,) + u.shape array instead measured about 20 % slower on the
+    ``evolve`` benchmark at equal arithmetic.
+    """
+    out = []
+    for col in coef.T.tolist():
+        p = col[-1] * u
+        for c in col[-2:0:-1]:
+            p += c
+            p *= u
+        p += col[0]
+        out.append(p)
     return out
-
-
-def _k01e_series(x):
-    """(e^x K_0, e^x K_1) by the log + psi series; x array, x < 3."""
-    x = np.asarray(x, dtype=float)
-    z2 = x * x / 4.0
-    lg = np.log(x / 2.0)
-    # order 0: K_0 = -log(x/2) I_0 + sum psi(m+1) (x^2/4)^m / (m!)^2
-    term = np.ones_like(x)
-    i0 = np.ones_like(x)
-    psi = -EULER_GAMMA
-    s0 = psi * term
-    # order 1 pieces: K_1 = (1/x) + log(x/2) I_1 - (x/4) sum_k
-    #   (psi(k+1)+psi(k+2)) (x^2/4)^k / (k! (k+1)!)
-    term1 = np.ones_like(x)
-    i1 = np.ones_like(x)          # I_1 / (x/2) = sum (x^2/4)^k /(k!(k+1)!)
-    s1 = (psi + psi + 1.0) * term1
-    m = 0
-    while m < 60:
-        m += 1
-        term = term * z2 / (m * m)
-        i0 += term
-        psi += 1.0 / m
-        s0 += psi * term
-        term1 = term1 * z2 / (m * (m + 1))
-        i1 += term1
-        s1 += (2 * psi + 1.0 / (m + 1)) * term1
-        if np.all(term < _SERIES_STOP * i0):
-            break
-    k0 = -lg * i0 + s0
-    k1 = 1.0 / x + lg * (x / 2.0) * i1 - (x / 4.0) * s1
-    ex = np.exp(x)
-    return ex * k0, ex * k1
 
 
 def _clenshaw(t, coef):
@@ -226,6 +224,17 @@ def _clenshaw(t, coef):
         b0 += ck
         b1, b2 = b0, b1
     return c[0] + 0.5 * t2 * b1 - b2
+
+
+def _k01e_series(x):
+    """(e^x K_0, e^x K_1) by the log + psi series; x array, x < 3."""
+    x = np.asarray(x, dtype=float)
+    lg = np.log(x / 2.0)
+    i0, s0, i1, s1 = _horner(x * x / 4.0, _K_SERIES)
+    k0 = -lg * i0 + s0
+    k1 = 1.0 / x + lg * (x / 2.0) * i1 - (x / 4.0) * s1
+    ex = np.exp(x)
+    return ex * k0, ex * k1
 
 
 def _k01e_cheb(x):
@@ -249,38 +258,16 @@ def _k01e(x):
     return k0, k1
 
 
-# Horner coefficients for the unscaled small-x K_0 fast path:
-# K_0 = -log(x/2) sum u^m/(m!)^2 + sum psi(m+1) u^m/(m!)^2,  u = x^2/4.
-# 20 terms keep the truncation below 1e-17 relative for x <= 3.
-_K0_TERMS = 20
-_K0_I0_COEF = np.array([1.0 / math.factorial(m) ** 2 for m in range(_K0_TERMS)])
-_K0_PSI_COEF = np.array(
-    [
-        (sum(1.0 / k for k in range(1, m + 1)) - EULER_GAMMA)
-        / math.factorial(m) ** 2
-        for m in range(_K0_TERMS)
-    ]
-)
+def _k0_series(x):
+    """Unscaled K_0 for x < 3 from columns 0-1 of ``_K_SERIES``.
 
-
-def _k0_series_fast(x):
-    """Unscaled K_0 for x <= 3 via two Horner polynomials in x^2/4.
-
-    The Horner steps update two arrays in place (``p += c; p *= u``) in
-    the same order of operations as the plain form ``p = p * u + c``, so
-    the result is bitwise equal to it, without a fresh array per step.
+    A function of its own: with the same arithmetic inlined in
+    ``k0_array``, the changed order of allocations and frees measured
+    ``evolve`` about 10 % slower.
     """
     u = x * x * 0.25
-    pi0 = _K0_I0_COEF[-1] * u
-    pps = _K0_PSI_COEF[-1] * u
-    for m in range(_K0_TERMS - 2, 0, -1):
-        pi0 += _K0_I0_COEF[m]
-        pi0 *= u
-        pps += _K0_PSI_COEF[m]
-        pps *= u
-    pi0 += _K0_I0_COEF[0]
-    pps += _K0_PSI_COEF[0]
-    return -np.log(0.5 * x) * pi0 + pps
+    p0, p1 = _horner(u, _K_SERIES[:, :2])
+    return -np.log(0.5 * x) * p0 + p1
 
 
 def k0_array(x):
@@ -290,10 +277,10 @@ def k0_array(x):
         raise DomainError("K_0 requires x > 0")
     lo = x < _X_SWITCH_K_SERIES
     if lo.all():
-        return _k0_series_fast(x)
+        return _k0_series(x)
     out = np.empty_like(x)
     if lo.any():
-        out[lo] = _k0_series_fast(x[lo])
+        out[lo] = _k0_series(x[lo])
     hi = ~lo
     xh = x[hi]
     with np.errstate(under="ignore"):
@@ -327,64 +314,52 @@ def i0_array(x):
     return out
 
 
-def _ike_seq(nmax, x):
-    """Scaled sequences (e^-x I_n)_[0..nmax], (e^x K_n)_[0..nmax] at scalar x > 0.
+def _i_ratio_seq(nmax, x):
+    """rho[n] = I_{n+1}(x)/I_n(x) for n = 0..nmax-1 (vectorized over x).
 
-    I_0, I_1 from the fast regime-switched paths; higher orders by a
-    continued-fraction-seeded backward recurrence (downward is the stable
-    direction for I).  K by upward recurrence (stable: K grows with the
-    order).  The scaled K entries may overflow to inf for very large order
-    at small x -- callers decide whether that matters.
+    Downward recurrence rho_{n-1} = 1/(2n/x + rho_n), which is the stable
+    direction; seeded well above nmax with the leading-order ratio so the
+    seed error is washed out by the time the requested range is reached.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((nmax, x.size))
+    if nmax == 0:
+        return out
+    xmax = float(x.max())
+    start = nmax + 30 + int(2.0 * math.sqrt((nmax + 40) * xmax))
+    rho = x / (2.0 * (start + 1))
+    for n in range(start, 0, -1):
+        rho = 1.0 / (2.0 * n / x + rho)
+        if n <= nmax:
+            out[n - 1] = rho
+    return out
+
+
+def _i_seq(nmax, x):
+    """(e^-x I_n(x)) for n = 0..nmax at scalar x > 0: I_0 times the ratios."""
+    xa = np.array([float(x)])
+    iv = np.ones(nmax + 1)
+    iv[1:] = np.cumprod(_i_ratio_seq(nmax, xa)[:, 0])
+    return _i0e(xa)[0] * iv
+
+
+def _k_seq(nmax, x):
+    """(e^x K_n(x)) for n = 0..nmax at scalar x > 0.
+
+    Upward recurrence from K_0, K_1 (stable: K grows with the order).  The
+    entries may overflow to inf for very large order at small x -- callers
+    decide whether that matters.
     """
     x = float(x)
-    xa = np.array([x])
-    iv = np.empty(nmax + 1)
+    k0, k1 = _k01e(np.array([x]))
     kv = np.empty(nmax + 1)
-    iv[0] = _i0e(xa)[0]
+    kv[0] = k0[0]
     if nmax >= 1:
-        iv[1] = _i1e(xa)[0]
-    if nmax >= 2:
-        r = _cf_ratio(nmax, x)       # I_nmax / I_{nmax-1}
-        p = np.empty(nmax + 1)
-        p[nmax] = r
-        p[nmax - 1] = 1.0
-        for k in range(nmax - 1, 0, -1):
-            p[k - 1] = p[k + 1] + (2.0 * k / x) * p[k]
-            if p[k - 1] > 1e250:
-                p[k - 1:] /= 1e250
-        iv[2:] = p[2:] * (iv[0] / p[0])
-    k0, k1 = (float(v[0]) for v in _k01e(xa))
-    kv[0] = k0
-    if nmax >= 1:
-        kv[1] = k1
+        kv[1] = k1[0]
     with np.errstate(over="ignore"):
         for n in range(1, nmax):
             kv[n + 1] = kv[n - 1] + (2.0 * n / x) * kv[n]
-    return iv, kv
-
-
-def _cf_ratio(n, x):
-    """I_n(x)/I_{n-1}(x) by the modified Lentz continued fraction."""
-    tiny = 1e-290
-    f = tiny
-    c = f
-    d = 0.0
-    k = 0
-    while k < 10000:
-        k += 1
-        a = 2.0 * (n + k - 1) / x
-        d = a + d
-        if d == 0.0:
-            d = tiny
-        c = a + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return f
+    return kv
 
 
 # ----------------------------------------------------------------------
@@ -403,11 +378,12 @@ def bessel_ik(n, x):
         raise DomainError("argument must be nonnegative")
     if x == 0.0:
         return BesselEval(n, 0.0, 1.0 if n == 0 else 0.0, math.inf, False)
-    iv, kv = _ike_seq(n, x)
+    iv = float(_i_seq(n, x)[n])
+    kv = float(_k_seq(n, x)[n])
     if x > _X_OVERFLOW:
-        return BesselEval(n, x, float(iv[n]), float(kv[n]), True)
+        return BesselEval(n, x, iv, kv, True)
     ex = math.exp(x)
-    return BesselEval(n, x, float(iv[n]) * ex, float(kv[n]) / ex, False)
+    return BesselEval(n, x, iv * ex, kv / ex, False)
 
 
 def bessel_I(n, x, scaled=False):
@@ -421,14 +397,10 @@ def bessel_I(n, x, scaled=False):
     if x < 0:
         raise DomainError("argument must be nonnegative")
     if x == 0.0:
-        base = 1.0 if n == 0 else 0.0
-        return base
+        return 1.0 if n == 0 else 0.0
     if x > _X_OVERFLOW and not scaled:
         raise OverflowError("e^x overflows for x > 700; request scaled=True")
-    if x <= _X_SWITCH_I_MILLER:
-        v = float(_i_series_scaled(n, np.array([x]))[0])
-    else:
-        v = float(_ike_seq(n, x)[0][n])
+    v = float(_i_seq(n, x)[n])
     return v if scaled else v * math.exp(x)
 
 
@@ -445,7 +417,7 @@ def bessel_K(n, x, scaled=False):
         raise DomainError("argument must be positive")
     if x > _X_OVERFLOW and not scaled:
         raise OverflowError("e^-x underflows for x > 700; request scaled=True")
-    v = float(_ike_seq(n, x)[1][n])
+    v = float(_k_seq(n, x)[n])
     if not math.isfinite(v):
         raise OverflowError(f"K_{n}({x}) overflows double precision")
     return v if scaled else v * math.exp(-x)
@@ -459,10 +431,10 @@ def bessel_I_derivative(n, x):
         raise DomainError("argument must be nonnegative")
     if x == 0.0:
         return 0.5 if n == 1 else 0.0
-    iv, _ = _ike_seq(n + 1, x)
-    im1 = iv[1] if n == 0 else iv[n - 1]
     if x > _X_OVERFLOW:
         raise OverflowError("use scaled identities for x > 700")
+    iv = _i_seq(n + 1, x)
+    im1 = iv[1] if n == 0 else iv[n - 1]
     return 0.5 * (im1 + iv[n + 1]) * math.exp(x)
 
 
@@ -474,7 +446,7 @@ def bessel_K_derivative(n, x):
         raise DomainError("argument must be positive")
     if x > _X_OVERFLOW:
         raise OverflowError("use scaled identities for x > 700")
-    _, kv = _ike_seq(n + 1, x)
+    kv = _k_seq(n + 1, x)
     km1 = kv[1] if n == 0 else kv[n - 1]
     return -0.5 * (km1 + kv[n + 1]) * math.exp(-x)
 
@@ -491,25 +463,6 @@ def product_IK(n, x):
     if x <= 0:
         raise DomainError("argument must be positive")
     return float(product_IK_array(n, np.array([x]))[n, 0])
-
-
-def _i_ratio_seq(nmax, x):
-    """rho[n] = I_{n+1}(x)/I_n(x) for n = 0..nmax-1 (vectorized over x).
-
-    Downward recurrence rho_{n-1} = 1/(2n/x + rho_n), which is the stable
-    direction; seeded well above nmax with the leading-order ratio so the
-    seed error is washed out by the time the requested range is reached.
-    """
-    x = np.asarray(x, dtype=float)
-    xmax = float(x.max())
-    start = nmax + 30 + int(2.0 * math.sqrt((nmax + 40) * xmax))
-    rho = x / (2.0 * (start + 1))
-    out = np.empty((nmax, x.size))
-    for n in range(start, 0, -1):
-        rho = 1.0 / (2.0 * n / x + rho)
-        if n <= nmax:
-            out[n - 1] = rho
-    return out
 
 
 def product_IK_array(nmax, x):
@@ -534,4 +487,3 @@ def product_IK_array(nmax, x):
         kappa = 2.0 * n / x + 1.0 / kappa
         P[n + 1] = P[n] * rho[n] * kappa
     return P
-

@@ -326,6 +326,8 @@ def _derivative_envelope(f_on, alpha_interval, q0, npts):
     a0, a1 = (float(v) for v in alpha_interval)
     if not a0 < a1 or a0 <= 0:
         raise DomainError("alpha interval must satisfy 0 < a0 < a1")
+    if npts < 2:
+        raise DomainError(f"npts must be at least 2, got {npts!r}")
     h = (a1 - a0) / (npts - 1)
     b0, b1 = a0 - min((a1 - a0) / 10.0, a0 / 2.0), a1 + (a1 - a0) / 10.0
     c, r = 0.5 * (b0 + b1), 0.5 * (b1 - b0)

@@ -303,6 +303,8 @@ def continue_branch(
         raise DomainError("amplitudes must be strictly increasing")
     if amplitudes[0] > 1e-3:
         raise DomainError("first amplitude must be at most 1e-3 (local branch)")
+    if band < 1:
+        raise DomainError(f"band must be at least 1, got {band!r}")
     N = int(band)
     M = int(grid_size)
 

@@ -200,6 +200,16 @@ class TestVelocity:
         assert 2.0 < rep.observed_order < 4.5
         assert len(rep.values) == 4
 
+    def test_convergence_estimator_needs_two_levels(self):
+        def curve(M):
+            return greens.boundary_circle(1.0, M)
+
+        for levels in (0, 1):
+            with pytest.raises(DomainError):
+                greens.velocity_convergence(1.0, curve, 1.0 + 0.0j, M0=16, levels=levels)
+        rep = greens.velocity_convergence(1.0, curve, 1.0 + 0.0j, M0=16, levels=2)
+        assert rep.grid_sizes == (16, 32, 64)
+
     def test_velocity_field_matches_pointwise(self):
         b = greens.boundary_circle(1.0, 64)
         zs = np.array([0.2 + 0.1j, 1.7 - 0.4j])

@@ -30,7 +30,7 @@ def check_wronskian(n, x):
     x = float(x)
     if x <= 0:
         raise DomainError("argument must be positive")
-    iv, kv = sf._ike_seq(n + 1, x)
+    iv, kv = sf._i_seq(n + 1, x), sf._k_seq(n + 1, x)
     im1 = iv[1] if n == 0 else iv[n - 1]
     km1 = kv[1] if n == 0 else kv[n - 1]
     ip = 0.5 * (im1 + iv[n + 1])
@@ -47,7 +47,7 @@ def check_ratio_bounds(n, x):
     x = float(x)
     if x <= 0:
         raise DomainError("argument must be positive")
-    iv, kv = sf._ike_seq(n + 1, x)
+    iv, kv = sf._i_seq(n + 1, x), sf._k_seq(n + 1, x)
     im1 = iv[1] if n == 0 else iv[n - 1]
     km1 = kv[1] if n == 0 else kv[n - 1]
     root = math.hypot(x, n)
@@ -87,11 +87,22 @@ class TestBesselI:
         assert sf.bessel_I(0, 701.0, scaled=True) > 0
 
     def test_switch_continuity(self):
-        # series vs Miller/asymptotic paths agree to 1e-9 at the switch
-        x = 600.0
-        series = float(sf._i_series_scaled(5, np.array([x]))[0])
-        chain = sf._ike_seq(5, x + 1e-9)[0][5]
-        assert series == pytest.approx(chain, rel=1e-9)
+        # I_0: the series and the large-argument expansion agree at x = 30
+        x = np.array([sf._X_SWITCH_I_SERIES])
+        series = sf._i_series_scaled(x)[0]
+        expansion = sf._asy_scaled(x)[0] / math.sqrt(2 * math.pi * x[0])
+        assert series == pytest.approx(expansion, rel=1e-14)
+
+    def test_scaled_sweep(self):
+        # every order 0..64 is I_0 times a product of downward-recurrence ratios
+        grid = np.geomspace(1e-3, 1e3, 61)
+        with mp.workdps(30):
+            ref = np.array(
+                [[float(mp.besseli(n, x) * mp.exp(-x)) for n in range(65)]
+                 for x in map(mp.mpf, grid)]
+            )
+        got = np.array([[sf.bessel_I(n, x, scaled=True) for n in range(65)] for x in grid])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
 
 
 class TestBesselK:
@@ -198,6 +209,48 @@ class TestChebyshevFit:
         err = np.abs(sf.k0_array(x) / ref - 1.0)
         assert np.max(err[x <= 2.5]) <= 1e-14
         assert np.max(err) <= 5e-14
+
+
+# coefficients of the x < 3 K_0 series, written out apart from specfun's table
+K0_TERMS = 20
+K0_I0_COEF = [1.0 / math.factorial(m) ** 2 for m in range(K0_TERMS)]
+K0_PSI_COEF = [
+    (sum(1.0 / k for k in range(1, m + 1)) - sf.EULER_GAMMA) / math.factorial(m) ** 2
+    for m in range(K0_TERMS)
+]
+
+
+def k0_series_plain(x):
+    """K_0 for x < 3 by the plain Horner form p = p * u + c, u = x^2/4."""
+    u = x * x * 0.25
+    pi0, pps = K0_I0_COEF[-1], K0_PSI_COEF[-1]
+    for ci0, cps in zip(K0_I0_COEF[-2::-1], K0_PSI_COEF[-2::-1]):
+        pi0 = pi0 * u + ci0
+        pps = pps * u + cps
+    return -np.log(0.5 * x) * pi0 + pps
+
+
+class TestKSeries:
+    def test_k0_array_bitwise_plain_horner(self):
+        rng = np.random.default_rng(7)
+        for shape in [(40000,), (129, 256)]:
+            x = rng.uniform(1e-6, 3.0, shape)
+            assert np.array_equal(sf.k0_array(x), k0_series_plain(x))
+
+    def test_k01e_series_band(self):
+        # both orders of the x < 3 series, bounds as for K_0 alone above
+        x = np.concatenate(
+            [np.geomspace(1e-6, 2.5, 161), np.linspace(2.5, 3.0, 40)[1:]]
+        )
+        got = sf._k01e(x)
+        with mp.workdps(30):
+            for n in (0, 1):
+                ref = np.array(
+                    [float(mp.besselk(n, v) * mp.exp(v)) for v in map(mp.mpf, x)]
+                )
+                err = np.abs(got[n] / ref - 1.0)
+                assert np.max(err[x <= 2.5]) <= 1e-14
+                assert np.max(err) <= 5e-14
 
 
 class TestProduct:

@@ -214,6 +214,20 @@ class TestTransversality:
         with pytest.raises(DomainError):
             sp.difference_derivative_bound(5, 2, 0.5, interval, 3)
 
+    def test_report_rejects_fewer_than_two_nodes(self):
+        # npts = 1 would divide by zero; npts = 0 leaves no node to minimise over
+        for npts in (0, 1):
+            with pytest.raises(DomainError):
+                sp.transversality_report((2,), 0.5, [1], "pure", (0.5, 1.5), 2, npts=npts)
+        rep = sp.transversality_report((2,), 0.5, [1], "pure", (0.5, 1.5), 2, npts=2)
+        assert rep.grid_size == 2 and rep.margin > 0
+
+    def test_derivative_bound_rejects_fewer_than_two_nodes(self):
+        for npts in (0, 1):
+            with pytest.raises(DomainError):
+                sp.difference_derivative_bound(5, 2, 0.5, (0.5, 1.5), 3, npts=npts)
+        assert np.isfinite(sp.difference_derivative_bound(5, 2, 0.5, (0.5, 1.5), 3, npts=2))
+
 
 def _omega_complex(j, Omega, alpha):
     """Omega_j^E at complex alpha from scipy's I_n, K_n (no code shared with specfun)."""

@@ -320,6 +320,12 @@ class TestBranchContinuation:
         with pytest.raises(DomainError):
             vs.continue_branch(1.0, 1, [1e-4])  # fold too low
 
+    def test_band_validation(self):
+        with pytest.raises(DomainError):
+            vs.continue_branch(1.0, 2, [1e-4], band=0, grid_size=64)
+        p = vs.continue_branch(1.0, 2, [1e-4], band=1, grid_size=64)[0]
+        assert abs(p.Omega - sp.omega_bifurcation(2, 1.0)) < 1e-5
+
     def test_nonconvergence_reports_last_iterate(self):
         with pytest.raises(ConvergenceError) as err:
             vs.continue_branch(
