@@ -14,6 +14,19 @@ with A the chord length between boundary points and avg the normalized
 of its two pieces cancel, leaving a continuous kernel with diagonal value
 log(2 alpha) - gamma, so the plain trapezoid rule applies.
 
+The eta-derivative form of the integrand factors through e^{i theta}:
+with P_j = sum_k G_jk R_k e^{i eta_k} and Q_j the same with R'_k, and
+C_j + i S_j = e^{-i theta_j} P_j, C'_j + i S'_j = e^{-i theta_j} Q_j,
+
+    F_j = (R'_j (S'_j + C_j) + R_j (S_j - C'_j)) / M,
+
+so one real product of the kernel matrix G with the M x 4 block
+[R cos, R sin, R' cos, R' sin] gives F (contour-dynamics form, Dritschel,
+Comput. Phys. Rep. 10 (1989)).  A call costs one kernel evaluation on
+the M(M+1)/2 chords of the upper triangle plus one M x M x 4 product;
+there are no M x M trigonometric tables, and the chord and kernel
+matrices are written into per-grid workspace buffers.
+
 The linearization uses d rho/dt = -d/dtheta (V rho + L rho) with
 V = Omega - V^E - V^SW and L = L^E + L^SW.  Note the relative signs: they
 are forced by the Fourier multiplier of the flat state (mode e_j evolves
@@ -129,18 +142,32 @@ class Diagnostics:
 
 
 class _Workspace:
-    """Per-grid trigonometric tables and upper-triangle mask for the kernel sums."""
+    """Per-grid node vectors, triangle mask and M x M buffers for the kernel sums.
+
+    ``cos`` and ``sin`` hold cos theta_k and sin theta_k at the M nodes,
+    ``upper`` masks the upper triangle (diagonal included).  Every kernel
+    sum overwrites the three buffers: ``chords`` with the chord matrix,
+    ``scratch`` with squared y differences while the chords are formed,
+    and ``kernel`` with the mirrored full-grid kernel matrix.  One instance
+    serves one grid size.  The kernel sums are not reentrant (two threads
+    must not run them at once): the chord matrix from :func:`_chord_matrix`
+    and the full-grid kernel from :func:`_interaction` are buffer views,
+    valid until the next kernel sum on that grid size.  What :func:`rhs`,
+    :func:`linearized_rhs` and :func:`diagnostics` return owns its memory.
+    """
 
     def __init__(self, M):
         theta = 2 * np.pi * np.arange(M) / M
-        diff = theta[None, :] - theta[:, None]  # eta - theta
-        self.cos = np.cos(diff)
-        self.sin = np.sin(diff)
+        self.cos = np.cos(theta)
+        self.sin = np.sin(theta)
         self.upper = np.triu(np.ones((M, M), dtype=bool))
+        self.chords = np.empty((M, M))
+        self.scratch = np.empty((M, M))
+        self.kernel = np.empty((M, M))
         self.M = M
 
 
-_workspaces = {}  # the most recent grid size only: 2 M^2 doubles and an M^2 mask
+_workspaces = {}  # the most recent grid size only: 3 M^2 doubles and an M^2 mask
 
 
 def _workspace(M):
@@ -161,20 +188,28 @@ def _geometry(patch):
 
 
 def _chord_matrix(R, ws, msec=None):
-    """Chord lengths for the first msec target rows against all sources."""
+    """Chords |z_j - z_k| for the first msec target rows, in ``ws.chords``.
+
+    Formed from the Cartesian nodes z = R e^{i theta}, so the diagonal is
+    exactly zero and the full matrix is bitwise symmetric.
+    """
     msec = msec or R.size
-    Rr = R[:msec, None]
-    a2 = Rr**2 + R[None, :] ** 2 - 2.0 * (Rr * R[None, :]) * ws.cos[:msec]
-    diag = (np.arange(msec), np.arange(msec))
-    a2[diag] = 0.0
-    return np.sqrt(np.maximum(a2, 0.0))
+    x, y = R * ws.cos, R * ws.sin
+    A, dy2 = ws.chords[:msec], ws.scratch[:msec]
+    np.subtract(x[:msec, None], x, out=A)
+    np.subtract(y[:msec, None], y, out=dy2)
+    A *= A
+    dy2 *= dy2
+    A += dy2
+    return np.sqrt(A, out=A)
 
 
 def _interaction(patch, msec=None):
     """Workspace, R, R' and the kernel matrix G on the chord matrix.
 
     The full-grid chord matrix is bitwise symmetric, so its kernel is
-    evaluated on the upper triangle (diagonal included) and mirrored.
+    evaluated on the upper triangle (diagonal included) and mirrored into
+    ``ws.kernel``.
     """
     ws = _workspace(patch.size)
     R, Rp = _geometry(patch)
@@ -182,10 +217,27 @@ def _interaction(patch, msec=None):
     if A.shape[0] < A.shape[1]:
         return ws, R, Rp, combined_boundary_kernel(patch.alpha, A)
     upper = combined_boundary_kernel(patch.alpha, A[ws.upper])
-    G = np.empty_like(A)
+    G = ws.kernel
     G[ws.upper] = upper
     G.T[ws.upper] = upper
     return ws, R, Rp, G
+
+
+def _kernel_product(ws, G, R, Rp, *columns):
+    """Rotated kernel averages (P, Q) and G @ columns / M from one product.
+
+    P_j = avg_k G_jk R_k e^{i(eta_k - theta_j)} = (C_j + i S_j) / M and Q_j
+    the same with R'_k: the cosine and sine sums of the module docstring.
+    Both come from G @ [R cos, R sin, R' cos, R' sin, *columns], a real
+    (rows x M) @ (M x (4 + n)) product, rotated by e^{-i theta_j}.
+    """
+    c, s = ws.cos, ws.sin
+    Y = G @ np.column_stack((R * c, R * s, Rp * c, Rp * s, *columns))
+    Y /= ws.M
+    rot = (c - 1j * s)[: G.shape[0]]
+    P = rot * (Y[:, 0] + 1j * Y[:, 1])
+    Q = rot * (Y[:, 2] + 1j * Y[:, 3])
+    return P, Q, Y[:, 4:]
 
 
 def rhs(patch, dealias=True):
@@ -200,12 +252,9 @@ def rhs(patch, dealias=True):
     fold = patch.fold
     msec = patch.size // fold if fold > 1 else patch.size
     ws, R, Rp, G = _interaction(patch, msec)
-    # d2/(dtheta deta) [R(theta) R(eta) sin(eta-theta)] on the grid
-    Rr, Rpr = R[:msec, None], Rp[:msec, None]
-    D = (Rpr * Rp[None, :] + Rr * R[None, :]) * ws.sin[:msec] + (
-        Rpr * R[None, :] - Rr * Rp[None, :]
-    ) * ws.cos[:msec]
-    F = (G * D).mean(axis=1)
+    P, Q, _ = _kernel_product(ws, G, R, Rp)
+    R, Rp = R[:msec], Rp[:msec]
+    F = Rp * (Q.imag + P.real) + R * (P.imag - Q.real)
     if fold > 1:
         F = np.tile(F, fold)
     out = -patch.rotation_offset * spectral_derivative(patch.samples) + F
@@ -219,15 +268,17 @@ def linearized_rhs(patch, direction, dealias=True):
 
     Computes -d/dtheta (V rho + L rho) with the advection speed
     V = Omega - V^E - V^SW and the joint integral operator
-    (L rho)(theta) = avg_eta rho(eta) [log A + K_0(A/alpha)].
+    (L rho)(theta) = avg_eta rho(eta) [log A + K_0(A/alpha)].  Both come
+    from one product G @ [R cos, R sin, R' cos, R' sin, rho]: V^E + V^SW
+    is (S' + C) / (M R), L rho the fifth column / M.
     """
     rho = np.asarray(direction, dtype=float)
     if rho.shape != patch.samples.shape:
         raise GridError("direction must match the patch grid")
     ws, R, Rp, G = _interaction(patch)
-    dsrc = Rp[None, :] * ws.sin + R[None, :] * ws.cos
-    V = patch.rotation_offset - (G * dsrc).mean(axis=1) / R
-    Lrho = (G * rho[None, :]).mean(axis=1)
+    P, Q, rest = _kernel_product(ws, G, R, Rp, rho)
+    V = patch.rotation_offset - (Q.imag + P.real) / R
+    Lrho = rest[:, 0]
     out = -spectral_derivative(V * rho + Lrho)
     if dealias:
         out = dealias_twothirds(out)
@@ -319,23 +370,25 @@ def diagnostics(patch, n_radial=None, n_angular=None, include_energy=True):
 def _energy(patch):
     """mean_{j,k} Re(z'_j conj z'_k) F(|z_j - z_k|), with F of the module docstring.
 
-    The summand is symmetric: the strict upper triangle is summed once and
-    doubled, and the diagonal, where F(0) = alpha^2 (log(2 alpha) - gamma)
-    and |z'_j|^2 = R'_j^2 + R_j^2, is added in closed form.
+    The summand is symmetric: it is formed on the M(M-1)/2 pairs of the
+    strict upper triangle, summed once and doubled, and the diagonal,
+    where F(0) = alpha^2 (log(2 alpha) - gamma) and
+    |z'_j|^2 = R'_j^2 + R_j^2, is added in closed form.
     """
     M, alpha = patch.size, patch.alpha
     ws = _workspace(M)
     R, Rp = _geometry(patch)
-    pair = np.triu_indices(M, 1)
-    a = _chord_matrix(R, ws)[pair]
-    W = (np.outer(Rp, Rp) + np.outer(R, R)) * ws.cos + (
-        np.outer(R, Rp) - np.outer(Rp, R)
-    ) * ws.sin
+    # Cartesian z = R e^{i theta} and z' = (R' + i R) e^{i theta}
+    x, y = R * ws.cos, R * ws.sin
+    xp, yp = Rp * ws.cos - y, Rp * ws.sin + x
+    j, k = np.triu_indices(M, 1)
+    a = np.sqrt((x[j] - x[k]) ** 2 + (y[j] - y[k]) ** 2)
+    W = xp[j] * xp[k] + yp[j] * yp[k]
     F = a * a * (np.log(a) - 1.0) / 4.0
     F += (2 * np.pi * alpha * alpha) * green_kernel(alpha, a)
     F0 = alpha * alpha * (math.log(2 * alpha) - EULER_GAMMA)
     diagonal = F0 * float(np.sum(Rp * Rp + R * R))
-    return (2.0 * float(np.dot(W[pair], F)) + diagonal) / M**2
+    return (2.0 * float(np.dot(W, F)) + diagonal) / M**2
 
 
 def linear_qp_solution(S, amplitudes, Omega, alpha, t, M):

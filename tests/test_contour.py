@@ -63,6 +63,34 @@ def separate_rhs(patch):
     return out - out.mean()
 
 
+def d_matrix_rhs(patch):
+    """rhs from the explicit D matrix: mean_k G_jk D_jk on polar chords.
+
+    D_jk = d2/(dtheta deta) [R(theta) R(eta) sin(eta - theta)] at
+    (theta_j, eta_k) is formed as an M x M matrix from trigonometric tables
+    and the kernel is evaluated on every chord, so it shares neither the
+    chord formula nor the kernel product with :func:`contour.rhs`.
+    """
+    M, fold = patch.size, patch.fold
+    msec = M // fold
+    R = patch.radii
+    Rp = spectral_derivative(patch.samples) / R
+    theta = patch.theta()
+    u = theta[None, :] - theta[:msec, None]  # eta - theta
+    Rr, Rpr = R[:msec, None], Rp[:msec, None]
+    a2 = Rr**2 + R[None, :] ** 2 - 2.0 * (Rr * R[None, :]) * np.cos(u)
+    a2[np.arange(msec), np.arange(msec)] = 0.0
+    G = combined_boundary_kernel(patch.alpha, np.sqrt(np.maximum(a2, 0.0)))
+    D = (Rpr * Rp[None, :] + Rr * R[None, :]) * np.sin(u) + (
+        Rpr * R[None, :] - Rr * Rp[None, :]
+    ) * np.cos(u)
+    F = np.tile((G * D).mean(axis=1), fold)
+    out = dealias_twothirds(
+        -patch.rotation_offset * spectral_derivative(patch.samples) + F
+    )
+    return out - out.mean()
+
+
 def area_energy(patch, n_radial, n_angular, block=256):
     """E = -(1/4pi^2) sum_{p != q} w_p w_q [log + K_0](|z_p - z_q|) on polar nodes.
 
@@ -120,6 +148,36 @@ class TestRhs:
         contour.rhs(two_mode_patch(96, 0.7))
         assert list(contour._workspaces) == [96]
 
+    @pytest.mark.parametrize("fold", [1, 2, 4])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    @pytest.mark.parametrize("M", [128, 256])
+    def test_kernel_product_matches_d_matrix(self, M, alpha, fold):
+        patch = two_mode_patch(M, alpha, fold=fold)
+        assert np.max(np.abs(contour.rhs(patch) - d_matrix_rhs(patch))) <= 1e-15
+
+    def test_result_owns_its_memory(self):
+        first = contour.rhs(two_mode_patch(128, 0.3))
+        kept = first.copy()
+        contour.rhs(two_mode_patch(128, 0.7, amplitude=0.05))
+        assert np.array_equal(first, kept)
+        ws = contour._workspace(128)
+        for buffer in vars(ws).values():
+            if isinstance(buffer, np.ndarray):
+                assert not np.shares_memory(first, buffer)
+
+    def test_chords_on_unit_circle(self):
+        M = 1024
+        A = contour._chord_matrix(np.ones(M), contour._workspace(M))
+        k = np.arange(1, M)
+        exact = 2.0 * np.sin(np.pi * k / M)
+        assert np.max(np.abs(A[0, k] / exact - 1.0)) <= 1e-15
+
+    def test_chord_matrix_symmetric_with_zero_diagonal(self):
+        patch = two_mode_patch(128, 0.3, amplitude=0.2)
+        A = contour._chord_matrix(patch.radii, contour._workspace(128))
+        assert np.all(np.diag(A) == 0.0)
+        assert np.array_equal(A, A.T)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_triangle_kernel_matches_full_matrix(self, alpha):
         patch = two_mode_patch(128, alpha)
@@ -128,6 +186,24 @@ class TestRhs:
         assert ws.upper.shape == A.shape == (128, 128)
         assert np.array_equal(G, combined_boundary_kernel(alpha, A))
         assert np.array_equal(G, G.T)
+
+
+class TestLinearization:
+    def test_matches_central_differences_off_flat_state(self):
+        """Consistent, not exact: the gap is discretization error and falls with M."""
+        h, gaps = 1e-5, []
+        for M in (64, 128, 256):
+            patch = two_mode_patch(M, 0.3, amplitude=0.2)
+            theta = patch.theta()
+            rho = np.cos(4 * theta + 0.3) + 0.3 * np.cos(7 * theta - 0.2)
+            lin = contour.linearized_rhs(patch, rho)
+            fd = (
+                contour.rhs(patch.replace_samples(patch.samples + h * rho))
+                - contour.rhs(patch.replace_samples(patch.samples - h * rho))
+            ) / (2 * h)
+            gaps.append(np.max(np.abs(lin - fd)) / np.max(np.abs(lin)))
+        assert gaps[0] <= 5e-6 and gaps[1] <= 2e-7 and gaps[2] <= 1e-8
+        assert gaps[0] >= 10 * gaps[1] and gaps[1] >= 10 * gaps[2]
 
 
 class TestEvolution:
