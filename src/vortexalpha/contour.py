@@ -23,9 +23,12 @@ C_j + i S_j = e^{-i theta_j} P_j, C'_j + i S'_j = e^{-i theta_j} Q_j,
 so one real product of the kernel matrix G with the M x 4 block
 [R cos, R sin, R' cos, R' sin] gives F (contour-dynamics form, Dritschel,
 Comput. Phys. Rep. 10 (1989)).  A call costs one kernel evaluation on
-the M(M+1)/2 chords of the upper triangle plus one M x M x 4 product;
-there are no M x M trigonometric tables, and the chord and kernel
-matrices are written into per-grid workspace buffers.
+the chord classes of :func:`vortexalpha.greens.pair_plan` (the M(M+1)/2
+chords j <= k on the full grid, about M msec / 2 for a fold-symmetric
+sector of msec target rows), gathered into the kernel matrix, plus one
+M x M x 4 product; there are no M x M trigonometric tables, and the
+chords and the kernel matrix are written into per-grid workspace
+buffers.
 
 The linearization uses d rho/dt = -d/dtheta (V rho + L rho) with
 V = Omega - V^E - V^SW and L = L^E + L^SW.  Note the relative signs: they
@@ -66,7 +69,7 @@ import numpy as np
 
 from . import spectrum
 from .errors import DomainError, GeometryError, GridError, InstabilityError
-from .greens import EULER_GAMMA, combined_boundary_kernel, green_kernel
+from .greens import EULER_GAMMA, combined_boundary_kernel, green_kernel, pair_plan
 from .numerics import dealias_twothirds, spectral_derivative
 
 
@@ -122,15 +125,6 @@ class RadialPatch:
         return RadialPatch(samples, self.rotation_offset, self.alpha, self.fold)
 
 
-def patch_from_modes(modes, amplitudes, Omega, alpha, M):
-    """Zero-mean patch r = sum_k amplitudes[k] cos(modes[k] theta)."""
-    theta = 2 * np.pi * np.arange(M) / M
-    r = np.zeros(M)
-    for j, a in zip(modes, amplitudes):
-        r += a * np.cos(int(j) * theta)
-    return RadialPatch(r, Omega, alpha)
-
-
 @dataclass(frozen=True)
 class Diagnostics:
     """Conserved-quantity snapshot: H = (E - Omega J) / 2."""
@@ -142,32 +136,30 @@ class Diagnostics:
 
 
 class _Workspace:
-    """Per-grid node vectors, triangle mask and M x M buffers for the kernel sums.
+    """Per-grid node vectors and the M x M buffer for the kernel sums.
 
-    ``cos`` and ``sin`` hold cos theta_k and sin theta_k at the M nodes,
-    ``upper`` masks the upper triangle (diagonal included).  Every kernel
-    sum overwrites the three buffers: ``chords`` with the chord matrix,
-    ``scratch`` with squared y differences while the chords are formed,
-    and ``kernel`` with the mirrored full-grid kernel matrix.  One instance
-    serves one grid size.  The kernel sums are not reentrant (two threads
-    must not run them at once): the chord matrix from :func:`_chord_matrix`
-    and the full-grid kernel from :func:`_interaction` are buffer views,
-    valid until the next kernel sum on that grid size.  What :func:`rhs`,
-    :func:`linearized_rhs` and :func:`diagnostics` return owns its memory.
+    ``cos`` and ``sin`` hold cos theta_k and sin theta_k at the M nodes.
+    Every kernel sum overwrites ``kernel``: its leading entries first
+    with the chords of the plan's representative pairs (at most
+    M(M+1)/2), then, once their kernel is evaluated, with the kernel
+    matrix gathered from the plan.  One instance serves one grid size.
+    The kernel sums are not reentrant (two threads must not run them at
+    once): the pair chords from :func:`_pair_chords` and the kernel
+    matrix from :func:`_interaction` are buffer views, valid until chords
+    are next formed on that grid size (by any kernel sum, the energy or
+    :func:`_chord_matrix`).  What :func:`rhs`, :func:`linearized_rhs` and
+    :func:`diagnostics` return owns its memory.
     """
 
     def __init__(self, M):
         theta = 2 * np.pi * np.arange(M) / M
         self.cos = np.cos(theta)
         self.sin = np.sin(theta)
-        self.upper = np.triu(np.ones((M, M), dtype=bool))
-        self.chords = np.empty((M, M))
-        self.scratch = np.empty((M, M))
         self.kernel = np.empty((M, M))
         self.M = M
 
 
-_workspaces = {}  # the most recent grid size only: 3 M^2 doubles and an M^2 mask
+_workspaces = {}  # the most recent grid size only: M^2 doubles
 
 
 def _workspace(M):
@@ -187,39 +179,53 @@ def _geometry(patch):
     return R, Rp
 
 
-def _chord_matrix(R, ws, msec=None):
-    """Chords |z_j - z_k| for the first msec target rows, in ``ws.chords``.
+def _plan(M, msec=None):
+    """Chord classes of the first msec target rows: transpose, and rotation by msec."""
+    msec = msec or M
+    return pair_plan(M, msec, msec, False)
 
-    Formed from the Cartesian nodes z = R e^{i theta}, so the diagonal is
-    exactly zero and the full matrix is bitwise symmetric.
+
+def _pair_chords(R, ws, plan):
+    """Chords |z_j - z_k| of the plan's representative pairs, in ``ws.kernel``.
+
+    Formed from the Cartesian nodes z = R e^{i theta}: the zero-offset
+    chords are exactly zero, and every chord is bitwise the entry of the
+    full chord matrix at its representative and at its transpose.
     """
-    msec = msec or R.size
     x, y = R * ws.cos, R * ws.sin
-    A, dy2 = ws.chords[:msec], ws.scratch[:msec]
-    np.subtract(x[:msec, None], x, out=A)
-    np.subtract(y[:msec, None], y, out=dy2)
+    A = ws.kernel.reshape(-1)[: plan.first.size]
+    np.take(x, plan.first, out=A, mode="clip")
+    A -= x[plan.second]
     A *= A
-    dy2 *= dy2
-    A += dy2
+    dy = y[plan.first]
+    dy -= y[plan.second]
+    dy *= dy
+    A += dy
     return np.sqrt(A, out=A)
 
 
-def _interaction(patch, msec=None):
-    """Workspace, R, R' and the kernel matrix G on the chord matrix.
+def _chord_matrix(R, ws, msec=None):
+    """Chords |z_j - z_k| for the first msec target rows (a fresh array).
 
-    The full-grid chord matrix is bitwise symmetric, so its kernel is
-    evaluated on the upper triangle (diagonal included) and mirrored into
-    ``ws.kernel``.
+    The pair chords gathered into the matrix layout of :func:`_interaction`:
+    the diagonal is exactly zero and the full matrix is bitwise symmetric.
+    """
+    plan = _plan(R.size, msec)
+    return np.take(_pair_chords(R, ws, plan), plan.inverse)
+
+
+def _interaction(patch, msec=None):
+    """Workspace, R, R' and the kernel matrix G of the first msec target rows.
+
+    The kernel is evaluated once per chord class of :func:`_plan` and
+    gathered into ``ws.kernel``; on the full grid G is bitwise symmetric.
     """
     ws = _workspace(patch.size)
     R, Rp = _geometry(patch)
-    A = _chord_matrix(R, ws, msec)
-    if A.shape[0] < A.shape[1]:
-        return ws, R, Rp, combined_boundary_kernel(patch.alpha, A)
-    upper = combined_boundary_kernel(patch.alpha, A[ws.upper])
-    G = ws.kernel
-    G[ws.upper] = upper
-    G.T[ws.upper] = upper
+    plan = _plan(patch.size, msec)
+    K = combined_boundary_kernel(patch.alpha, _pair_chords(R, ws, plan))
+    G = ws.kernel[: plan.inverse.shape[0]]
+    np.take(K, plan.inverse, out=G, mode="clip")
     return ws, R, Rp, G
 
 
@@ -370,9 +376,9 @@ def diagnostics(patch, n_radial=None, n_angular=None, include_energy=True):
 def _energy(patch):
     """mean_{j,k} Re(z'_j conj z'_k) F(|z_j - z_k|), with F of the module docstring.
 
-    The summand is symmetric: it is formed on the M(M-1)/2 pairs of the
-    strict upper triangle, summed once and doubled, and the diagonal,
-    where F(0) = alpha^2 (log(2 alpha) - gamma) and
+    The summand is symmetric: it is formed on the M(M-1)/2 pairs j < k
+    of the grid's plan (in its diagonal order), summed once and doubled,
+    and the diagonal, where F(0) = alpha^2 (log(2 alpha) - gamma) and
     |z'_j|^2 = R'_j^2 + R_j^2, is added in closed form.
     """
     M, alpha = patch.size, patch.alpha
@@ -381,8 +387,9 @@ def _energy(patch):
     # Cartesian z = R e^{i theta} and z' = (R' + i R) e^{i theta}
     x, y = R * ws.cos, R * ws.sin
     xp, yp = Rp * ws.cos - y, Rp * ws.sin + x
-    j, k = np.triu_indices(M, 1)
-    a = np.sqrt((x[j] - x[k]) ** 2 + (y[j] - y[k]) ** 2)
+    plan = _plan(M)
+    j, k = plan.first[plan.zeros :], plan.second[plan.zeros :]
+    a = _pair_chords(R, ws, plan)[plan.zeros :]
     W = xp[j] * xp[k] + yp[j] * yp[k]
     F = a * a * (np.log(a) - 1.0) / 4.0
     F += (2 * np.pi * alpha * alpha) * green_kernel(alpha, a)

@@ -10,6 +10,16 @@ functional in :mod:`vortexalpha.vstates` all call it on their chord
 matrices, and its zero entries take the analytic limit (the trapezoid
 weights and symmetry are preserved).
 
+:func:`pair_plan` is the one chord layout of those solvers.  A chord
+matrix |z_j - z_k| on M uniform nodes is symmetric, and a patch with
+discrete rotational symmetry (and, for real conformal coefficients, with
+mirror symmetry) repeats each chord many times.  The plan lists every
+chord class of a target block once, ordered by circulant offset, so the
+kernel is evaluated once per class and gathered into the block.  On a
+near-circle the chords of one offset are nearly equal and grow with the
+offset, so the K_0 arguments in this order cross the series/fit switch
+at x = 3 only a few times.
+
 Line integrals over the circle parameter use the plain (1/2pi) d-theta
 convention of the velocity representation
      v(z) = -(1/2pi) oint [log|z-xi| + K_0(|z-xi|/alpha)] d-xi ;
@@ -20,6 +30,7 @@ convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +80,76 @@ def boundary_circle(radius=1.0, M=256):
     theta = 2 * np.pi * np.arange(M) / M
     w = np.exp(1j * theta)
     return Boundary(radius * w, 1j * radius * w)
+
+
+@dataclass(frozen=True)
+class PairPlan:
+    """Chord classes of a rows x M target block, each listed once.
+
+    ``first`` and ``second`` hold the representative node pair (j_r, k_r)
+    of every class, sorted by circulant offset
+    d = min((k - j) mod M, (j - k) mod M) and, within one offset, by
+    j_r M + k_r; the first ``zeros`` classes have d = 0, the diagonal,
+    whose chords are exactly zero.
+    ``inverse[j, k]`` is the class of the pair (j, k), so a kernel K
+    evaluated on the representative chords gives the block as
+    ``K[inverse]``.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    zeros: int
+    inverse: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def pair_plan(M, rows, period, reflect):
+    """The :class:`PairPlan` of target rows 0..rows-1 against all M nodes.
+
+    Two pairs share a class when a chain of these maps takes one to the
+    other: the transpose (j, k) -> (k, j), the rotation
+    (j, k) -> (j + period, k + period) mod M, and, if ``reflect``, the
+    reflection (j, k) -> (-j, -k) mod M.  A chord matrix must be
+    invariant under them: ``period = M`` means no rotation.  The
+    representative is the pair of the orbit with the least j M + k.
+    Built from integer arithmetic in O(M^2) time, with temporaries of a
+    few M^2 words.
+
+    The four most recent plans are kept.  One holds at most 3 rows M
+    index words (8 bytes each), about 2 rows M in practice: 1 MiB for
+    rows = M = 256.
+    """
+    if not 1 <= rows <= M or period < 1 or M % period:
+        raise GridError("need 1 <= rows <= M and a period that divides M")
+    j = np.arange(rows)[:, None]
+    k = np.arange(M)
+    key = np.full((rows, M), M * M)
+    for t in range(0, M, period):
+        images = [((j + t) % M, (k + t) % M)]
+        if reflect:
+            images.append(((t - j) % M, (t - k) % M))
+        for a, b in images:
+            np.minimum(key, a * M + b, out=key)
+            np.minimum(key, b * M + a, out=key)
+    seen = np.zeros(M * M, dtype=bool)
+    seen[key] = True
+    reps = np.flatnonzero(seen)
+    del seen
+    d = (reps % M - reps // M) % M
+    d = np.minimum(d, M - d)
+    zeros = int(np.count_nonzero(d == 0))
+    # by offset, then by j M + k; the temporaries are freed as soon as
+    # possible, since a plan is built next to the solvers' own buffers
+    reps = np.sort(d * (M * M) + reps) % (M * M)
+    del d
+    rank = np.empty(M * M, dtype=np.intp)  # read only at the representatives
+    rank[reps] = np.arange(reps.size)
+    inverse = rank[key]
+    del rank, key
+    first, second = np.divmod(reps, M)
+    for a in (first, second, inverse):
+        a.flags.writeable = False  # shared by every caller of the cache
+    return PairPlan(first, second, zeros, inverse)
 
 
 def green_kernel(alpha, rho):

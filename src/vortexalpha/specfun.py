@@ -10,8 +10,8 @@ errors cross the accuracy targets, see below):
 * ``I_n``, n >= 1: I_0 times the order ratios ``I_{n+1}/I_n`` from the
   downward recurrence ``rho_{n-1} = 1/(2n/x + rho_n)`` (W. Gautschi, SIAM
   Rev. 9 (1967)), seeded well above the top order.  The same recurrence
-  serves the scalar functions and ``product_IK_array``, at every x; its
-  length grows like ``sqrt(n x)``.
+  serves the scalar functions (as a plain-float loop) and
+  ``product_IK_array``, at every x; its length grows like ``sqrt(n x)``.
 * ``K_0, K_1``: the log + psi power series for ``x < 3``, both orders
   from one Horner table in ``x^2/4`` (``_K_SERIES``).  Its
   cancellation error grows like ``e^(2x) * eps``: below 1e-14 relative up
@@ -270,24 +270,45 @@ def _k0_series(x):
     return -np.log(0.5 * x) * p0 + p1
 
 
+def _k0_fit(x):
+    """Unscaled K_0 for x >= 3 from column 0 of ``_K01E_CHEB``."""
+    with np.errstate(under="ignore"):
+        return _clenshaw(6.0 / x - 1.0, _K01E_CHEB[:, 0]) * (np.exp(-x) / np.sqrt(x))
+
+
 def k0_array(x):
-    """K_0 over a positive array (0 where e^-x underflows); kernel helper."""
+    """K_0 over a positive array (0 where e^-x underflows); kernel helper.
+
+    Every value depends on its own argument only, not on its position.
+    The series and the fit each run once.  In flat order the series takes
+    the leading slice before the first x >= 3 and the fit the trailing
+    slice after the last x < 3; masks split only the zone between them,
+    which is short when the arguments grow along the array (chords in
+    the diagonal order of :func:`vortexalpha.greens.pair_plan`).
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("K_0 requires x > 0")
-    lo = x < _X_SWITCH_K_SERIES
-    if lo.all():
+    hi = x >= _X_SWITCH_K_SERIES
+    if not hi.any():
         return _k0_series(x)
-    out = np.empty_like(x)
-    if lo.any():
-        out[lo] = _k0_series(x[lo])
-    hi = ~lo
-    xh = x[hi]
-    with np.errstate(under="ignore"):
-        out[hi] = _clenshaw(6.0 / xh - 1.0, _K01E_CHEB[:, 0]) * (
-            np.exp(-xh) / np.sqrt(xh)
-        )
-    return out
+    if hi.all():
+        return _k0_fit(x)
+    flat, hi = x.reshape(-1), hi.reshape(-1)
+    a = int(hi.argmax())                            # first x >= 3
+    b = max(a, hi.size - int(hi[::-1].argmin()))    # one past the last x < 3
+    mixed, up = flat[a:b], hi[a:b]
+    lo = ~up
+    series = _k0_series(np.concatenate((flat[:a], mixed[lo])))
+    fit = _k0_fit(np.concatenate((mixed[up], flat[b:])))
+    split = fit.size - (flat.size - b)  # fit values of the mixed zone
+    out = np.empty_like(flat)
+    out[:a] = series[:a]
+    out[b:] = fit[split:]
+    zone = out[a:b]
+    zone[lo] = series[a:]
+    zone[up] = fit[:split]
+    return out.reshape(x.shape)
 
 
 def k1_array(x):
@@ -315,17 +336,19 @@ def i0_array(x):
 
 
 def _i_ratio_seq(nmax, x):
-    """rho[n] = I_{n+1}(x)/I_n(x) for n = 0..nmax-1 (vectorized over x).
+    """rho[n] = I_{n+1}(x)/I_n(x) for n = 0..nmax-1, shape (nmax,) + x.shape.
 
     Downward recurrence rho_{n-1} = 1/(2n/x + rho_n), which is the stable
     direction; seeded well above nmax with the leading-order ratio so the
     seed error is washed out by the time the requested range is reached.
+    ``x`` is a float array or a plain float; a float runs the same
+    operations as plain-float arithmetic (bitwise equal to a 1-element
+    array, without a numpy call per step).
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax, x.size))
+    out = np.empty((nmax,) + np.shape(x))
     if nmax == 0:
         return out
-    xmax = float(x.max())
+    xmax = float(np.max(x))
     start = nmax + 30 + int(2.0 * math.sqrt((nmax + 40) * xmax))
     rho = x / (2.0 * (start + 1))
     for n in range(start, 0, -1):
@@ -337,10 +360,10 @@ def _i_ratio_seq(nmax, x):
 
 def _i_seq(nmax, x):
     """(e^-x I_n(x)) for n = 0..nmax at scalar x > 0: I_0 times the ratios."""
-    xa = np.array([float(x)])
+    x = float(x)
     iv = np.ones(nmax + 1)
-    iv[1:] = np.cumprod(_i_ratio_seq(nmax, xa)[:, 0])
-    return _i0e(xa)[0] * iv
+    iv[1:] = np.cumprod(_i_ratio_seq(nmax, x))
+    return _i0e(np.array([x]))[0] * iv
 
 
 def _k_seq(nmax, x):

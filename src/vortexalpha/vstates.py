@@ -19,7 +19,10 @@ The coefficients are real, so Phi(conj w) = conj Phi(w) and F is odd,
 F(-theta) = -F(theta); with m-fold symmetry it also has period 2 pi / m.
 Of the msec target nodes of one period (msec = M/m when m divides M, else
 msec = M) only the nodes 0..msec//2 are evaluated, and the rest follow by
-oddness: one sample costs M (msec//2 + 1) kernel entries.
+oddness.  The chords of those rows repeat under transpose, under rotation
+by msec and under the reflection (j, k) -> (-j, -k), so the kernel is
+evaluated once per chord class of :func:`vortexalpha.greens.pair_plan`:
+one sample costs about M msec / 4 + M kernel entries.
 
 The sign convention of the linearized multiplier relative to the
 frequency formulas is pinned empirically by the finite-difference Jacobian
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import spectrum
 from .errors import ConvergenceError, DomainError, GeometryError, GridError
-from .greens import Boundary, combined_boundary_kernel
+from .greens import combined_boundary_kernel, pair_plan
 from .numerics import sine_coefficients
 
 _MIN_PHI_PRIME = 1e-9
@@ -100,12 +103,6 @@ class ConformalPerturbation:
             p = p * wb
         return out
 
-    def boundary(self, M):
-        """Sampled image curve with parameter tangents (for velocity checks)."""
-        theta = 2 * np.pi * np.arange(M) / M
-        w = np.exp(1j * theta)
-        return Boundary(self.map_points(w), 1j * w * self.map_derivative(w))
-
 
 @dataclass(frozen=True)
 class FunctionalValue:
@@ -153,20 +150,22 @@ def _f_samples(alpha, Omega, pert, M):
     if np.min(np.abs(dphi)) < _MIN_PHI_PRIME:
         raise GeometryError("Phi' vanishes on the grid")
     # F has period 2 pi / m and is odd, so of the first msec target nodes
-    # only 0..msec//2 are evaluated (M (msec//2 + 1) kernel entries); node
-    # msec - k takes -F at node k, and the sector is tiled m times.  Every
-    # target node is a rotation or reflection of an evaluated one, so the
+    # only 0..msec//2 are evaluated; node msec - k takes -F at node k, and
+    # the sector is tiled m times.  The kernel is evaluated once per chord
+    # class of those rows and gathered into the h x M block.  Every chord
+    # is a rotation, reflection or transpose of a representative, so the
     # self-intersection check below still sees every chord class.
     m = pert.fold
     msec = M // m if (m > 1 and M % m == 0) else M
     h = msec // 2 + 1
     zr, wr, dphir = z[:h], w[:h], dphi[:h]
-    dist = np.abs(zr[:, None] - z[None, :])
-    # the h diagonal chords are exactly zero; any other chord this short
+    plan = pair_plan(M, h, msec, True)
+    dist = np.abs(z[plan.first] - z[plan.second])
+    # the zero-offset chords are exactly zero; any other chord this short
     # means the curve crosses itself
-    if np.count_nonzero(dist < 1e-12) != h:
+    if np.count_nonzero(dist < 1e-12) != plan.zeros:
         raise GeometryError("boundary self-intersects on the grid")
-    G = combined_boundary_kernel(alpha, dist)
+    G = np.take(combined_boundary_kernel(alpha, dist), plan.inverse)
     # one real matrix product; G @ c with complex c would copy G to complex
     c = dphi * w
     re_im = G @ np.column_stack((c.real, c.imag)) / M

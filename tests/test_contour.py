@@ -178,12 +178,29 @@ class TestRhs:
         assert np.all(np.diag(A) == 0.0)
         assert np.array_equal(A, A.T)
 
+    @pytest.mark.parametrize("fold", [1, 2, 4])
+    def test_sector_chords_match_direct_chords(self, fold):
+        # bitwise on the full grid; a rotated representative differs by the
+        # rounding of its node coordinates, relative to the largest chord
+        patch = two_mode_patch(128, 0.3, amplitude=0.2, fold=fold)
+        msec = 128 // fold
+        R = patch.radii
+        ws = contour._workspace(128)
+        x, y = R * ws.cos, R * ws.sin
+        direct = np.sqrt((x[:msec, None] - x) ** 2 + (y[:msec, None] - y) ** 2)
+        A = contour._chord_matrix(R, ws, msec)
+        assert A.shape == (msec, 128)
+        if fold == 1:
+            assert np.array_equal(A, direct)
+        assert np.max(np.abs(A - direct)) <= 1e-15 * np.max(direct)
+        assert np.array_equal(A == 0.0, direct == 0.0)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_triangle_kernel_matches_full_matrix(self, alpha):
         patch = two_mode_patch(128, alpha)
-        ws, R, _, G = contour._interaction(patch)
-        A = contour._chord_matrix(R, ws)
-        assert ws.upper.shape == A.shape == (128, 128)
+        A = contour._chord_matrix(patch.radii, contour._workspace(128))
+        _, _, _, G = contour._interaction(patch)
+        assert A.shape == G.shape == (128, 128)
         assert np.array_equal(G, combined_boundary_kernel(alpha, A))
         assert np.array_equal(G, G.T)
 

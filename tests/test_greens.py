@@ -115,6 +115,95 @@ class TestCombinedKernel:
             greens.combined_boundary_kernel(0.0, rho)
 
 
+def orbit_ids(M, rows, period, reflect):
+    """Orbit number of every pair of the rows x M block, by closure of the maps.
+
+    Independent of ``pair_plan``: each orbit is grown pair by pair under
+    the transpose, the rotation by ``period`` and (if ``reflect``) the
+    reflection.  Returns the (rows, M) ids and the pair -> id dict.
+    """
+    maps = [lambda a, b: (b, a), lambda a, b: ((a + period) % M, (b + period) % M)]
+    if reflect:
+        maps.append(lambda a, b: ((-a) % M, (-b) % M))
+    ids, label = {}, 0
+    for j in range(rows):
+        for k in range(M):
+            if (j, k) in ids:
+                continue
+            label, stack = label + 1, [(j, k)]
+            ids[(j, k)] = label
+            while stack:
+                pair = stack.pop()
+                for f in maps:
+                    image = f(*pair)
+                    if image not in ids:
+                        ids[image] = label
+                        stack.append(image)
+    block = np.array([[ids[(j, k)] for k in range(M)] for j in range(rows)])
+    return block, ids
+
+
+def sector_plan_args(m, M):
+    """(M, rows, period, reflect) of the V-state functional on an m-fold grid."""
+    msec = M // m if (m > 1 and M % m == 0) else M
+    return M, msec // 2 + 1, msec, True
+
+
+PLAN_CASES = [
+    # the six grids of the V-state half-sector tests
+    sector_plan_args(1, 128),
+    sector_plan_args(2, 128),
+    sector_plan_args(3, 192),
+    sector_plan_args(4, 128),
+    sector_plan_args(3, 256),
+    sector_plan_args(2, 90),
+    # contour dynamics, folds 1, 2 and 4: sector rows, no reflection
+    (128, 128, 128, False),
+    (128, 64, 64, False),
+    (128, 32, 32, False),
+]
+
+
+class TestPairPlan:
+    @pytest.mark.parametrize("M, rows, period, reflect", PLAN_CASES)
+    def test_every_pair_maps_into_its_own_orbit(self, M, rows, period, reflect):
+        plan = greens.pair_plan(M, rows, period, reflect)
+        block, ids = orbit_ids(M, rows, period, reflect)
+        assert plan.inverse.shape == (rows, M)
+        reps = [ids[(int(j), int(k))] for j, k in zip(plan.first, plan.second)]
+        # each class once, and every pair's representative in its orbit
+        assert len(set(reps)) == len(reps) == len(np.unique(block))
+        assert np.array_equal(np.array(reps)[plan.inverse], block)
+
+    @pytest.mark.parametrize("M, rows, period, reflect", PLAN_CASES)
+    def test_diagonal_order(self, M, rows, period, reflect):
+        plan = greens.pair_plan(M, rows, period, reflect)
+        d = (plan.second - plan.first) % M
+        d = np.minimum(d, M - d)
+        assert np.all(np.diff(d) >= 0)
+        assert plan.zeros == np.count_nonzero(d == 0) > 0
+        assert np.all(plan.first[: plan.zeros] == plan.second[: plan.zeros])
+
+    def test_class_counts_halve_the_half_sector(self):
+        # m = 2: 65 x 256 rows; m = 3 (does not divide 256): 129 x 256
+        assert greens.pair_plan(*sector_plan_args(2, 256)).first.size == 8321
+        assert greens.pair_plan(*sector_plan_args(3, 256)).first.size == 16513
+        assert greens.pair_plan(256, 256, 256, False).first.size == 256 * 257 // 2
+
+    def test_cache_stays_bounded(self):
+        for M in (32, 40, 48, 56, 64, 72):
+            plan = greens.pair_plan(M, M, M, False)
+            assert not plan.inverse.flags.writeable
+        info = greens.pair_plan.cache_info()
+        assert info.maxsize == 4 and info.currsize <= info.maxsize
+
+    def test_rejects_bad_layout(self):
+        with pytest.raises(GridError):
+            greens.pair_plan(64, 65, 64, False)
+        with pytest.raises(GridError):
+            greens.pair_plan(64, 8, 24, False)
+
+
 class TestVelocity:
     def test_center_of_circle(self):
         b = greens.boundary_circle(1.0, 256)

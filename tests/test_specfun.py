@@ -93,6 +93,15 @@ class TestBesselI:
         expansion = sf._asy_scaled(x)[0] / math.sqrt(2 * math.pi * x[0])
         assert series == pytest.approx(expansion, rel=1e-14)
 
+    @pytest.mark.parametrize("x", [2.5, 1e4, 1e6])
+    def test_scalar_ratio_loop_matches_array(self, x):
+        # the plain-float loop of the scalar functions runs the array
+        # recurrence's operations in the same order
+        scalar = sf._i_ratio_seq(5, x)
+        array = sf._i_ratio_seq(5, np.array([x]))[:, 0]
+        assert scalar.shape == (5,)
+        assert np.array_equal(scalar, array)
+
     def test_scaled_sweep(self):
         # every order 0..64 is I_0 times a product of downward-recurrence ratios
         grid = np.geomspace(1e-3, 1e3, 61)
@@ -236,6 +245,17 @@ class TestKSeries:
         for shape in [(40000,), (129, 256)]:
             x = rng.uniform(1e-6, 3.0, shape)
             assert np.array_equal(sf.k0_array(x), k0_series_plain(x))
+
+    @pytest.mark.parametrize("low, high", [(0.01, 8.0), (2.9, 3.1), (0.01, 2.9), (3.0, 9.0)])
+    def test_k0_array_independent_of_order(self, low, high):
+        # sorted input has no mixed zone, shuffled input is nearly all mixed
+        rng = np.random.default_rng(11)
+        x = np.sort(np.append(rng.uniform(low, high, 4001), [3.0, low + 1e-3]))
+        perm = rng.permutation(x.size)
+        assert np.array_equal(sf.k0_array(x[perm]), sf.k0_array(x)[perm])
+        assert np.array_equal(sf.k0_array(x[::-1]), sf.k0_array(x)[::-1])
+        grid = x[perm][:4000].reshape(40, 100)
+        assert np.array_equal(sf.k0_array(grid), sf.k0_array(grid.ravel()).reshape(40, 100))
 
     def test_k01e_series_band(self):
         # both orders of the x < 3 series, bounds as for K_0 alone above

@@ -162,6 +162,22 @@ class TestEvaluateF:
             g = vs.evaluate_F(alpha, Om, pert, M).sine_coefficients
             assert np.max(np.abs(g - ref)) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "m, M", [(1, 128), (2, 128), (3, 192), (4, 128), (3, 256), (2, 90)]
+    )
+    def test_representative_chords_match_direct_chords(self, m, M):
+        # relative to the largest chord: a short chord carries the absolute
+        # rounding of its two nodes (|z| ~ 1), whichever pair forms it
+        pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01, -0.004]), fold=m)
+        msec = M // m if (m > 1 and M % m == 0) else M
+        h = msec // 2 + 1
+        plan = greens.pair_plan(M, h, msec, True)
+        z = pert.map_points(np.exp(2j * np.pi * np.arange(M) / M))
+        direct = np.abs(z[:h, None] - z[None, :])
+        gathered = np.abs(z[plan.first] - z[plan.second])[plan.inverse]
+        assert np.max(np.abs(gathered - direct)) <= 1e-15 * np.max(direct)
+        assert np.array_equal(gathered == 0.0, direct == 0.0)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_kernel_rows_cover_half_a_sector(self, monkeypatch, m):
         M = 256
@@ -177,7 +193,9 @@ class TestEvaluateF:
             pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01]), fold=m)
             vs.evaluate_F(0.7, 0.3, pert, M)
         assert vs.combined_boundary_kernel is greens.combined_boundary_kernel
-        assert shapes == [(msec // 2 + 1, M)]
+        # one 1-d call on the chord classes, not the (msec // 2 + 1) x M rows
+        assert len(shapes) == 1 and len(shapes[0]) == 1
+        assert shapes[0][0] <= M * msec // 4 + M
 
     def test_grid_validation(self):
         pert = vs.ConformalPerturbation(np.zeros(10), fold=1)
