@@ -9,7 +9,7 @@ frame rotating with offset Omega.  The evolution law is
                   * d2/(dtheta deta) [R(theta) R(eta) sin(eta - theta)],
 
 with A the chord length between boundary points and avg the normalized
-(1/2pi) eta-integral.  The kernel is evaluated on the chord matrix by
+(1/2pi) eta-integral.  The kernel, evaluated on the chords, is that of
 :func:`vortexalpha.greens.combined_boundary_kernel`: the log singularities
 of its two pieces cancel, leaving a continuous kernel with diagonal value
 log(2 alpha) - gamma, so the plain trapezoid rule applies.
@@ -27,8 +27,9 @@ the chord classes of :func:`vortexalpha.greens.pair_plan` (the M(M+1)/2
 chords j <= k on the full grid, about M msec / 2 for a fold-symmetric
 sector of msec target rows), gathered into the kernel matrix, plus one
 M x M x 4 product; there are no M x M trigonometric tables, and the
-chords and the kernel matrix are written into per-grid workspace
-buffers.
+chords, the K_0 arguments and values and the kernel matrix are written
+into per-grid workspace buffers, so a call allocates no array of the
+chord count.
 
 The linearization uses d rho/dt = -d/dtheta (V rho + L rho) with
 V = Omega - V^E - V^SW and L = L^E + L^SW.  Note the relative signs: they
@@ -69,7 +70,7 @@ import numpy as np
 
 from . import spectrum
 from .errors import DomainError, GeometryError, GridError, InstabilityError
-from .greens import EULER_GAMMA, combined_boundary_kernel, green_kernel, pair_plan
+from .greens import EULER_GAMMA, _kernel_into, green_kernel, pair_plan
 from .numerics import dealias_twothirds, spectral_derivative
 
 
@@ -94,13 +95,12 @@ class RadialPatch:
         fold = int(self.fold)
         if fold < 1 or r.size % fold:
             raise GridError("fold must divide the grid size")
+        _check_samples(r)
         if fold > 1:
             sector = r[: r.size // fold]
             if np.max(np.abs(r - np.tile(sector, fold))) > 1e-12:
                 raise GridError("samples are not fold-symmetric")
             r = np.tile(sector, fold)
-        if np.min(1.0 + 2.0 * r) <= 0.0:
-            raise GeometryError("1 + 2r must stay positive")
         if self.alpha <= 0:
             raise DomainError("alpha must be positive")
         object.__setattr__(self, "samples", r)
@@ -136,13 +136,18 @@ class Diagnostics:
 
 
 class _Workspace:
-    """Per-grid node vectors and the M x M buffer for the kernel sums.
+    """Per-grid node vectors and the buffers of the kernel sums.
 
     ``cos`` and ``sin`` hold cos theta_k and sin theta_k at the M nodes.
-    Every kernel sum overwrites ``kernel``: its leading entries first
-    with the chords of the plan's representative pairs (at most
-    M(M+1)/2), then, once their kernel is evaluated, with the kernel
-    matrix gathered from the plan.  One instance serves one grid size.
+    The other buffers are sized for the most chord classes a plan can
+    have, M(M+1)/2, so a kernel evaluation allocates no array of that
+    size.  Every kernel sum overwrites ``kernel`` (M x M): its leading
+    entries first with the chords of the plan's representative pairs,
+    then, once their kernel is evaluated, with the kernel matrix gathered
+    from the plan.  The kernel of the chords goes into ``k0`` (K_0 first,
+    the combined kernel on return), ``x`` holds the K_0 arguments A/alpha
+    and then log A, and ``work`` (two rows) is the scratch of the Horner
+    sums and of the chord gathers.  One instance serves one grid size.
     The kernel sums are not reentrant (two threads must not run them at
     once): the pair chords from :func:`_pair_chords` and the kernel
     matrix from :func:`_interaction` are buffer views, valid until chords
@@ -156,6 +161,10 @@ class _Workspace:
         self.cos = np.cos(theta)
         self.sin = np.sin(theta)
         self.kernel = np.empty((M, M))
+        classes = M * (M + 1) // 2
+        self.x = np.empty(classes)
+        self.k0 = np.empty(classes)
+        self.work = np.empty((2, classes))
         self.M = M
 
 
@@ -170,10 +179,16 @@ def _workspace(M):
     return ws
 
 
-def _geometry(patch):
-    r = patch.samples
+def _check_samples(r):
+    if not np.isfinite(r).all():
+        raise GeometryError("samples must be finite")
     if np.min(1.0 + 2.0 * r) <= 0.0:
         raise GeometryError("1 + 2r must stay positive")
+
+
+def _geometry(patch):
+    r = patch.samples
+    _check_samples(r)
     R = np.sqrt(1.0 + 2.0 * r)
     Rp = spectral_derivative(r) / R
     return R, Rp
@@ -188,17 +203,19 @@ def _plan(M, msec=None):
 def _pair_chords(R, ws, plan):
     """Chords |z_j - z_k| of the plan's representative pairs, in ``ws.kernel``.
 
-    Formed from the Cartesian nodes z = R e^{i theta}: the zero-offset
+    ``ws.work`` holds the gathered coordinates.  Formed from the Cartesian nodes z = R e^{i theta}: the zero-offset
     chords are exactly zero, and every chord is bitwise the entry of the
     full chord matrix at its representative and at its transpose.
     """
     x, y = R * ws.cos, R * ws.sin
-    A = ws.kernel.reshape(-1)[: plan.first.size]
-    np.take(x, plan.first, out=A, mode="clip")
-    A -= x[plan.second]
+    n = plan.first.size
+    A = ws.kernel.reshape(-1)[:n]
+    dy, gathered = ws.work[:, :n]
+    plan.take(x, plan.first, A)
+    A -= plan.take(x, plan.second, gathered)
     A *= A
-    dy = y[plan.first]
-    dy -= y[plan.second]
+    plan.take(y, plan.first, dy)
+    dy -= plan.take(y, plan.second, gathered)
     dy *= dy
     A += dy
     return np.sqrt(A, out=A)
@@ -211,7 +228,7 @@ def _chord_matrix(R, ws, msec=None):
     the diagonal is exactly zero and the full matrix is bitwise symmetric.
     """
     plan = _plan(R.size, msec)
-    return np.take(_pair_chords(R, ws, plan), plan.inverse)
+    return _pair_chords(R, ws, plan)[plan.inverse]
 
 
 def _interaction(patch, msec=None):
@@ -223,9 +240,13 @@ def _interaction(patch, msec=None):
     ws = _workspace(patch.size)
     R, Rp = _geometry(patch)
     plan = _plan(patch.size, msec)
-    K = combined_boundary_kernel(patch.alpha, _pair_chords(R, ws, plan))
+    n = plan.first.size
+    K = _kernel_into(
+        patch.alpha, _pair_chords(R, ws, plan), slice(0, plan.zeros),
+        ws.x[:n], ws.k0[:n], ws.work[:, :n],
+    )
     G = ws.kernel[: plan.inverse.shape[0]]
-    np.take(K, plan.inverse, out=G, mode="clip")
+    plan.take(K, plan.inverse, G)
     return ws, R, Rp, G
 
 
@@ -326,8 +347,6 @@ def step_rk4(patch, dt, dealias=True):
     k3 = f(r + 0.5 * dt * k2)
     k4 = f(r + dt * k3)
     new = r + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(new)):
-        raise InstabilityError("non-finite samples after step")
     try:
         return patch.replace_samples(new)
     except GeometryError as exc:
@@ -338,8 +357,11 @@ def evolve(patch, T, dt=None, snapshot_every=None, dealias=True):
     """Integrate over [0, T] (T may be negative); returns (patch, snapshots).
 
     Snapshots are (t, RadialPatch) pairs taken every ``snapshot_every``
-    steps (always including the final state) when requested.
+    steps (always including the final state) when requested.  T = 0
+    takes no step and returns the input patch.
     """
+    if T == 0:
+        return patch, [(0.0, patch)] if snapshot_every else []
     if dt is None:
         dt = default_timestep(patch) * (1 if T >= 0 else -1)
     if T * dt < 0:

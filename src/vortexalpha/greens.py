@@ -93,13 +93,22 @@ class PairPlan:
     whose chords are exactly zero.
     ``inverse[j, k]`` is the class of the pair (j, k), so a kernel K
     evaluated on the representative chords gives the block as
-    ``K[inverse]``.
+    ``K[inverse]``.  The index arrays are read-only, since the cache
+    shares them; gather with :meth:`take` into a buffer.
     """
 
     first: np.ndarray
     second: np.ndarray
     zeros: int
     inverse: np.ndarray
+
+    def take(self, values, indices, out):
+        """``values[indices]`` into ``out`` for one of the plan's index arrays.
+
+        ``np.take`` copies an index array that is not writeable, so this
+        reads the writeable array behind the read-only view instead.
+        """
+        return np.take(values, indices.base, out=out, mode="clip")
 
 
 @functools.lru_cache(maxsize=4)
@@ -147,9 +156,10 @@ def pair_plan(M, rows, period, reflect):
     inverse = rank[key]
     del rank, key
     first, second = np.divmod(reps, M)
-    for a in (first, second, inverse):
-        a.flags.writeable = False  # shared by every caller of the cache
-    return PairPlan(first, second, zeros, inverse)
+    views = [a.view() for a in (first, second, inverse)]
+    for v in views:
+        v.flags.writeable = False  # shared by every caller of the cache
+    return PairPlan(views[0], views[1], zeros, views[2])
 
 
 def green_kernel(alpha, rho):
@@ -168,28 +178,35 @@ def combined_boundary_kernel(alpha, rho):
     """log rho + K_0(rho/alpha), continued by log(2 alpha) - gamma at rho = 0.
 
     A scalar gives a float; an array of any shape gives an array of that
-    shape.  The input is not modified.  Zero entries are evaluated at
-    rho = alpha, whose K_0 argument lies in the series band, and then
-    overwritten by the limit.
+    shape.  The input is not modified.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     arr = np.asarray(rho, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(arr < 0):
         raise DomainError("rho must be nonnegative")
-    x = arr / alpha
-    zero = arr == 0.0
-    has_zero = zero.any()
-    if has_zero:
-        x[zero] = 1.0
-    out = sf.k0_array(x)
+    flat = arr.reshape(-1)
+    n = flat.size
+    out = _kernel_into(alpha, flat, flat == 0.0, np.empty(n), np.empty(n), np.empty((2, n)))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _kernel_into(alpha, rho, zero, x, out, work):
+    """:func:`combined_boundary_kernel` of a flat rho into caller-owned buffers.
+
+    ``zero`` indexes the zero entries of rho (a mask or a slice); ``x``
+    and ``out`` have rho's size and ``work`` is (2, rho.size) scratch for
+    :func:`vortexalpha.specfun.k0_array`.  Zero entries are evaluated at
+    rho = alpha, whose K_0 argument lies in the series band, and then
+    overwritten by the limit.  Returns ``out``.
+    """
+    np.divide(rho, alpha, out=x)
+    x[zero] = 1.0
+    sf.k0_array(x, out, work)
     with np.errstate(divide="ignore"):
-        out += np.log(arr, out=x)
-    if has_zero:
-        out[zero] = math.log(2 * alpha) - EULER_GAMMA
-    return float(out[0]) if scalar else out
+        out += np.log(rho, out=x)
+    out[zero] = math.log(2 * alpha) - EULER_GAMMA
+    return out
 
 
 def velocity_at(alpha, boundary, z):

@@ -18,11 +18,15 @@ errors cross the accuracy targets, see below):
   to x = 2.5, up to about 4e-14 just below 3.  For ``x >= 3`` the smooth
   functions ``sqrt(x) e^x K_n(x)``, n = 0, 1, are one degree-20 Chebyshev
   series in ``t = 6/x - 1`` on [-1, 1] (the classical form of W. J. Cody,
-  ACM TOMS Algorithm 715), summed by a Clenshaw recurrence that runs both
-  orders in one pass.  The coefficients interpolate ``mpmath.besselk`` at
-  the 21 Chebyshev nodes and decay below 1e-17; the relative error is a
-  few ulp on the whole half-line, and the cost per point does not depend
-  on x (both checked against mpmath in the tests).
+  ACM TOMS Algorithm 715).  The coefficients interpolate
+  ``mpmath.besselk`` at the 21 Chebyshev nodes and decay below 1e-17.
+  They are converted once, at import, to powers of t and summed by
+  Horner's rule in place (two passes per degree); the sums of the
+  absolute power coefficients are 1.2533 (K_0) and 1.403 (K_1), against
+  values of 1.2 to 1.4, so the power form is well conditioned on
+  |t| <= 1.  The relative error is a few ulp on the whole half-line, and
+  the cost per point does not depend on x (both checked against mpmath in
+  the tests).
 * ``K_n``, n >= 2: upward recurrence ``K_{n+1} = K_{n-1} + (2n/x) K_n``
   (forward-stable since K grows with the order).
 
@@ -189,48 +193,54 @@ _K_SERIES = np.array(
 )
 
 
-def _horner(u, coef):
-    """[sum_m coef[m, j] u^m for each column j of ``coef``], one array per column.
+def _horner(u, coef, out):
+    """sum_m coef[m] u^m into ``out`` by the in-place loop ``p += c; p *= u``.
 
-    Each column runs its own in-place loop (``p += c; p *= u``) in the
-    order of operations of the plain form ``p = p * u + c``, so it is
-    bitwise equal to it, without a fresh array per step.  One stacked
-    (cols,) + u.shape array instead measured about 20 % slower on the
-    ``evolve`` benchmark at equal arithmetic.
+    The loop runs in the order of operations of the plain form
+    ``p = p * u + c``, so it is bitwise equal to it, in two passes per
+    degree and without a fresh array per step.  Entries of ``coef`` that
+    are (rows, 1) arrays sum one polynomial per row of a (rows,) + u.shape
+    ``out`` at once.  The ``evolve`` kernel path sums one column per call:
+    a stacked accumulator measured about 20 % slower there.
     """
-    out = []
-    for col in coef.T.tolist():
-        p = col[-1] * u
-        for c in col[-2:0:-1]:
-            p += c
-            p *= u
-        p += col[0]
-        out.append(p)
+    np.multiply(u, coef[-1], out=out)
+    for c in coef[-2:0:-1]:
+        out += c
+        out *= u
+    out += coef[0]
     return out
 
 
-def _clenshaw(t, coef):
-    """sum_k coef[k] T_k(t) over a 1-d array t.
+def _monomial(c):
+    """Coefficients in powers of t of sum_k c[k] T_k(t), column by column.
 
-    ``coef`` of shape (deg+1, 2) sums both columns in one pass and gives
-    shape (2, t.size); shape (deg+1,) gives shape t.shape.
+    The recurrence of numpy's ``chebyshev.cheb2poly`` (whose import costs
+    about 0.8 MiB): from the top, (p_0, p_1) -> (c_k - p_1, p_0 + 2 t p_1),
+    then p_0 + t p_1.
     """
-    c = coef[..., None]
-    t2 = 2.0 * t
-    b1, b2 = c[-1], 0.0
-    for ck in c[-2:0:-1]:
-        b0 = t2 * b1
-        b0 -= b2
-        b0 += ck
-        b1, b2 = b0, b1
-    return c[0] + 0.5 * t2 * b1 - b2
+    def times_t(p):
+        return np.concatenate((0.0 * p[:1], p[:-1]))
+
+    p0, p1 = np.zeros_like(c), np.zeros_like(c)
+    p0[0], p1[0] = c[-2], c[-1]
+    for ck in c[-3::-1]:
+        p0, p1 = -p1, p0 + 2.0 * times_t(p1)
+        p0[0] += ck
+    return p0 + times_t(p1)
+
+
+# _K01E_CHEB in powers of t for Horner's rule (conditioning: module docstring)
+_K01E_POWERS = _monomial(_K01E_CHEB)
+_K0_I0, _K0_PSI = _K_SERIES[:, 0].tolist(), _K_SERIES[:, 1].tolist()
+_K0_FIT = _K01E_POWERS[:, 0].tolist()
 
 
 def _k01e_series(x):
     """(e^x K_0, e^x K_1) by the log + psi series; x array, x < 3."""
     x = np.asarray(x, dtype=float)
     lg = np.log(x / 2.0)
-    i0, s0, i1, s1 = _horner(x * x / 4.0, _K_SERIES)
+    u = x * x / 4.0
+    i0, s0, i1, s1 = _horner(u, _K_SERIES[:, :, None], np.empty((4,) + u.shape))
     k0 = -lg * i0 + s0
     k1 = 1.0 / x + lg * (x / 2.0) * i1 - (x / 4.0) * s1
     ex = np.exp(x)
@@ -238,9 +248,11 @@ def _k01e_series(x):
 
 
 def _k01e_cheb(x):
-    """(e^x K_0, e^x K_1) by the Chebyshev series in 6/x - 1; x array, x >= 3."""
+    """(e^x K_0, e^x K_1) by the Chebyshev fit in t = 6/x - 1; x array, x >= 3."""
     x = np.asarray(x, dtype=float)
-    k0e, k1e = _clenshaw(6.0 / x - 1.0, _K01E_CHEB) / np.sqrt(x)
+    t = 6.0 / x - 1.0
+    fit = _horner(t, _K01E_POWERS[:, :, None], np.empty((2,) + t.shape))
+    k0e, k1e = fit / np.sqrt(x)
     return k0e, k1e
 
 
@@ -258,56 +270,87 @@ def _k01e(x):
     return k0, k1
 
 
-def _k0_series(x):
-    """Unscaled K_0 for x < 3 from columns 0-1 of ``_K_SERIES``.
+def _k0_series(v, work):
+    """K_0 for x < 3 in place: ``v`` holds x on entry and K_0 on return.
 
-    A function of its own: with the same arithmetic inlined in
-    ``k0_array``, the changed order of allocations and frees measured
-    ``evolve`` about 10 % slower.
+    ``work`` is (2, v.size) scratch.  The operations are those of
+    -log(x/2) p_0(u) + p_1(u), u = x^2/4, with p_j column j of
+    ``_K_SERIES``, in the same order (negating a product is exact).
     """
-    u = x * x * 0.25
-    p0, p1 = _horner(u, _K_SERIES[:, :2])
-    return -np.log(0.5 * x) * p0 + p1
+    u, p = work
+    np.multiply(v, v, out=u)
+    u *= 0.25
+    v *= 0.5
+    np.log(v, out=v)
+    _horner(u, _K0_I0, p)
+    p *= v
+    _horner(u, _K0_PSI, v)
+    v -= p
+    return v
 
 
-def _k0_fit(x):
-    """Unscaled K_0 for x >= 3 from column 0 of ``_K01E_CHEB``."""
+def _k0_fit(v, work):
+    """K_0 for x >= 3 in place: ``v`` holds x on entry and K_0 on return.
+
+    ``work`` is (2, v.size) scratch; column 0 of the fit by Horner's rule,
+    times e^-x / sqrt(x).
+    """
+    t, p = work
+    np.divide(6.0, v, out=t)
+    t -= 1.0
+    _horner(t, _K0_FIT, p)
+    np.negative(v, out=t)
+    np.sqrt(v, out=v)
     with np.errstate(under="ignore"):
-        return _clenshaw(6.0 / x - 1.0, _K01E_CHEB[:, 0]) * (np.exp(-x) / np.sqrt(x))
+        np.exp(t, out=t)
+        t /= v
+        return np.multiply(p, t, out=v)
 
 
-def k0_array(x):
+def k0_array(x, out=None, work=None):
     """K_0 over a positive array (0 where e^-x underflows); kernel helper.
 
+    The result has the shape of ``x``, which is not modified.  Callers
+    that evaluate K_0 repeatedly may pass the buffers: ``out``, 1-d and
+    contiguous with x.size entries, receives the result (returned as a
+    view of it), and ``work``, shape (2, x.size) with contiguous rows, is
+    scratch; otherwise both are allocated here.
+
     Every value depends on its own argument only, not on its position.
-    The series and the fit each run once.  In flat order the series takes
-    the leading slice before the first x >= 3 and the fit the trailing
-    slice after the last x < 3; masks split only the zone between them,
-    which is short when the arguments grow along the array (chords in
+    The series and the fit each run once, in place on ``out``: in flat
+    order the series takes the leading slice before the first x >= 3 and
+    the fit the trailing slice after the last x < 3, and the zone between
+    them is permuted so that its x < 3 entries follow the leading slice.
+    The zone is short when the arguments grow along the array (chords in
     the diagonal order of :func:`vortexalpha.greens.pair_plan`).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if x.size and x.min() <= 0:
         raise DomainError("K_0 requires x > 0")
-    hi = x >= _X_SWITCH_K_SERIES
-    if not hi.any():
-        return _k0_series(x)
-    if hi.all():
-        return _k0_fit(x)
-    flat, hi = x.reshape(-1), hi.reshape(-1)
-    a = int(hi.argmax())                            # first x >= 3
-    b = max(a, hi.size - int(hi[::-1].argmin()))    # one past the last x < 3
-    mixed, up = flat[a:b], hi[a:b]
+    flat = x.reshape(-1)
+    n = flat.size
+    if out is None:
+        out = np.empty(n)
+    if work is None:
+        work = np.empty((2, n))
+    # the mask borrows the bytes of ``out`` until the arguments are copied in
+    hi = np.greater_equal(flat, _X_SWITCH_K_SERIES, out=out.view(bool)[:n])
+    a = int(hi.argmax()) if hi.any() else n                # first x >= 3
+    b = n - int(hi[::-1].argmin()) if not hi.all() else 0  # one past the last x < 3
+    up = hi[a:b].copy()
     lo = ~up
-    series = _k0_series(np.concatenate((flat[:a], mixed[lo])))
-    fit = _k0_fit(np.concatenate((mixed[up], flat[b:])))
-    split = fit.size - (flat.size - b)  # fit values of the mixed zone
-    out = np.empty_like(flat)
-    out[:a] = series[:a]
-    out[b:] = fit[split:]
-    zone = out[a:b]
-    zone[lo] = series[a:]
-    zone[up] = fit[:split]
+    s = a + int(np.count_nonzero(lo))                      # series: out[:s]
+    out[:a] = flat[:a]
+    out[b:] = flat[b:]
+    zone = flat[a:b]
+    out[a:s] = zone[lo]
+    out[s:b] = zone[up]
+    _k0_series(out[:s], work[:, :s])
+    _k0_fit(out[s:], work[:, s:n])
+    if a < b:
+        values = out[a:b].copy()
+        out[a:b][lo] = values[: s - a]
+        out[a:b][up] = values[s - a :]
     return out.reshape(x.shape)
 
 

@@ -142,11 +142,23 @@ def evaluate_F(alpha, Omega, perturbation, grid_size, band=None):
     return FunctionalValue(g, M)
 
 
-def _f_samples(alpha, Omega, pert, M):
+def _boundary_samples(pert, M):
+    """w, Phi(w) and Phi'(w) on the M uniform circle nodes w_j = e^{i theta_j}.
+
+    On the grid, sum_n a_n conj(w_j)^n is the DFT of the zero-padded
+    coefficients, so Phi = w + fft(a) and Phi' = 1 - conj(w) fft(n a_n),
+    one FFT each (the degree is below M).
+    """
     theta = 2 * np.pi * np.arange(M) / M
     w = np.exp(1j * theta)
-    z = pert.map_points(w)
-    dphi = pert.map_derivative(w)
+    a = pert.coefficients
+    z = w + np.fft.fft(a, M)
+    dphi = 1.0 - np.conj(w) * np.fft.fft(np.arange(a.size) * a, M)
+    return w, z, dphi
+
+
+def _f_samples(alpha, Omega, pert, M):
+    w, z, dphi = _boundary_samples(pert, M)
     if np.min(np.abs(dphi)) < _MIN_PHI_PRIME:
         raise GeometryError("Phi' vanishes on the grid")
     # F has period 2 pi / m and is odd, so of the first msec target nodes
@@ -165,7 +177,7 @@ def _f_samples(alpha, Omega, pert, M):
     # means the curve crosses itself
     if np.count_nonzero(dist < 1e-12) != plan.zeros:
         raise GeometryError("boundary self-intersects on the grid")
-    G = np.take(combined_boundary_kernel(alpha, dist), plan.inverse)
+    G = combined_boundary_kernel(alpha, dist)[plan.inverse]
     # one real matrix product; G @ c with complex c would copy G to complex
     c = dphi * w
     re_im = G @ np.column_stack((c.real, c.imag)) / M
@@ -178,10 +190,7 @@ def _f_samples(alpha, Omega, pert, M):
 
 def _omega_derivative_samples(pert, M):
     """Samples of dF/dOmega = Im{Phi(w) conj(w) conj(Phi'(w))} (kernel-free)."""
-    theta = 2 * np.pi * np.arange(M) / M
-    w = np.exp(1j * theta)
-    z = pert.map_points(w)
-    dphi = pert.map_derivative(w)
+    w, z, dphi = _boundary_samples(pert, M)
     return np.imag(z * np.conj(w) * np.conj(dphi))
 
 

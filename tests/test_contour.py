@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vortexalpha import contour, specfun as sf, vstates as vs
-from vortexalpha.errors import DomainError, InstabilityError
+from vortexalpha.errors import DomainError, GeometryError, InstabilityError
 from vortexalpha.greens import combined_boundary_kernel
 from vortexalpha.numerics import dealias_twothirds, spectral_derivative
 
@@ -204,6 +204,41 @@ class TestRhs:
         assert np.array_equal(G, combined_boundary_kernel(alpha, A))
         assert np.array_equal(G, G.T)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_buffered_kernel_matches_fresh_on_evolve_chords(self, alpha):
+        # the workspace-buffer kernel path against the fresh-array evaluator
+        # on the pair chords of the evolve benchmark's grid and amplitude
+        patch = two_mode_patch(256, alpha, amplitude=0.01)
+        R, _ = contour._geometry(patch)
+        chords = contour._pair_chords(R, contour._workspace(256), contour._plan(256)).copy()
+        fresh = combined_boundary_kernel(alpha, chords)
+        _, _, _, G = contour._interaction(patch)
+        assert np.array_equal(G, fresh[contour._plan(256).inverse])
+
+    def test_warm_rhs_allocates_no_chord_sized_array(self):
+        # chords, K_0 arguments, Horner sums and kernel matrix all live in
+        # workspace buffers; one chord-sized array is 32896 doubles
+        patch = two_mode_patch(256, 0.3, amplitude=0.01)
+        contour.rhs(patch)
+        tracemalloc.start()
+        try:
+            contour.rhs(patch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 257 // 2 * 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_samples_rejected(self, bad):
+        r = np.zeros(64)
+        r[5] = bad
+        with pytest.raises(GeometryError):
+            contour.RadialPatch(r, 0.5, 0.7)
+        patch = two_mode_patch(64, 0.7)
+        patch.samples[5] = bad  # a patch changed after its construction
+        with pytest.raises(GeometryError):
+            contour.rhs(patch)
+
 
 class TestLinearization:
     def test_matches_central_differences_off_flat_state(self):
@@ -247,6 +282,16 @@ class TestEvolution:
             contour.step_rk4(patch, 1.01 * cap)
         with pytest.raises(DomainError):
             contour.step_rk4(patch, 0.0)
+
+    def test_zero_horizon_takes_no_step(self, monkeypatch):
+        patch = two_mode_patch(64, 0.7)
+        calls = []
+        monkeypatch.setattr(contour, "rhs", lambda *args, **kwargs: calls.append(args))
+        final, snaps = contour.evolve(patch, 0.0)
+        assert final is patch and snaps == []
+        _, snaps = contour.evolve(patch, 0.0, snapshot_every=1)
+        assert len(snaps) == 1 and snaps[0][0] == 0.0 and snaps[0][1] is patch
+        assert calls == []
 
     def test_geometry_failure_mid_step(self):
         r = np.zeros(64)

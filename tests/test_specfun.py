@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
 from vortexalpha import specfun as sf
 from vortexalpha.errors import DomainError
@@ -195,6 +196,10 @@ class TestChebyshevFit:
     def test_coefficients_regenerate(self):
         assert np.max(np.abs(chebyshev_coefficients() - sf._K01E_CHEB)) <= 1e-15
 
+    def test_powers_match_numpy_conversion(self):
+        ref = np.stack([chebyshev.cheb2poly(c) for c in sf._K01E_CHEB.T], axis=1)
+        assert np.max(np.abs(sf._K01E_POWERS - ref)) <= 1e-16
+
     def test_scaled_sweep(self, k_oracle):
         for n in (0, 1):
             got = np.array([sf.bessel_K(n, x, scaled=True) for x in FIT_GRID])
@@ -245,6 +250,16 @@ class TestKSeries:
         for shape in [(40000,), (129, 256)]:
             x = rng.uniform(1e-6, 3.0, shape)
             assert np.array_equal(sf.k0_array(x), k0_series_plain(x))
+
+    def test_k0_array_leaves_input_unmodified(self):
+        # shuffled arguments across the switch: the mixed zone is the array
+        x = np.random.default_rng(5).uniform(0.01, 8.0, (40, 100))
+        kept = x.copy()
+        fresh = sf.k0_array(x)
+        assert np.array_equal(x, kept)
+        out, work = np.empty(x.size), np.empty((2, x.size))
+        assert np.array_equal(sf.k0_array(x, out, work), fresh)
+        assert np.array_equal(x, kept)
 
     @pytest.mark.parametrize("low, high", [(0.01, 8.0), (2.9, 3.1), (0.01, 2.9), (3.0, 9.0)])
     def test_k0_array_independent_of_order(self, low, high):

@@ -75,6 +75,15 @@ class TestConformalPerturbation:
         with pytest.raises(GeometryError):
             vs.ConformalPerturbation([0.0, 0.6, 0.3], fold=1)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_grid_samples_match_coefficient_loop(self, m):
+        # the FFT samples of the functional against the power loops
+        pert = vs.ConformalPerturbation(fold_coefficients(m, [0.1, -0.02, 0.005]), fold=m)
+        for M in (64, 256):
+            w, z, dphi = vs._boundary_samples(pert, M)
+            assert np.max(np.abs(z - pert.map_points(w))) <= 1e-15
+            assert np.max(np.abs(dphi - pert.map_derivative(w))) <= 1e-15
+
     def test_map_derivative_consistency(self):
         # Phi' from the coefficient formula vs complex finite differences
         pert = vs.ConformalPerturbation([0.05, 0.1, 0.07], fold=1)
