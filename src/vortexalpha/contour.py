@@ -151,9 +151,9 @@ class _Workspace:
     The kernel sums are not reentrant (two threads must not run them at
     once): the pair chords from :func:`_pair_chords` and the kernel
     matrix from :func:`_interaction` are buffer views, valid until chords
-    are next formed on that grid size (by any kernel sum, the energy or
-    :func:`_chord_matrix`).  What :func:`rhs`, :func:`linearized_rhs` and
-    :func:`diagnostics` return owns its memory.
+    are next formed on that grid size (by any kernel sum or the energy).
+    What :func:`rhs`, :func:`linearized_rhs` and :func:`diagnostics`
+    return owns its memory.
     """
 
     def __init__(self, M):
@@ -219,16 +219,6 @@ def _pair_chords(R, ws, plan):
     dy *= dy
     A += dy
     return np.sqrt(A, out=A)
-
-
-def _chord_matrix(R, ws, msec=None):
-    """Chords |z_j - z_k| for the first msec target rows (a fresh array).
-
-    The pair chords gathered into the matrix layout of :func:`_interaction`:
-    the diagonal is exactly zero and the full matrix is bitwise symmetric.
-    """
-    plan = _plan(R.size, msec)
-    return _pair_chords(R, ws, plan)[plan.inverse]
 
 
 def _interaction(patch, msec=None):
@@ -358,8 +348,11 @@ def evolve(patch, T, dt=None, snapshot_every=None, dealias=True):
 
     Snapshots are (t, RadialPatch) pairs taken every ``snapshot_every``
     steps (always including the final state) when requested.  T = 0
-    takes no step and returns the input patch.
+    takes no step and returns the input patch.  T and dt must be finite,
+    and dt nonzero.
     """
+    if not math.isfinite(T) or not (dt is None or (math.isfinite(dt) and dt != 0)):
+        raise DomainError(f"T and dt must be finite and dt nonzero, got T={T!r}, dt={dt!r}")
     if T == 0:
         return patch, [(0.0, patch)] if snapshot_every else []
     if dt is None:

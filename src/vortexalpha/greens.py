@@ -1,13 +1,13 @@
-"""Green kernel of the Euler-alpha model and boundary-integral velocity.
+"""Green kernel of the Euler-alpha model and the chord layout of its solvers.
 
 The stream kernel is G(rho) = (1/2pi)(log rho + K_0(rho/alpha)): the Euler
 log kernel plus a screened correction.  The two pieces have cancelling log
 singularities, so their sum extends continuously to the diagonal with value
 log(2 alpha) - gamma.  :func:`combined_boundary_kernel` is the one
-evaluator of that sum in the package: the boundary quadratures here, the
-contour dynamics in :mod:`vortexalpha.contour` and the rotating-patch
-functional in :mod:`vortexalpha.vstates` all call it on their chord
-matrices, and its zero entries take the analytic limit (the trapezoid
+evaluator of that sum in the package: the contour dynamics in
+:mod:`vortexalpha.contour` and the rotating-patch functional in
+:mod:`vortexalpha.vstates` call it (or its buffered core) on their
+chords, and its zero entries take the analytic limit (the trapezoid
 weights and symmetry are preserved).
 
 :func:`pair_plan` is the one chord layout of those solvers.  A chord
@@ -19,13 +19,6 @@ kernel is evaluated once per class and gathered into the block.  On a
 near-circle the chords of one offset are nearly equal and grow with the
 offset, so the K_0 arguments in this order cross the series/fit switch
 at x = 3 only a few times.
-
-Line integrals over the circle parameter use the plain (1/2pi) d-theta
-convention of the velocity representation
-     v(z) = -(1/2pi) oint [log|z-xi| + K_0(|z-xi|/alpha)] d-xi ;
-the conformal functional in :mod:`vortexalpha.vstates` uses the
-1/(2 i pi)-normalized line integral instead -- each usage documents its
-convention.
 """
 
 from __future__ import annotations
@@ -40,46 +33,6 @@ from . import specfun as sf
 from .errors import DomainError, GridError
 
 EULER_GAMMA = sf.EULER_GAMMA
-
-
-@dataclass(frozen=True)
-class Boundary:
-    """Closed curve sampled at M uniform parameter values on [0, 2pi).
-
-    ``points[k]`` is the complex position at theta_k = 2 pi k / M and
-    ``tangents[k]`` the parameter derivative d xi / d theta there.  The
-    closing node theta = 2pi must not be duplicated.
-    """
-
-    points: np.ndarray
-    tangents: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex)
-        tan = np.asarray(self.tangents, dtype=complex)
-        if pts.ndim != 1 or pts.shape != tan.shape:
-            raise GridError("points and tangents must be 1-d arrays of equal size")
-        if pts.size < 8:
-            raise GridError("boundary needs at least 8 nodes")
-        if pts.size % 2 != 0:
-            raise GridError("boundary grid size must be even")
-        if pts[0] == pts[-1]:
-            raise GridError(
-                "boundary looks endpoint-duplicated; drop the closing node"
-            )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "tangents", tan)
-
-    @property
-    def size(self):
-        return self.points.size
-
-
-def boundary_circle(radius=1.0, M=256):
-    """Uniformly sampled circle of given radius."""
-    theta = 2 * np.pi * np.arange(M) / M
-    w = np.exp(1j * theta)
-    return Boundary(radius * w, 1j * radius * w)
 
 
 @dataclass(frozen=True)
@@ -207,49 +160,3 @@ def _kernel_into(alpha, rho, zero, x, out, work):
         out += np.log(rho, out=x)
     out[zero] = math.log(2 * alpha) - EULER_GAMMA
     return out
-
-
-def velocity_at(alpha, boundary, z):
-    """Filtered velocity at a complex point from the boundary integral.
-
-    Trapezoidal rule on the uniform parameter grid; if z falls on a grid
-    node the (continuous) combined kernel takes its diagonal limit there.
-    """
-    return complex(velocity_field(alpha, boundary, z))
-
-
-def velocity_field(alpha, boundary, targets):
-    """:func:`velocity_at` over an array of targets, in one kernel call."""
-    if not isinstance(boundary, Boundary):
-        raise GridError("boundary must be a Boundary instance")
-    targets = np.asarray(targets, dtype=complex)
-    rho = np.abs(targets.reshape(-1, 1) - boundary.points)
-    vals = combined_boundary_kernel(alpha, rho)
-    return -(vals * boundary.tangents).mean(axis=1).reshape(targets.shape)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Grid-doubling record for the boundary quadrature."""
-
-    grid_sizes: tuple
-    values: tuple
-    observed_order: float
-
-
-def velocity_convergence(alpha, curve, z, M0=64, levels=3):
-    """Observed convergence order of velocity_at under grid doubling.
-
-    ``curve(M)`` must return the Boundary resampled at M nodes.  The order
-    is estimated from the last three levels by Richardson comparison, so
-    ``levels`` must be at least 2.
-    """
-    if levels < 2:
-        raise DomainError(f"levels must be at least 2, got {levels!r}")
-    sizes = [M0 * 2**k for k in range(levels + 1)]
-    vals = [velocity_at(alpha, curve(M), z) for M in sizes]
-    d1 = abs(vals[-2] - vals[-1])
-    d0 = abs(vals[-3] - vals[-2])
-    order = math.log2(d0 / d1) if d1 > 0 else math.inf
-    return ConvergenceReport(tuple(sizes), tuple(vals), order)
-

@@ -1,7 +1,9 @@
-"""Modified Bessel functions I_n, K_n for integer order, built from scratch.
+"""Modified Bessel functions of integer order, built from scratch.
 
-Evaluation strategy (regime switches chosen where the estimated truncation
-errors cross the accuracy targets, see below):
+The package needs two evaluators: the products I_n(x) K_n(x) of the
+frequency formulas (``product_IK_array``) and K_0 of the combined kernel
+(``k0_array``).  Evaluation strategy (regime switches chosen where the
+estimated truncation errors cross the accuracy targets, see below):
 
 * ``I_0``: ascending power series ``sum_m (x^2/4)^m / (m!)^2`` for
   ``x <= 30`` (all terms positive, so it is cancellation-free), and the
@@ -9,9 +11,8 @@ errors cross the accuracy targets, see below):
   two agree to a few ulp at the switch.
 * ``I_n``, n >= 1: I_0 times the order ratios ``I_{n+1}/I_n`` from the
   downward recurrence ``rho_{n-1} = 1/(2n/x + rho_n)`` (W. Gautschi, SIAM
-  Rev. 9 (1967)), seeded well above the top order.  The same recurrence
-  serves the scalar functions (as a plain-float loop) and
-  ``product_IK_array``, at every x; its length grows like ``sqrt(n x)``.
+  Rev. 9 (1967)), seeded well above the top order, at every x; its
+  length grows like ``sqrt(n x)``.
 * ``K_0, K_1``: the log + psi power series for ``x < 3``, both orders
   from one Horner table in ``x^2/4`` (``_K_SERIES``).  Its
   cancellation error grows like ``e^(2x) * eps``: below 1e-14 relative up
@@ -27,18 +28,14 @@ errors cross the accuracy targets, see below):
   |t| <= 1.  The relative error is a few ulp on the whole half-line, and
   the cost per point does not depend on x (both checked against mpmath in
   the tests).
-* ``K_n``, n >= 2: upward recurrence ``K_{n+1} = K_{n-1} + (2n/x) K_n``
+* ``K_n``, n >= 2: ``product_IK_array`` carries the order ratios
+  ``kappa_n = K_n/K_{n-1}`` by the upward recurrence
+  ``kappa_{n+1} = 2n/x + 1/kappa_n`` from ``kappa_1 = K_1/K_0``
   (forward-stable since K grows with the order).
 
-Scaling: for ``x > 700`` the unscaled values overflow/underflow doubles;
-``bessel_ik`` then returns ``e^(-x) I_n`` and ``e^(x) K_n`` with the
-``scaled`` flag set.  The products I_n K_n are formed in scaled form
-throughout, so they are valid for every ``x > 0``.
-
-Sign conventions on the positive real axis: ``I_n(x) > 0``, ``K_n(x) > 0``,
-``K_n'(x) < 0``; derivatives come from the exact recurrences
-``I_n' = (I_{n-1} + I_{n+1})/2`` and ``K_n' = -(K_{n-1} + K_{n+1})/2``
-(never from numerical differentiation).
+The products I_n K_n are formed from exponentially scaled factors and
+order ratios, so they are valid for every ``x > 0``; ``k0_array`` returns
+0 where ``e^-x`` underflows.
 
 All functions are pure; no shared mutable state.
 """
@@ -46,7 +43,6 @@ All functions are pure; no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +53,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 # Regime boundaries (documented above).
 _X_SWITCH_K_SERIES = 3.0
 _X_SWITCH_I_SERIES = 30.0   # I_0: series below, large-argument expansion above
-_X_OVERFLOW = 700.0
 
 _SERIES_STOP = 1e-17        # stop when term < this fraction of the partial sum
 
@@ -90,28 +85,6 @@ _K01E_CHEB = np.array(
         [6.1408470203229396e-18, -6.689331904367647e-18],
     ]
 )
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One evaluation of the pair (I_n, K_n) at (n, x).
-
-    When ``scaled`` is True the stored values are ``e^(-x) I_n(x)`` and
-    ``e^(x) K_n(x)``; this happens for x > 700 where the plain values
-    leave the double range.
-    """
-
-    order: int
-    argument: float
-    value_I: float
-    value_K: float
-    scaled: bool
-
-
-def _check_order(n):
-    if n != int(n) or n < 0:
-        raise DomainError(f"order must be a nonnegative integer, got {n!r}")
-    return int(n)
 
 
 # ----------------------------------------------------------------------
@@ -354,39 +327,12 @@ def k0_array(x, out=None, work=None):
     return out.reshape(x.shape)
 
 
-def k1_array(x):
-    """K_1 over a positive array (0 where e^-x underflows)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("K_1 requires x > 0")
-    _, k1e = _k01e(x)
-    with np.errstate(under="ignore"):
-        return k1e * np.exp(-x)
-
-
-def i0_array(x):
-    """I_0 over a nonnegative array; unscaled, so x must stay below 700."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("I_0 requires x >= 0")
-    if np.any(x > _X_OVERFLOW):
-        raise OverflowError("e^x overflows for x > 700")
-    out = np.ones_like(x)
-    pos = x > 0
-    if pos.any():
-        out[pos] = _i0e(x[pos]) * np.exp(x[pos])
-    return out
-
-
 def _i_ratio_seq(nmax, x):
     """rho[n] = I_{n+1}(x)/I_n(x) for n = 0..nmax-1, shape (nmax,) + x.shape.
 
     Downward recurrence rho_{n-1} = 1/(2n/x + rho_n), which is the stable
     direction; seeded well above nmax with the leading-order ratio so the
     seed error is washed out by the time the requested range is reached.
-    ``x`` is a float array or a plain float; a float runs the same
-    operations as plain-float arithmetic (bitwise equal to a 1-element
-    array, without a numpy call per step).
     """
     out = np.empty((nmax,) + np.shape(x))
     if nmax == 0:
@@ -401,143 +347,16 @@ def _i_ratio_seq(nmax, x):
     return out
 
 
-def _i_seq(nmax, x):
-    """(e^-x I_n(x)) for n = 0..nmax at scalar x > 0: I_0 times the ratios."""
-    x = float(x)
-    iv = np.ones(nmax + 1)
-    iv[1:] = np.cumprod(_i_ratio_seq(nmax, x))
-    return _i0e(np.array([x]))[0] * iv
-
-
-def _k_seq(nmax, x):
-    """(e^x K_n(x)) for n = 0..nmax at scalar x > 0.
-
-    Upward recurrence from K_0, K_1 (stable: K grows with the order).  The
-    entries may overflow to inf for very large order at small x -- callers
-    decide whether that matters.
-    """
-    x = float(x)
-    k0, k1 = _k01e(np.array([x]))
-    kv = np.empty(nmax + 1)
-    kv[0] = k0[0]
-    if nmax >= 1:
-        kv[1] = k1[0]
-    with np.errstate(over="ignore"):
-        for n in range(1, nmax):
-            kv[n + 1] = kv[n - 1] + (2.0 * n / x) * kv[n]
-    return kv
-
-
-# ----------------------------------------------------------------------
-# public scalar interface
-# ----------------------------------------------------------------------
-
-def bessel_ik(n, x):
-    """Evaluate the pair (I_n(x), K_n(x)).
-
-    Returns a :class:`BesselEval`; for x > 700 the values are
-    exponentially scaled and the ``scaled`` flag is set.
-    """
-    n = _check_order(n)
-    x = float(x)
-    if x < 0:
-        raise DomainError("argument must be nonnegative")
-    if x == 0.0:
-        return BesselEval(n, 0.0, 1.0 if n == 0 else 0.0, math.inf, False)
-    iv = float(_i_seq(n, x)[n])
-    kv = float(_k_seq(n, x)[n])
-    if x > _X_OVERFLOW:
-        return BesselEval(n, x, iv, kv, True)
-    ex = math.exp(x)
-    return BesselEval(n, x, iv * ex, kv / ex, False)
-
-
-def bessel_I(n, x, scaled=False):
-    """I_n(x) for integer n >= 0, x >= 0 (series limit at 0).
-
-    With ``scaled=True`` returns ``e^(-x) I_n(x)``.  Unscaled requests for
-    x > 700 raise ``OverflowError`` (use the scaled form there).
-    """
-    n = _check_order(n)
-    x = float(x)
-    if x < 0:
-        raise DomainError("argument must be nonnegative")
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x > _X_OVERFLOW and not scaled:
-        raise OverflowError("e^x overflows for x > 700; request scaled=True")
-    v = float(_i_seq(n, x)[n])
-    return v if scaled else v * math.exp(x)
-
-
-def bessel_K(n, x, scaled=False):
-    """K_n(x) for integer n >= 0, x > 0.
-
-    With ``scaled=True`` returns ``e^(x) K_n(x)``.  Unscaled requests for
-    x > 700 raise ``OverflowError``; results beyond the double range raise
-    ``OverflowError`` as well.
-    """
-    n = _check_order(n)
-    x = float(x)
-    if x <= 0:
-        raise DomainError("argument must be positive")
-    if x > _X_OVERFLOW and not scaled:
-        raise OverflowError("e^-x underflows for x > 700; request scaled=True")
-    v = float(_k_seq(n, x)[n])
-    if not math.isfinite(v):
-        raise OverflowError(f"K_{n}({x}) overflows double precision")
-    return v if scaled else v * math.exp(-x)
-
-
-def bessel_I_derivative(n, x):
-    """I_n'(x) from the exact recurrence (I_{n-1} + I_{n+1})/2."""
-    n = _check_order(n)
-    x = float(x)
-    if x < 0:
-        raise DomainError("argument must be nonnegative")
-    if x == 0.0:
-        return 0.5 if n == 1 else 0.0
-    if x > _X_OVERFLOW:
-        raise OverflowError("use scaled identities for x > 700")
-    iv = _i_seq(n + 1, x)
-    im1 = iv[1] if n == 0 else iv[n - 1]
-    return 0.5 * (im1 + iv[n + 1]) * math.exp(x)
-
-
-def bessel_K_derivative(n, x):
-    """K_n'(x) from the exact recurrence -(K_{n-1} + K_{n+1})/2."""
-    n = _check_order(n)
-    x = float(x)
-    if x <= 0:
-        raise DomainError("argument must be positive")
-    if x > _X_OVERFLOW:
-        raise OverflowError("use scaled identities for x > 700")
-    kv = _k_seq(n + 1, x)
-    km1 = kv[1] if n == 0 else kv[n - 1]
-    return -0.5 * (km1 + kv[n + 1]) * math.exp(-x)
-
-
-def product_IK(n, x):
-    """I_n(x) K_n(x), valid for large order/argument via scaled ratios.
-
-    The result lies in (0, 1/(2n)) for every n >= 1, x > 0.
-    """
-    n = _check_order(n)
-    if n < 1:
-        raise DomainError("product bound requires n >= 1")
-    x = float(x)
-    if x <= 0:
-        raise DomainError("argument must be positive")
-    return float(product_IK_array(n, np.array([x]))[n, 0])
-
-
 def product_IK_array(nmax, x):
     """Matrix P[n, i] = I_n(x_i) K_n(x_i) for n = 0..nmax (vectorized).
 
     Built multiplicatively from the order ratios of I (stable downward)
-    and K (stable upward, kappa_n = 2n/x + 1/kappa_{n-1}); no
+    and K (stable upward, kappa_{n+1} = 2n/x + 1/kappa_n); no
     cancellation, no overflowing intermediates, valid for large order.
     """
+    if nmax < 0 or not float(nmax).is_integer():
+        raise DomainError(f"order must be a nonnegative integer, got {nmax!r}")
+    nmax = int(nmax)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("argument must be positive")

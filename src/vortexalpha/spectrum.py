@@ -9,8 +9,9 @@ Two distinct frequency families share the letter Omega:
   frequency j (Omega + omega_bifurcation(|j|, alpha)), odd in j.
 
 The rotation offset Omega > 0 is a free modelling input (kept positive so
-the first equilibrium frequency cannot resonate); 1/2 is the documented
-default used by the CLI, with no claim of matching any canonical choice.
+the first equilibrium frequency cannot resonate, and checked by every
+frequency table); 1/2 is the documented default used by the CLI, with no
+claim of matching any canonical choice.
 
 Every frequency row on an alpha grid (``equilibrium_matrix``, ``v0_curve``,
 the margins and the non-degeneracy samples) comes from one I_n K_n table
@@ -62,7 +63,7 @@ def omega_infinity(alpha):
     """Limit of the bifurcation frequencies: 1/2 - I_1 K_1(1/alpha)."""
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    return 0.5 - sf.product_IK(1, 1.0 / alpha)
+    return 0.5 - sf.product_IK_array(1, np.array([1.0 / alpha]))[1, 0]
 
 
 def bifurcation_table(m_max, alphas):
@@ -73,24 +74,6 @@ def bifurcation_table(m_max, alphas):
     P = sf.product_IK_array(m_max, 1.0 / alphas)
     m = np.arange(1, m_max + 1, dtype=float)[:, None]
     return (m - 1) / (2 * m) - (P[1][None, :] - P[1:])
-
-
-def check_monotonicity(alpha, m_max):
-    """True iff m -> omega_bifurcation(m, alpha) strictly increases to m_max."""
-    if m_max < 2:
-        raise DomainError("m_max must be at least 2")
-    table = bifurcation_table(int(m_max), np.array([alpha]))[:, 0]
-    return bool(np.all(np.diff(table) > 0))
-
-
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Equilibrium frequency vector (Omega_j^E(alpha))_{j in S}."""
-
-    tangential_set: tuple
-    rotation_offset: float
-    alpha: float
-    components: np.ndarray
 
 
 def _validate_tangential_set(S):
@@ -107,20 +90,13 @@ def equilibrium_frequency(j, Omega, alpha):
     return j * (Omega + omega_bifurcation(abs(int(j)), alpha))
 
 
-def equilibrium_frequencies(S, Omega, alpha):
-    """Frequency vector over the tangential set S at offset Omega > 0."""
-    S = _validate_tangential_set(S)
-    if Omega <= 0:
-        raise DomainError("rotation offset Omega must be positive")
-    comps = np.array([equilibrium_frequency(j, Omega, alpha) for j in S])
-    return FrequencyVector(S, float(Omega), float(alpha), comps)
-
-
 def _frequency_rows(js, Omega, alpha_grid):
     """(W, V0) on the grid from one I_n K_n table: W[k] = Omega_{js[k]}^E, V0 = V_0.
 
     Entries of ``js`` may be negative (odd extension) or zero (a zero row).
     """
+    if not 0 < Omega < math.inf:
+        raise DomainError("rotation offset Omega must be positive and finite")
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if np.any(alpha_grid <= 0):
         raise DomainError("alpha must be positive")
@@ -165,29 +141,6 @@ class MarginReport:
     step: float
     q0: int
     argmin_alpha: float
-
-
-def transversality_margin(
-    S,
-    Omega,
-    l,
-    variant,
-    alpha_interval,
-    q0,
-    j=None,
-    j0=None,
-    npts=2001,
-):
-    """Numerical transversality margin for one Diophantine combination.
-
-    Returns inf over the alpha grid of max_{q <= q0} |d^q/d alpha^q f| / <l>
-    where f is the variant-selected combination of equilibrium frequencies;
-    a strictly positive value certifies the lower bound on the grid.  See
-    :func:`transversality_report` for the full record.
-    """
-    return transversality_report(
-        S, Omega, l, variant, alpha_interval, q0, j=j, j0=j0, npts=npts
-    ).margin
 
 
 def transversality_report(
@@ -354,31 +307,6 @@ def _derivative_envelope(f_on, alpha_interval, q0, npts):
 # non-degeneracy of the frequency curve
 # ----------------------------------------------------------------------
 
-def _smallest_sample_singular_value(samples_on, alpha_interval, n_samples, center):
-    """Smallest singular value of ``samples_on(grid)``, rows over a uniform grid."""
-    a0, a1 = (float(v) for v in alpha_interval)
-    if not a0 < a1:
-        raise DomainError("interval must be nondegenerate")
-    A = samples_on(np.linspace(a0, a1, n_samples))
-    if center:
-        A = A - A.mean(axis=0)
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
-
-
-def smallest_singular_value(curve, alpha_interval, n_samples, center=True):
-    """Smallest singular value of the (optionally centered) sample matrix.
-
-    ``curve(alpha)`` returns the vector of curve components; rows are
-    samples over a uniform grid on the interval.
-    """
-    return _smallest_sample_singular_value(
-        lambda grid: np.array([np.asarray(curve(a), dtype=float) for a in grid]),
-        alpha_interval,
-        n_samples,
-        center,
-    )
-
-
 def check_nondegeneracy(S, Omega, alpha_interval, augment="none", n_samples=None):
     """Smallest singular value of the sampled frequency-curve matrix.
 
@@ -395,16 +323,17 @@ def check_nondegeneracy(S, Omega, alpha_interval, augment="none", n_samples=None
     d = len(S)
     if n_samples is None:
         n_samples = max(4 * (d + 2), 48)
-
-    def samples(grid):
-        W, v0 = _frequency_rows(S, Omega, grid)
-        cols = list(W)
-        if augment in ("V0", "V0_and_1"):
-            cols.append(v0)
-        if augment == "V0_and_1":
-            cols.append(np.ones(grid.size))
-        return np.column_stack(cols)
-
-    return _smallest_sample_singular_value(
-        samples, alpha_interval, n_samples, center=(augment != "V0_and_1")
-    )
+    a0, a1 = (float(v) for v in alpha_interval)
+    if not a0 < a1:
+        raise DomainError("interval must be nondegenerate")
+    grid = np.linspace(a0, a1, n_samples)
+    W, v0 = _frequency_rows(S, Omega, grid)
+    cols = list(W)
+    if augment in ("V0", "V0_and_1"):
+        cols.append(v0)
+    if augment == "V0_and_1":
+        cols.append(np.ones(grid.size))
+    A = np.column_stack(cols)
+    if augment != "V0_and_1":
+        A = A - A.mean(axis=0)
+    return float(np.linalg.svd(A, compute_uv=False)[-1])

@@ -194,14 +194,6 @@ def _omega_derivative_samples(pert, M):
     return np.imag(z * np.conj(w) * np.conj(dphi))
 
 
-def linearized_multiplier(alpha, Omega, n):
-    """Diagonal entry (n+1)(Omega^E_{n+1}(alpha) - Omega) of d_f F at f = 0."""
-    if n < 0 or n != int(n):
-        raise DomainError("n must be a nonnegative integer")
-    n = int(n)
-    return (n + 1) * (spectrum.omega_bifurcation(n + 1, alpha) - Omega)
-
-
 @dataclass(frozen=True)
 class CRReport:
     """Crandall-Rabinowitz hypothesis check at one (alpha, m)."""

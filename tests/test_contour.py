@@ -122,6 +122,12 @@ def disc_energy(alpha):
     return float(mp.mpf(1) / 16 - alpha**2 * (1 - 2 * product) / 2)
 
 
+def chord_matrix(R, msec=None):
+    """Pair chords of the kernel sums gathered into their matrix layout."""
+    plan = contour._plan(R.size, msec)
+    return contour._pair_chords(R, contour._workspace(R.size), plan)[plan.inverse]
+
+
 def two_mode_patch(M, alpha, amplitude=0.02, Omega=0.5, fold=1):
     theta = 2 * np.pi * np.arange(M) / M
     r = amplitude * (np.cos(2 * fold * theta + 0.4) + 0.5 * np.cos(3 * fold * theta - 1.1))
@@ -167,14 +173,14 @@ class TestRhs:
 
     def test_chords_on_unit_circle(self):
         M = 1024
-        A = contour._chord_matrix(np.ones(M), contour._workspace(M))
+        A = chord_matrix(np.ones(M))
         k = np.arange(1, M)
         exact = 2.0 * np.sin(np.pi * k / M)
         assert np.max(np.abs(A[0, k] / exact - 1.0)) <= 1e-15
 
     def test_chord_matrix_symmetric_with_zero_diagonal(self):
         patch = two_mode_patch(128, 0.3, amplitude=0.2)
-        A = contour._chord_matrix(patch.radii, contour._workspace(128))
+        A = chord_matrix(patch.radii)
         assert np.all(np.diag(A) == 0.0)
         assert np.array_equal(A, A.T)
 
@@ -188,7 +194,7 @@ class TestRhs:
         ws = contour._workspace(128)
         x, y = R * ws.cos, R * ws.sin
         direct = np.sqrt((x[:msec, None] - x) ** 2 + (y[:msec, None] - y) ** 2)
-        A = contour._chord_matrix(R, ws, msec)
+        A = chord_matrix(R, msec)
         assert A.shape == (msec, 128)
         if fold == 1:
             assert np.array_equal(A, direct)
@@ -198,7 +204,7 @@ class TestRhs:
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_triangle_kernel_matches_full_matrix(self, alpha):
         patch = two_mode_patch(128, alpha)
-        A = contour._chord_matrix(patch.radii, contour._workspace(128))
+        A = chord_matrix(patch.radii)
         _, _, _, G = contour._interaction(patch)
         assert A.shape == G.shape == (128, 128)
         assert np.array_equal(G, combined_boundary_kernel(alpha, A))
@@ -282,6 +288,13 @@ class TestEvolution:
             contour.step_rk4(patch, 1.01 * cap)
         with pytest.raises(DomainError):
             contour.step_rk4(patch, 0.0)
+
+    @pytest.mark.parametrize(
+        "T, dt", [(0.1, 0.0), (math.nan, None), (0.1, math.nan), (math.inf, None)]
+    )
+    def test_bad_horizon_or_step_rejected(self, T, dt):
+        with pytest.raises(DomainError):
+            contour.evolve(two_mode_patch(64, 0.7), T, dt=dt)
 
     def test_zero_horizon_takes_no_step(self, monkeypatch):
         patch = two_mode_patch(64, 0.7)

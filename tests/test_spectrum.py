@@ -77,35 +77,33 @@ class TestOmegaBifurcation:
 
 
 class TestMonotonicity:
+    """m -> omega_bifurcation(m, alpha) strictly increases along the table."""
+
     @pytest.mark.parametrize("alpha,m_max", [(1.0, 64), (0.05, 64), (10.0, 256)])
     def test_strictly_increasing(self, alpha, m_max):
-        assert sp.check_monotonicity(alpha, m_max)
-
-    def test_requires_m2(self):
-        with pytest.raises(DomainError):
-            sp.check_monotonicity(1.0, 1)
+        table = sp.bifurcation_table(m_max, [alpha])[:, 0]
+        assert np.all(np.diff(table) > 0)
 
     @given(alpha=st.floats(min_value=0.05, max_value=10.0))
     @settings(max_examples=40, deadline=None)
     def test_monotone_for_random_alpha(self, alpha):
-        assert sp.check_monotonicity(alpha, 32)
+        table = sp.bifurcation_table(32, [alpha])[:, 0]
+        assert np.all(np.diff(table) > 0)
 
 
 class TestEquilibriumFrequencies:
     def test_singleton_reduces_to_offset(self):
-        for alpha in [0.5, 1.0, 3.0]:
-            fv = sp.equilibrium_frequencies((1,), 0.7, alpha)
-            assert fv.components[0] == pytest.approx(0.7, rel=1e-15)
+        W = sp.equilibrium_matrix([1], 0.7, [0.5, 1.0, 3.0])
+        np.testing.assert_allclose(W[0], 0.7, rtol=1e-15)
 
     def test_pairwise_gaps(self):
         Om = 0.5
         S = (2, 3, 5)
-        for alpha in np.linspace(0.5, 2.0, 9):
-            fv = sp.equilibrium_frequencies(S, Om, alpha)
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    gap = abs(fv.components[b] - fv.components[a])
-                    assert gap >= Om * abs(S[b] - S[a]) - 1e-13
+        W = sp.equilibrium_matrix(S, Om, np.linspace(0.5, 2.0, 9))
+        for a in range(3):
+            for b in range(a + 1, 3):
+                gap = np.abs(W[b] - W[a])
+                assert np.all(gap >= Om * abs(S[b] - S[a]) - 1e-13)
 
     def test_lower_bound(self):
         Om = 0.5
@@ -128,8 +126,8 @@ class TestEquilibriumFrequencies:
             )
 
     def test_strictly_increasing_components(self):
-        fv = sp.equilibrium_frequencies((2, 3, 5, 11), 0.5, 1.0)
-        assert np.all(np.diff(fv.components) > 0)
+        W = sp.equilibrium_matrix((2, 3, 5, 11), 0.5, [1.0])[:, 0]
+        assert np.all(np.diff(W) > 0)
 
     def test_matrix_rows_match_scalar_frequencies(self):
         js = [2, -3, 0, 7, 1]
@@ -143,55 +141,64 @@ class TestEquilibriumFrequencies:
     def test_invalid_sets(self):
         for S in [(), (0, 1), (3, 2), (2, 2)]:
             with pytest.raises(DomainError):
-                sp.equilibrium_frequencies(S, 0.5, 1.0)
+                sp.check_nondegeneracy(S, 0.5, (0.5, 1.0))
+            with pytest.raises(DomainError):
+                sp.transversality_report(S, 0.5, [1] * len(S), "pure", (0.5, 1.0), 2)
+
+    @pytest.mark.parametrize("Omega", [-0.5, 0.0, math.nan, math.inf])
+    def test_offset_must_be_positive_and_finite(self, Omega):
         with pytest.raises(DomainError):
-            sp.equilibrium_frequencies((1, 2), -0.5, 1.0)
+            sp.transversality_report((2, 3), Omega, [1, -1], "pure", (0.5, 1.5), 2)
+        with pytest.raises(DomainError):
+            sp.check_nondegeneracy((2, 3), Omega, (0.5, 1.5))
+        with pytest.raises(DomainError):
+            sp.v0_curve(Omega, [1.0])
 
 
 class TestTransversality:
     def test_pure_margin_positive(self):
-        m = sp.transversality_margin((2,), 0.5, [1], "pure", (0.5, 1.5), 3)
+        m = sp.transversality_report((2,), 0.5, [1], "pure", (0.5, 1.5), 3).margin
         assert m > 0
 
     def test_pure_zero_l_rejected(self):
         with pytest.raises(DomainError):
-            sp.transversality_margin((2,), 0.5, [0], "pure", (0.5, 1.5), 3)
+            sp.transversality_report((2,), 0.5, [0], "pure", (0.5, 1.5), 3)
 
     def test_difference_margin_positive(self):
-        m = sp.transversality_margin(
+        m = sp.transversality_report(
             (2, 3), 0.5, [1, -1], "difference", (0.5, 1.5), 3, j=5, j0=7
-        )
+        ).margin
         assert m > 0
 
     def test_difference_degenerate_rejected(self):
         with pytest.raises(DomainError):
-            sp.transversality_margin(
+            sp.transversality_report(
                 (2, 3), 0.5, [0, 0], "difference", (0.5, 1.5), 3, j=5, j0=5
             )
 
     def test_plus_variants_positive(self):
-        m1 = sp.transversality_margin(
+        m1 = sp.transversality_report(
             (2, 3), 0.5, [1, 1], "plus_jV0", (0.5, 1.5), 3, j=4
-        )
-        m2 = sp.transversality_margin(
+        ).margin
+        m2 = sp.transversality_report(
             (2, 3), 0.5, [2, -1], "plus_Omega_j", (0.5, 1.5), 3, j=-6
-        )
+        ).margin
         assert m1 > 0 and m2 > 0
 
     def test_j_inside_set_rejected(self):
         with pytest.raises(DomainError):
-            sp.transversality_margin(
+            sp.transversality_report(
                 (2, 3), 0.5, [1, 0], "plus_Omega_j", (0.5, 1.5), 3, j=3
             )
 
     def test_margin_stable_under_grid_doubling(self):
         kw = dict(j=5, j0=7)
-        m1 = sp.transversality_margin(
+        m1 = sp.transversality_report(
             (2, 3), 0.5, [1, -1], "difference", (0.5, 1.5), 3, npts=2001, **kw
-        )
-        m2 = sp.transversality_margin(
+        ).margin
+        m2 = sp.transversality_report(
             (2, 3), 0.5, [1, -1], "difference", (0.5, 1.5), 3, npts=4001, **kw
-        )
+        ).margin
         assert abs(m1 - m2) <= 0.05 * max(m1, m2)
 
     def test_report_fields(self):
@@ -303,19 +310,19 @@ class TestDerivativeAccuracy:
 
 
 def nondegeneracy_by_sample_loop(S, Omega, alpha_interval, augment, n_samples=48):
-    """The per-sample scalar loop over the frequency curve, kept as an oracle."""
-
-    def curve(a):
+    """Smallest singular value from a per-sample scalar loop over the curve."""
+    rows = []
+    for a in np.linspace(*alpha_interval, n_samples):
         comps = [sp.equilibrium_frequency(jk, Omega, a) for jk in S]
         if augment in ("V0", "V0_and_1"):
             comps.append(Omega + sp.omega_infinity(a))
         if augment == "V0_and_1":
             comps.append(1.0)
-        return comps
-
-    return sp.smallest_singular_value(
-        curve, alpha_interval, n_samples, center=(augment != "V0_and_1")
-    )
+        rows.append(comps)
+    A = np.array(rows)
+    if augment != "V0_and_1":
+        A = A - A.mean(axis=0)
+    return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
 class TestNondegeneracy:
@@ -331,10 +338,10 @@ class TestNondegeneracy:
         assert s > 0
 
     def test_affine_control_is_degenerate(self):
-        s = sp.smallest_singular_value(
-            lambda a: [a, 2 * a + 1.0], (0.5, 2.0), 32, center=True
-        )
-        assert s < 1e-12
+        # Omega_1^E = Omega for every alpha: a constant curve, zero once
+        # centered, and parallel to the constant-1 column uncentered
+        for augment in ("none", "V0_and_1"):
+            assert sp.check_nondegeneracy((1,), 0.5, (0.5, 2.0), augment=augment) < 1e-12
 
     def test_augmented_positive(self):
         s = sp.check_nondegeneracy((2, 3, 4), 0.5, (0.5, 2.0), augment="V0_and_1")
