@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import iv, kv
 
+from vortexalpha import specfun
 from vortexalpha import spectrum as sp
 from vortexalpha.errors import DomainError
 
@@ -267,6 +268,23 @@ def cauchy_envelope(case, alpha, q0, n=128):
     return best
 
 
+def affine_form(case):
+    """(c, w) of the case's f = c + sum_n w[n-1] I_n K_n(1/alpha), and its terms.
+
+    The terms are (modes, coef, v0_coef) with
+    f = sum_k coef[k] Omega_{modes[k]}^E + v0_coef V_0.
+    """
+    S, Omega, l, variant, j, j0 = case
+    modes, coef, v0_coef = list(S), list(l), 0
+    if variant == "plus_jV0":
+        v0_coef = j
+    elif variant == "plus_Omega_j":
+        modes, coef = modes + [j], coef + [1]
+    elif variant == "difference":
+        modes, coef = modes + [j, -j0], coef + [1, 1]
+    return sp._affine_form(modes, coef, v0_coef, Omega), (modes, coef, v0_coef)
+
+
 # one case per variant; l = (1, -2, 1) cancels every constant, so f -> 0 as
 # alpha grows and the derivatives at the right end are small
 ENVELOPE_CASES = [
@@ -286,20 +304,8 @@ class TestDerivativeAccuracy:
     @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=lambda c: c[3])
     def test_envelope_matches_cauchy_oracle(self, case, interval, rtol):
         S, Omega, l, variant, j, j0 = case
-        modes, coef, v0_coef = list(S), list(l), 0.0
-        if variant == "plus_jV0":
-            v0_coef = j
-        elif variant == "plus_Omega_j":
-            modes, coef = modes + [j], coef + [1]
-        elif variant == "difference":
-            modes, coef = modes + [j, -j0], coef + [1, 1]
-        coef = np.array(coef, dtype=float)
-
-        def f_on(grid):
-            W = sp.equilibrium_matrix(modes, Omega, grid)
-            return coef @ W + v0_coef * sp.v0_curve(Omega, grid)
-
-        alphas, _, best = sp._derivative_envelope(f_on, interval, 4, 2001)
+        (const, weights), _ = affine_form(case)
+        alphas, _, best = sp._derivative_envelope(const, weights, interval, 4, 2001)
         nodes = np.arange(0, 2001, 50)
         ref = np.array([cauchy_envelope(case, a, 4) for a in alphas[nodes]])
         assert np.max(np.abs(best[nodes] - ref) / ref) <= rtol
@@ -307,6 +313,16 @@ class TestDerivativeAccuracy:
         rep = sp.transversality_report(S, Omega, l, variant, interval, 4, j=j, j0=j0)
         ref = cauchy_envelope(case, rep.argmin_alpha, 4) / max(1, sum(map(abs, l)))
         assert rep.margin == pytest.approx(ref, rel=rtol)
+
+    @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=lambda c: c[3])
+    def test_affine_form_matches_frequency_rows(self, case):
+        (const, weights), (modes, coef, v0_coef) = affine_form(case)
+        Omega = case[1]
+        grid = np.linspace(0.1, 2.0, 41)
+        P = specfun.product_IK_array(weights.size, 1.0 / grid)[1:]
+        ref = np.array(coef, dtype=float) @ sp.equilibrium_matrix(modes, Omega, grid)
+        ref += v0_coef * sp.v0_curve(Omega, grid)
+        np.testing.assert_allclose(const + weights @ P, ref, rtol=0, atol=1e-14)
 
 
 def nondegeneracy_by_sample_loop(S, Omega, alpha_interval, augment, n_samples=48):
@@ -350,3 +366,176 @@ class TestNondegeneracy:
     def test_invalid_augment(self):
         with pytest.raises(DomainError):
             sp.check_nondegeneracy((2,), 0.5, (0.5, 2.0), augment="bogus")
+
+
+class TestArgumentValidation:
+    """Bad arguments raise DomainError at entry, not a bare error or a wrong value."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(npts=2.5),
+            dict(q0=2.5),
+            dict(q0=math.nan),
+            dict(l=(math.nan, -1)),
+            dict(l=(1.5, -1)),
+            dict(l=(1, -1, 0)),
+            dict(S=(2.5, 3)),
+            dict(alpha_interval=(0.3, math.inf)),
+            dict(alpha_interval=(math.nan, 0.7)),
+            dict(alpha_interval=(0.3,)),
+            dict(variant="plus_Omega_j", j=5.5),
+            dict(variant="difference", j=5, j0=math.nan),
+        ],
+        ids=repr,
+    )
+    def test_report_rejects(self, kw):
+        args = dict(S=(2, 3), Omega=0.5, l=(1, -1), variant="pure",
+                    alpha_interval=(0.3, 0.7), q0=2)
+        args.update(kw)
+        with pytest.raises(DomainError):
+            sp.transversality_report(**args)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(q0=-1),
+            dict(q0=1.5),
+            dict(npts=2.5),
+            dict(j=5.5),
+            dict(alpha_interval=(0.3, math.inf)),
+        ],
+        ids=repr,
+    )
+    def test_derivative_bound_rejects(self, kw):
+        args = dict(j=5, j0=2, Omega=0.5, alpha_interval=(0.5, 1.5), q0=3)
+        args.update(kw)
+        with pytest.raises(DomainError):
+            sp.difference_derivative_bound(**args)
+
+    def test_integral_floats_are_accepted(self):
+        ref = sp.transversality_report((2, 3), 0.5, (1, -1), "pure", (0.3, 0.7), 2, npts=201)
+        rep = sp.transversality_report(
+            (2.0, 3), 0.5, (1.0, -1), "pure", (0.3, 0.7), 2.0, npts=201.0
+        )
+        assert rep == ref and type(rep.grid_size) is int and type(rep.q0) is int
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sp.bifurcation_table(3, [math.nan]),
+            lambda: sp.bifurcation_table(0, [0.5]),
+            lambda: sp.bifurcation_table(2.5, [0.5]),
+            lambda: sp.omega_bifurcation(2, math.nan),
+            lambda: sp.omega_bifurcation(math.nan, 0.5),
+            lambda: sp.omega_infinity(math.nan),
+            lambda: sp.omega_sw(2, math.nan),
+            lambda: sp.omega_sw(2, math.inf),
+            lambda: sp.equilibrium_frequency(2.5, 0.5, 0.5),
+            lambda: sp.check_nondegeneracy((2, 3), 0.5, (0.3, math.inf)),
+            lambda: sp.equilibrium_matrix([2], 0.5, [math.nan]),
+            lambda: sp.equilibrium_matrix([2.5], 0.5, [0.5]),
+            lambda: sp.v0_curve(0.5, [0.5, math.nan]),
+        ],
+    )
+    def test_frequency_tables_reject(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    @pytest.mark.parametrize(
+        "augment,n_samples",
+        [("none", 0), ("none", 1), ("none", 3), ("V0", 4), ("V0_and_1", 5), ("none", 10.5)],
+    )
+    def test_nondegeneracy_rejects_too_few_samples(self, augment, n_samples):
+        # S = (2, 3, 4): 3 columns, plus V_0 and the constant 1 by augment
+        with pytest.raises(DomainError):
+            sp.check_nondegeneracy((2, 3, 4), 0.5, (0.3, 0.7), augment, n_samples=n_samples)
+
+    def test_nondegeneracy_accepts_one_more_sample_than_columns(self):
+        assert sp.check_nondegeneracy((2, 3, 4), 0.5, (0.3, 0.7), "V0_and_1", n_samples=6) > 0
+
+
+def _clear_margin_caches():
+    sp._derivative_basis.cache_clear()
+    sp._node_table.cache_clear()
+
+
+VARIANT_ARGS = [
+    ((2, 3, 4), (1, -2, 1), "pure", {}),
+    ((2, 3, 4), (1, 1, -1), "plus_jV0", dict(j=3)),
+    ((2, 3, 4), (2, -1, 0), "plus_Omega_j", dict(j=5)),
+    ((2, 3), (1, -1), "difference", dict(j=5, j0=7)),
+]
+
+
+class TestMarginCache:
+    """Reports on one interval share one fitted basis and one node table."""
+
+    def test_warm_report_fits_nothing(self, monkeypatch):
+        args = ((2, 3, 4), 0.5, (1, -1, 1), "plus_Omega_j", (0.3, 0.7), 4)
+        sp.transversality_report(*args, j=6)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*a, **k):
+                calls.append(fn.__name__)
+                return fn(*a, **k)
+            return wrapper
+
+        monkeypatch.setattr(specfun, "product_IK_array", counted(specfun.product_IK_array))
+        monkeypatch.setattr(sp, "_chebyshev_table", counted(sp._chebyshev_table))
+        sp.transversality_report(*args, j=-6)
+        sp.transversality_report((2, 3, 4), 0.45, (0, 2, -1), "plus_Omega_j", (0.3, 0.7), 4, j=6)
+        assert calls == []
+
+    def test_omega_values_share_one_entry(self):
+        _clear_margin_caches()
+        for Omega in (0.5, 0.45, 0.55):
+            sp.transversality_report((2, 3), Omega, (1, -1), "pure", (0.3, 0.7), 4)
+        for cache in (sp._derivative_basis, sp._node_table):
+            info = cache.cache_info()
+            assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+    @pytest.mark.parametrize("S,l,variant,kw", VARIANT_ARGS, ids=lambda v: str(v))
+    def test_cache_hit_equals_cold_call(self, S, l, variant, kw):
+        args = (S, 0.5, l, variant, (0.3, 0.7), 4)
+        sp.transversality_report(*args, **kw)
+        warm = sp.transversality_report(*args, **kw)
+        _clear_margin_caches()
+        cold = sp.transversality_report(*args, **kw)
+        assert warm == cold
+
+    def test_cached_arrays_are_read_only_and_caches_bounded(self):
+        D = sp._derivative_basis(0.3, 0.7, 4, 6)
+        alphas, _, T = sp._node_table(0.3, 0.7, 2001)
+        assert D.shape == (6, 5, 28) and T.shape == (28, 2001)
+        for a in (D, alphas, T):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        for cache in (sp._derivative_basis, sp._node_table):
+            assert cache.cache_info().maxsize == 4
+
+    def test_retained_memory_is_bounded(self, monkeypatch):
+        # the default-grid entry: 29 x 2001 floats, 453 KiB, under the 2 MiB bound
+        alphas, _, T = sp._node_table(0.3, 0.7, 2001)
+        assert alphas.nbytes + T.nbytes == 29 * 2001 * 8 <= 8 * sp._CACHED_ENTRIES
+        assert 2 * 4 * 8 * sp._CACHED_ENTRIES <= 16 * 2**20
+        args = ((2, 3, 4), 0.5, (1, -2, 1), "pure", (0.3, 0.7), 4)
+        _clear_margin_caches()
+        kept = sp.transversality_report(*args)
+        # below the table (29 x 2001), above the basis (4 x 5 x 28): the
+        # table is evaluated in blocks and not kept
+        monkeypatch.setattr(sp, "_CACHED_ENTRIES", 2**12)
+        _clear_margin_caches()
+        blocked = sp.transversality_report(*args)
+        assert sp._node_table.cache_info().currsize == 0
+        assert sp._derivative_basis.cache_info().currsize == 1
+        assert blocked.argmin_alpha == kept.argmin_alpha
+        assert blocked.margin == pytest.approx(kept.margin, rel=1e-13)
+        # below the basis too: nothing is kept
+        monkeypatch.setattr(sp, "_CACHED_ENTRIES", 100)
+        _clear_margin_caches()
+        assert sp.transversality_report(*args).margin == pytest.approx(kept.margin, rel=1e-13)
+        assert sp._node_table.cache_info().currsize == 0
+        assert sp._derivative_basis.cache_info().currsize == 0
