@@ -72,6 +72,7 @@ from . import spectrum
 from .errors import DomainError, GeometryError, GridError, InstabilityError
 from .greens import EULER_GAMMA, _kernel_into, green_kernel, pair_plan
 from .numerics import dealias_twothirds, spectral_derivative
+from .spectrum import _integer
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class RadialPatch:
         r = np.asarray(self.samples, dtype=float)
         if r.ndim != 1 or r.size < 32 or r.size % 2:
             raise GridError("samples must be a 1-d even array of size >= 32")
-        fold = int(self.fold)
+        fold = _integer(self.fold, "fold")
         if fold < 1 or r.size % fold:
             raise GridError("fold must divide the grid size")
         _check_samples(r)
@@ -101,8 +102,10 @@ class RadialPatch:
             if np.max(np.abs(r - np.tile(sector, fold))) > 1e-12:
                 raise GridError("samples are not fold-symmetric")
             r = np.tile(sector, fold)
-        if self.alpha <= 0:
-            raise DomainError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError("alpha must be positive and finite")
+        if not math.isfinite(self.rotation_offset):
+            raise DomainError("rotation offset must be finite")
         object.__setattr__(self, "samples", r)
         object.__setattr__(self, "fold", fold)
 
@@ -415,7 +418,7 @@ def _energy(patch):
 
 def linear_qp_solution(S, amplitudes, Omega, alpha, t, M):
     """Samples of the explicit linear solution sum a_j cos(j theta - w_j t)."""
-    S = [int(j) for j in S]
+    S = [_integer(j, "each element of S") for j in S]
     if any(j < 1 for j in S):
         raise DomainError("S must contain positive integers")
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -431,7 +434,7 @@ def linear_qp_solution(S, amplitudes, Omega, alpha, t, M):
 
 def qp_residual(S, amplitudes, Omega, alpha, t, M, dealias=False):
     """Max-norm defect of the linear solution in the flat-state equation."""
-    S = [int(j) for j in S]
+    S = [_integer(j, "each element of S") for j in S]
     theta = 2 * np.pi * np.arange(M) / M
     drho = np.zeros(M)
     for j, a in zip(S, np.asarray(amplitudes, dtype=float)):

@@ -133,8 +133,8 @@ def combined_boundary_kernel(alpha, rho):
     A scalar gives a float; an array of any shape gives an array of that
     shape.  The input is not modified.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     arr = np.asarray(rho, dtype=float)
     if np.any(arr < 0):
         raise DomainError("rho must be nonnegative")

@@ -5,14 +5,6 @@ frequency formulas (``product_IK_array``) and K_0 of the combined kernel
 (``k0_array``).  Evaluation strategy (regime switches chosen where the
 estimated truncation errors cross the accuracy targets, see below):
 
-* ``I_0``: ascending power series ``sum_m (x^2/4)^m / (m!)^2`` for
-  ``x <= 30`` (all terms positive, so it is cancellation-free), and the
-  large-argument expansion of ``sqrt(2 pi x) e^-x I_0(x)`` beyond; the
-  two agree to a few ulp at the switch.
-* ``I_n``, n >= 1: I_0 times the order ratios ``I_{n+1}/I_n`` from the
-  downward recurrence ``rho_{n-1} = 1/(2n/x + rho_n)`` (W. Gautschi, SIAM
-  Rev. 9 (1967)), seeded well above the top order, at every x; its
-  length grows like ``sqrt(n x)``.
 * ``K_0, K_1``: the log + psi power series for ``x < 3``, both orders
   from one Horner table in ``x^2/4`` (``_K_SERIES``).  Its
   cancellation error grows like ``e^(2x) * eps``: below 1e-14 relative up
@@ -27,15 +19,24 @@ estimated truncation errors cross the accuracy targets, see below):
   values of 1.2 to 1.4, so the power form is well conditioned on
   |t| <= 1.  The relative error is a few ulp on the whole half-line, and
   the cost per point does not depend on x (both checked against mpmath in
-  the tests).
-* ``K_n``, n >= 2: ``product_IK_array`` carries the order ratios
-  ``kappa_n = K_n/K_{n-1}`` by the upward recurrence
-  ``kappa_{n+1} = 2n/x + 1/kappa_n`` from ``kappa_1 = K_1/K_0``
-  (forward-stable since K grows with the order).
+  the tests).  ``k0_array`` multiplies the order-0 fit by ``e^-x/sqrt(x)``;
+  the products need only the ratio ``kappa_1 = K_1/K_0`` (``_k_ratio``),
+  in which that factor cancels.
+* ``I_{n+1}/I_n``: the order ratios ``rho_n`` from the downward
+  recurrence ``rho_{n-1} = 1/(2n/x + rho_n)`` (W. Gautschi, SIAM Rev. 9
+  (1967)), seeded well above the top order, at every x; its length grows
+  like ``sqrt(n x)``.
+* ``K_{n+1}/K_n``: the order ratios ``kappa_{n+1} = 2n/x + 1/kappa_n``
+  by the upward recurrence from ``kappa_1`` (forward-stable since K grows
+  with the order).
 
-The products I_n K_n are formed from exponentially scaled factors and
-order ratios, so they are valid for every ``x > 0``; ``k0_array`` returns
-0 where ``e^-x`` underflows.
+The products come from the Wronskian ``I_n K_{n+1} + I_{n+1} K_n = 1/x``
+(DLMF 10.28.2) divided by ``I_n K_n``:
+``I_n K_n = 1 / (x (rho_n + kappa_{n+1}))``.  The denominator is a sum of
+positive terms, so nothing cancels, no factor needs an exponential scale,
+and the error of one order does not carry into the next; the products are
+valid for every finite ``x > 0``.  ``k0_array`` returns 0 where ``e^-x``
+underflows.
 
 All functions are pure; no shared mutable state.
 """
@@ -52,9 +53,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # Regime boundaries (documented above).
 _X_SWITCH_K_SERIES = 3.0
-_X_SWITCH_I_SERIES = 30.0   # I_0: series below, large-argument expansion above
-
-_SERIES_STOP = 1e-17        # stop when term < this fraction of the partial sum
 
 # Chebyshev coefficients c[k, n] of sqrt(x) e^x K_n(x) = sum_k c[k, n] T_k(t),
 # t = 6/x - 1, for x >= 3: the degree-20 interpolant at the Chebyshev nodes
@@ -85,61 +83,6 @@ _K01E_CHEB = np.array(
         [6.1408470203229396e-18, -6.689331904367647e-18],
     ]
 )
-
-
-# ----------------------------------------------------------------------
-# scaled core, vectorized over x (float ndarray in, ndarray out)
-# ----------------------------------------------------------------------
-
-def _i_series_scaled(x):
-    """e^(-x) I_0(x) by the ascending series sum (x^2/4)^m / (m!)^2; x array."""
-    x = np.asarray(x, dtype=float)
-    half = x / 2.0
-    term = np.ones_like(x)
-    s = term.copy()
-    z2 = half * half
-    m = 0
-    active = np.ones_like(x, dtype=bool)
-    while active.any() and m < 2000:
-        m += 1
-        term = term * z2 / (m * m)
-        s += term
-        active = term > _SERIES_STOP * s
-    return np.exp(-x) * s
-
-
-def _asy_scaled(x):
-    """Large-argument expansion factor of sqrt(2 pi x) e^-x I_0(x).
-
-    Terms are added until they stop decreasing or drop below 1e-18*sum.
-    """
-    x = np.asarray(x, dtype=float)
-    s = np.ones_like(x)
-    term = np.ones_like(x)
-    prev = np.full_like(x, np.inf)
-    active = np.ones_like(x, dtype=bool)
-    k = 0
-    while active.any() and k < 60:
-        k += 1
-        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        grow = np.abs(term) >= prev
-        active &= ~grow
-        s = np.where(active, s + term, s)
-        prev = np.abs(term)
-        active &= np.abs(term) > 1e-18 * np.abs(s)
-    return s
-
-
-def _i0e(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    lo = x <= _X_SWITCH_I_SERIES
-    if lo.any():
-        out[lo] = _i_series_scaled(x[lo])
-    if (~lo).any():
-        xs = x[~lo]
-        out[~lo] = _asy_scaled(xs) / np.sqrt(2 * np.pi * xs)
-    return out
 
 
 def _psi(m):
@@ -208,39 +151,27 @@ _K0_I0, _K0_PSI = _K_SERIES[:, 0].tolist(), _K_SERIES[:, 1].tolist()
 _K0_FIT = _K01E_POWERS[:, 0].tolist()
 
 
-def _k01e_series(x):
-    """(e^x K_0, e^x K_1) by the log + psi series; x array, x < 3."""
+def _k_ratio(x):
+    """kappa_1 = K_1(x)/K_0(x) for positive x (vectorized).
+
+    Series for x < 3, the Chebyshev fit for x >= 3; the fit's common
+    factor e^-x/sqrt(x) cancels in the ratio.
+    """
     x = np.asarray(x, dtype=float)
-    lg = np.log(x / 2.0)
-    u = x * x / 4.0
-    i0, s0, i1, s1 = _horner(u, _K_SERIES[:, :, None], np.empty((4,) + u.shape))
-    k0 = -lg * i0 + s0
-    k1 = 1.0 / x + lg * (x / 2.0) * i1 - (x / 4.0) * s1
-    ex = np.exp(x)
-    return ex * k0, ex * k1
-
-
-def _k01e_cheb(x):
-    """(e^x K_0, e^x K_1) by the Chebyshev fit in t = 6/x - 1; x array, x >= 3."""
-    x = np.asarray(x, dtype=float)
-    t = 6.0 / x - 1.0
-    fit = _horner(t, _K01E_POWERS[:, :, None], np.empty((2,) + t.shape))
-    k0e, k1e = fit / np.sqrt(x)
-    return k0e, k1e
-
-
-def _k01e(x):
-    """(e^x K_0(x), e^x K_1(x)) for arbitrary positive x (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    k0 = np.empty_like(x)
-    k1 = np.empty_like(x)
+    out = np.empty_like(x)
     lo = x < _X_SWITCH_K_SERIES
-    hi = ~lo
     if lo.any():
-        k0[lo], k1[lo] = _k01e_series(x[lo])
+        xs = x[lo]
+        lg = np.log(xs / 2.0)
+        u = xs * xs / 4.0
+        i0, s0, i1, s1 = _horner(u, _K_SERIES[:, :, None], np.empty((4,) + u.shape))
+        out[lo] = (1.0 / xs + lg * (xs / 2.0) * i1 - (xs / 4.0) * s1) / (-lg * i0 + s0)
+    hi = ~lo
     if hi.any():
-        k0[hi], k1[hi] = _k01e_cheb(x[hi])
-    return k0, k1
+        t = 6.0 / x[hi] - 1.0
+        k0, k1 = _horner(t, _K01E_POWERS[:, :, None], np.empty((2,) + t.shape))
+        out[hi] = k1 / k0
+    return out
 
 
 def _k0_series(v, work):
@@ -298,7 +229,7 @@ def k0_array(x, out=None, work=None):
     the diagonal order of :func:`vortexalpha.greens.pair_plan`).
     """
     x = np.asarray(x, dtype=float)
-    if x.size and x.min() <= 0:
+    if x.size and not x.min() > 0:
         raise DomainError("K_0 requires x > 0")
     flat = x.reshape(-1)
     n = flat.size
@@ -350,25 +281,22 @@ def _i_ratio_seq(nmax, x):
 def product_IK_array(nmax, x):
     """Matrix P[n, i] = I_n(x_i) K_n(x_i) for n = 0..nmax (vectorized).
 
-    Built multiplicatively from the order ratios of I (stable downward)
-    and K (stable upward, kappa_{n+1} = 2n/x + 1/kappa_n); no
-    cancellation, no overflowing intermediates, valid for large order.
+    P_n = 1 / (x (rho_n + kappa_{n+1})) from the Wronskian, with the order
+    ratios of I (stable downward) and K (stable upward); no cancellation,
+    no overflowing intermediates, valid for large order.  Every x must be
+    positive and finite.
     """
     if nmax < 0 or not float(nmax).is_integer():
         raise DomainError(f"order must be a nonnegative integer, got {nmax!r}")
     nmax = int(nmax)
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("argument must be positive")
-    k0e, k1e = _k01e(x)
+    if not np.all((x > 0) & (x < math.inf)):
+        raise DomainError("argument must be positive and finite")
+    rho = _i_ratio_seq(nmax + 1, x)
+    kappa = _k_ratio(x)
     P = np.empty((nmax + 1, x.size))
-    P[0] = _i0e(x) * k0e
-    if nmax == 0:
-        return P
-    rho = _i_ratio_seq(nmax, x)
-    kappa = k1e / k0e
-    P[1] = P[0] * rho[0] * kappa
-    for n in range(1, nmax):
-        kappa = 2.0 * n / x + 1.0 / kappa
-        P[n + 1] = P[n] * rho[n] * kappa
+    for n in range(nmax + 1):
+        if n:
+            kappa = 2.0 * n / x + 1.0 / kappa
+        P[n] = 1.0 / (x * (rho[n] + kappa))
     return P

@@ -107,10 +107,7 @@ def _validate_tangential_set(S):
 
 def equilibrium_frequency(j, Omega, alpha):
     """Linear frequency j (Omega + omega_bifurcation(|j|, alpha)); odd in j."""
-    j = _integer(j, "j")
-    if j == 0:
-        return 0.0
-    return j * (Omega + omega_bifurcation(abs(j), alpha))
+    return float(_frequency_rows([j], Omega, [alpha])[0][0, 0])
 
 
 def _frequency_rows(js, Omega, alpha_grid):

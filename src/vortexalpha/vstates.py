@@ -45,6 +45,7 @@ from . import spectrum
 from .errors import ConvergenceError, DomainError, GeometryError, GridError
 from .greens import combined_boundary_kernel, pair_plan
 from .numerics import sine_coefficients
+from .spectrum import _integer
 
 _MIN_PHI_PRIME = 1e-9
 
@@ -58,7 +59,7 @@ class ConformalPerturbation:
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        m = int(self.fold)
+        m = _integer(self.fold, "fold")
         if m < 1:
             raise DomainError("fold must be a positive integer")
         live = np.nonzero(coeffs)[0]
@@ -126,9 +127,9 @@ def evaluate_F(alpha, Omega, perturbation, grid_size, band=None):
 
     ``band`` truncates the returned coefficients.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    M = int(grid_size)
+    if not 0 < alpha < np.inf:
+        raise DomainError("alpha must be positive and finite")
+    M = _integer(grid_size, "grid size")
     if M < 8 or M % 2:
         raise GridError("grid size must be even and at least 8")
     if M < 4 * (perturbation.degree + 1):
@@ -138,7 +139,7 @@ def evaluate_F(alpha, Omega, perturbation, grid_size, band=None):
     samples = _f_samples(alpha, Omega, perturbation, M)
     g = sine_coefficients(samples)
     if band is not None:
-        g = g[: int(band)]
+        g = g[: _integer(band, "band")]
     return FunctionalValue(g, M)
 
 
@@ -215,9 +216,10 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None, kernel_tol=1e-10):
     (the default) the kernel must be one-dimensional, spanned by the
     conj(w)^(m-1) direction, with transversality derivative exactly -m.
     """
+    m = _integer(m, "fold m")
     if m < 1:
         raise DomainError("m must be a positive integer")
-    n_max = int(n_max)
+    n_max = _integer(n_max, "n_max")
     # table[n] = omega_bifurcation(n + 1, alpha), one I_n K_n table
     table = spectrum.bifurcation_table(max(n_max + 1, m), [alpha])[:, 0]
     if Omega is None:
@@ -230,7 +232,7 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None, kernel_tol=1e-10):
     trans = -(kernel_modes[0] + 1) if kernel_modes else 0.0
     return CRReport(
         alpha=float(alpha),
-        fold=int(m),
+        fold=m,
         Omega=float(Omega),
         kernel_dim=len(kernel_modes),
         kernel_modes=kernel_modes,
@@ -294,6 +296,7 @@ def continue_branch(
     and :class:`GridError` when the discarded sine tail exceeds
     ``tail_tol`` (under-resolved band).
     """
+    m = _integer(m, "fold m")
     if m < 2:
         raise DomainError("branch continuation requires m >= 2")
     amplitudes = [float(s) for s in amplitudes]
@@ -303,10 +306,10 @@ def continue_branch(
         raise DomainError("amplitudes must be strictly increasing")
     if amplitudes[0] > 1e-3:
         raise DomainError("first amplitude must be at most 1e-3 (local branch)")
-    if band < 1:
+    N = _integer(band, "band")
+    if N < 1:
         raise DomainError(f"band must be at least 1, got {band!r}")
-    N = int(band)
-    M = int(grid_size)
+    M = _integer(grid_size, "grid size")
 
     # omega_bifurcation(n, alpha) for n = m, 2m, ..., Nm from one table
     omegas = spectrum.bifurcation_table(N * m, [alpha])[m - 1 :: m, 0]
@@ -324,7 +327,7 @@ def continue_branch(
             )
         points.append(
             BranchPoint(
-                m=int(m),
+                m=m,
                 alpha=float(alpha),
                 Omega=float(u[0]),
                 perturbation=pert,

@@ -139,6 +139,12 @@ class TestRhs:
         patch = two_mode_patch(256, 0.3)
         assert np.max(np.abs(contour.rhs(patch) - separate_rhs(patch))) <= 1e-10
 
+    @pytest.mark.parametrize("call", [contour.linear_qp_solution, contour.qp_residual])
+    @pytest.mark.parametrize("S, Omega", [([2.5], 0.5), ([2], -0.5), ([2], math.nan)])
+    def test_linear_solution_rejects(self, call, S, Omega):
+        with pytest.raises(DomainError):
+            call(S, [1e-3], Omega, 0.7, 0.3, 64)
+
     def test_flat_state_multiplier(self):
         res = contour.qp_residual([2, 3, 5], [1e-3, -2e-3, 5e-4], 0.5, 0.7, 0.3, 128)
         assert res <= 1e-10
@@ -244,6 +250,19 @@ class TestRhs:
         patch.samples[5] = bad  # a patch changed after its construction
         with pytest.raises(GeometryError):
             contour.rhs(patch)
+
+    @pytest.mark.parametrize(
+        "offset, alpha, fold",
+        [(0.5, math.nan, 1), (0.5, math.inf, 1), (math.nan, 0.7, 1),
+         (-math.inf, 0.7, 1), (0.5, 0.7, 2.5)],
+    )
+    def test_bad_model_parameters_rejected(self, offset, alpha, fold):
+        with pytest.raises(DomainError):
+            contour.RadialPatch(np.zeros(64), offset, alpha, fold=fold)
+
+    def test_negative_offset_accepted(self):
+        # vstate_to_radial sets the offset -Omega of a V-state
+        assert contour.RadialPatch(np.zeros(64), -0.3, 0.7).rotation_offset == -0.3
 
 
 class TestLinearization:

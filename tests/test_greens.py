@@ -84,8 +84,11 @@ class TestGreenKernel:
             greens.green_kernel(1.0, 0.0)
         with pytest.raises(DomainError):
             greens.green_kernel(1.0, -1.0)
-        with pytest.raises(DomainError):
-            greens.green_kernel(-1.0, 1.0)
+        for alpha in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                greens.green_kernel(alpha, 1.0)
+            with pytest.raises(DomainError):
+                greens.combined_boundary_kernel(alpha, np.array([0.0, 0.5]))
 
     def test_strictly_increasing(self):
         rho = np.geomspace(1e-4, 50.0, 500)

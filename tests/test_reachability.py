@@ -20,6 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ENTRY_POINTS = (
     "check_crandall_rabinowitz",
     "difference_derivative_bound",
+    "omega_bifurcation",
+    "omega_sw",
     "qp_residual",
     "v0_curve",
     "vstate_to_radial",

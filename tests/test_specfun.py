@@ -88,11 +88,14 @@ class TestBesselI:
         assert got == pytest.approx(I20_OF_0P1 * mp_besselk(20, 0.1), rel=1e-12)
 
     def test_negative_argument_rejected(self):
-        for x in (-1.0, 0.0):
+        for x in (-1.0, 0.0, math.nan):
             with pytest.raises(DomainError):
                 sf.product_IK_array(2, np.array([1.0, x]))
             with pytest.raises(DomainError):
-                sf.k0_array(np.array([1.0, x]))
+                sf.k0_array(np.array([x, 1.0]))
+        # K_0(inf) = 0 is a value; the products need a finite argument
+        with pytest.raises(DomainError):
+            sf.product_IK_array(2, np.array([math.inf, 1.0]))
 
     def test_negative_order_rejected(self):
         for nmax in (-1, 2.5, math.nan):
@@ -115,13 +118,6 @@ class TestBesselI:
         assert np.all(np.isfinite(P)) and np.all(P > 0)
         assert np.all(k0[:2] > 0) and np.all(k0[2:] == 0.0)
 
-    def test_switch_continuity(self):
-        # I_0: the series and the large-argument expansion agree at x = 30
-        x = np.array([sf._X_SWITCH_I_SERIES])
-        series = sf._i_series_scaled(x)[0]
-        expansion = sf._asy_scaled(x)[0] / math.sqrt(2 * math.pi * x[0])
-        assert series == pytest.approx(expansion, rel=1e-14)
-
     @pytest.mark.parametrize("x", [2.5, 1e4, 1e6])
     def test_scalar_ratio_loop_matches_array(self, x):
         # the ratios at one argument (as omega_infinity asks for them) equal
@@ -131,7 +127,7 @@ class TestBesselI:
         assert np.array_equal(single, shared)
 
     def test_scaled_sweep(self):
-        # every order 0..64: I_0 times downward-recurrence ratios, times K_n
+        # every order 0..64 from the order ratios of I and K
         # (mpmath's K_n for n >= 2 by the upward recurrence at 30 digits,
         # which is stable and much faster than mp.besselk at high order)
         grid = np.geomspace(1e-3, 1e3, 61)
@@ -143,6 +139,21 @@ class TestBesselI:
                     k.append(k[n - 1] + 2 * n / x * k[n])
                 ref[:, i] = [float(mp.besseli(n, x) * k[n]) for n in range(65)]
         got = sf.product_IK_array(64, grid)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+
+    def test_wide_sweep(self):
+        # orders 0..12 on twelve decades of x: the Wronskian form carries no
+        # error from one order to the next
+        # (K_n for n >= 2 by the upward recurrence, as in the sweep above)
+        grid = np.geomspace(1e-6, 1e6, 400)
+        ref = np.empty((13, grid.size))
+        with mp.workdps(30):
+            for i, x in enumerate(map(mp.mpf, grid)):
+                k = [mp.besselk(0, x), mp.besselk(1, x)]
+                for n in range(1, 12):
+                    k.append(k[n - 1] + 2 * n / x * k[n])
+                ref[:, i] = [float(mp.besseli(n, x) * k[n]) for n in range(13)]
+        got = sf.product_IK_array(12, grid)
         assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
 
 
@@ -160,11 +171,10 @@ class TestBesselK:
         assert np.max(np.abs(sf.k0_array(x) + np.log(x / 2) + sf.EULER_GAMMA)) <= 1e-9
 
     def test_large_argument_asymptotics(self):
-        # K_n(x) sqrt(2x/pi) e^x -> 1 with first-order correction
-        # (4n^2-1)/(8x): within 2% at x = 50 for n = 0, 1; at high order the
-        # product 2x I_n K_n -> 1 needs proportionally larger x
-        for n, scaled in enumerate(sf._k01e(np.array([50.0]))):
-            assert scaled[0] * math.sqrt(100.0 / math.pi) == pytest.approx(1.0, rel=0.02)
+        # K_1/K_0 -> 1 with first-order correction 1/(2x): within 2% at
+        # x = 50; at high order the product 2x I_n K_n -> 1 needs
+        # proportionally larger x
+        assert sf._k_ratio(np.array([50.0]))[0] == pytest.approx(1.0, rel=0.02)
         P = sf.product_IK_array(3, np.array([250.0]))
         assert 500.0 * P[3, 0] == pytest.approx(1.0, rel=0.02)
 
@@ -177,12 +187,10 @@ class TestBesselK:
             sf.product_IK_array(0, np.array([0.0]))
 
     def test_switch_continuity(self):
-        # the series and the Chebyshev fit agree to 1e-9 relative at x = 3
-        x = np.array([3.0])
-        series = sf._k01e_series(x)
-        fit = sf._k01e_cheb(x)
-        for a, b in zip(series, fit):
-            assert a[0] == pytest.approx(b[0], rel=1e-9)
+        # K_1/K_0 from the series just below x = 3 and from the Chebyshev
+        # fit at 3 agree to 1e-9 relative
+        series, fit = sf._k_ratio(np.array([np.nextafter(3.0, 0.0), 3.0]))
+        assert series == pytest.approx(fit, rel=1e-9)
 
     def test_positive(self):
         x = np.array([0.01, 1.0, 30.0])
@@ -215,16 +223,13 @@ FIT_GRID = np.geomspace(3.0, 1e8, 241)
 
 @pytest.fixture(scope="module")
 def k_oracle():
-    """{n: (e^x K_n, K_n)} on FIT_GRID; K_n underflows to 0 beyond x = 745."""
-    out = {}
+    """(K_0, K_1/K_0) on FIT_GRID; K_0 underflows to 0 beyond x = 745."""
     with mp.workdps(30):
-        for n in (0, 1):
-            vals = [(mp.besselk(n, x), mp.exp(x)) for x in map(mp.mpf, FIT_GRID)]
-            out[n] = (
-                np.array([float(k * e) for k, e in vals]),
-                np.array([float(k) for k, _ in vals]),
-            )
-    return out
+        vals = [(mp.besselk(0, x), mp.besselk(1, x)) for x in map(mp.mpf, FIT_GRID)]
+        return (
+            np.array([float(k0) for k0, _ in vals]),
+            np.array([float(k1 / k0) for k0, k1 in vals]),
+        )
 
 
 class TestChebyshevFit:
@@ -236,14 +241,14 @@ class TestChebyshevFit:
         assert np.max(np.abs(sf._K01E_POWERS - ref)) <= 1e-16
 
     def test_scaled_sweep(self, k_oracle):
-        got = sf._k01e(FIT_GRID)
-        for n in (0, 1):
-            assert np.max(np.abs(got[n] / k_oracle[n][0] - 1.0)) <= 4e-15
+        # the ratio of the two fitted orders
+        got = sf._k_ratio(FIT_GRID)
+        assert np.max(np.abs(got / k_oracle[1] - 1.0)) <= 4e-15
 
     def test_array_sweep(self, k_oracle):
         # unscaled K_0 values are normal doubles up to x = 700
         normal = FIT_GRID <= 700.0
-        ref = k_oracle[0][1][normal]
+        ref = k_oracle[0][normal]
         assert np.max(np.abs(sf.k0_array(FIT_GRID[normal]) / ref - 1.0)) <= 4e-15
 
     def test_k0_series_band(self):
@@ -306,20 +311,19 @@ class TestKSeries:
         grid = x[perm][:4000].reshape(40, 100)
         assert np.array_equal(sf.k0_array(grid), sf.k0_array(grid.ravel()).reshape(40, 100))
 
-    def test_k01e_series_band(self):
-        # both orders of the x < 3 series, bounds as for K_0 alone above
+    def test_k_ratio_series_band(self):
+        # K_1/K_0 from both orders of the x < 3 series, bounds as for K_0
+        # alone above
         x = np.concatenate(
             [np.geomspace(1e-6, 2.5, 161), np.linspace(2.5, 3.0, 40)[1:]]
         )
-        got = sf._k01e(x)
         with mp.workdps(30):
-            for n in (0, 1):
-                ref = np.array(
-                    [float(mp.besselk(n, v) * mp.exp(v)) for v in map(mp.mpf, x)]
-                )
-                err = np.abs(got[n] / ref - 1.0)
-                assert np.max(err[x <= 2.5]) <= 1e-14
-                assert np.max(err) <= 5e-14
+            ref = np.array(
+                [float(mp.besselk(1, v) / mp.besselk(0, v)) for v in map(mp.mpf, x)]
+            )
+        err = np.abs(sf._k_ratio(x) / ref - 1.0)
+        assert np.max(err[x <= 2.5]) <= 1e-14
+        assert np.max(err) <= 5e-14
 
 
 class TestProduct:

@@ -432,6 +432,9 @@ class TestArgumentValidation:
             lambda: sp.omega_sw(2, math.nan),
             lambda: sp.omega_sw(2, math.inf),
             lambda: sp.equilibrium_frequency(2.5, 0.5, 0.5),
+            lambda: sp.equilibrium_frequency(2, -0.5, 0.5),
+            lambda: sp.equilibrium_frequency(0, math.nan, -1.0),
+            lambda: sp.equilibrium_frequency(2, 0.5, math.inf),
             lambda: sp.check_nondegeneracy((2, 3), 0.5, (0.3, math.inf)),
             lambda: sp.equilibrium_matrix([2], 0.5, [math.nan]),
             lambda: sp.equilibrium_matrix([2.5], 0.5, [0.5]),

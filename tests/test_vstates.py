@@ -1,5 +1,7 @@
 """Tests for the rotating-patch functional and branch continuation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,15 @@ class TestEvaluateF:
         with pytest.raises(GridError):
             vs.evaluate_F(1.0, 0.1, pert, 129)  # odd
 
+    @pytest.mark.parametrize(
+        "alpha, grid_size, band",
+        [(math.nan, 64, None), (math.inf, 64, None), (1.0, 64.5, None), (1.0, 64, 2.5)],
+    )
+    def test_bad_arguments_rejected(self, alpha, grid_size, band):
+        pert = vs.ConformalPerturbation(np.zeros(2), fold=1)
+        with pytest.raises(DomainError):
+            vs.evaluate_F(alpha, 0.1, pert, grid_size, band=band)
+
     def test_band_truncation(self):
         pert = vs.ConformalPerturbation(np.zeros(2), fold=1)
         fv = vs.evaluate_F(1.0, 0.1, pert, 64, band=5)
@@ -268,6 +279,23 @@ class TestMultiplierAndSuperposition:
         assert multiplier(alpha, Om, m - 1) == pytest.approx(0.0, abs=1e-15)
         for mp in [6, 9]:
             assert abs(multiplier(alpha, Om, mp - 1)) > 1e-3
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: vs.check_crandall_rabinowitz(0.5, 2.5, 6),
+            lambda: vs.check_crandall_rabinowitz(0.5, 2, 6.7),
+            lambda: vs.continue_branch(1.0, 2, [1e-4], band=2.5, grid_size=64),
+            lambda: vs.continue_branch(1.0, 2.5, [1e-4], band=2, grid_size=64),
+            lambda: vs.continue_branch(1.0, 2, [1e-4], band=2, grid_size=64.5),
+            lambda: vs.ConformalPerturbation([0.0, 0.1], fold=2.5),
+        ],
+    )
+    def test_non_integer_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestCrandallRabinowitz:
