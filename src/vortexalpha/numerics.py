@@ -72,9 +72,13 @@ def dealias_twothirds(samples):
 
 
 def sine_coefficients(samples):
-    """Coefficients g_n of samples(theta) = sum_n g_n sin(n theta), n>=1."""
+    """Coefficients g_n of samples(theta) = sum_n g_n sin(n theta), n>=1.
+
+    The samples run along axis 0; the columns of a 2-d array are
+    projected at once.
+    """
     samples = np.asarray(samples, dtype=float)
-    m = samples.size
-    fk = np.fft.rfft(samples)
+    m = samples.shape[0]
+    fk = np.fft.rfft(samples, axis=0)
     return -2.0 * fk.imag[1:] / m
 

@@ -21,7 +21,11 @@ estimated truncation errors cross the accuracy targets, see below):
   the cost per point does not depend on x (both checked against mpmath in
   the tests).  ``k0_array`` multiplies the order-0 fit by ``e^-x/sqrt(x)``;
   the products need only the ratio ``kappa_1 = K_1/K_0`` (``_k_ratio``),
-  in which that factor cancels.
+  in which that factor cancels.  On request ``k0_array`` also writes the
+  kernel slope ``1/x^2 - K_1(x)/x`` from the same tables: for x < 3 as
+  ``-log(x/2) p_2/2 + p_3/4`` (the ``1/x^2`` of ``K_1/x`` cancels
+  exactly, so nothing is lost at small x), for x >= 3 from the order-1
+  fit.
 * ``I_{n+1}/I_n``: the order ratios ``rho_n`` from the downward
   recurrence ``rho_{n-1} = 1/(2n/x + rho_n)`` (W. Gautschi, SIAM Rev. 9
   (1967)), seeded well above the top order, at every x; its length grows
@@ -149,6 +153,8 @@ def _monomial(c):
 _K01E_POWERS = _monomial(_K01E_CHEB)
 _K0_I0, _K0_PSI = _K_SERIES[:, 0].tolist(), _K_SERIES[:, 1].tolist()
 _K0_FIT = _K01E_POWERS[:, 0].tolist()
+_K1_I1, _K1_PSI = _K_SERIES[:, 2].tolist(), _K_SERIES[:, 3].tolist()
+_K1_FIT = _K01E_POWERS[:, 1].tolist()
 
 
 def _k_ratio(x):
@@ -174,18 +180,26 @@ def _k_ratio(x):
     return out
 
 
-def _k0_series(v, work):
+def _k0_series(v, work, slope=None):
     """K_0 for x < 3 in place: ``v`` holds x on entry and K_0 on return.
 
     ``work`` is (2, v.size) scratch.  The operations are those of
     -log(x/2) p_0(u) + p_1(u), u = x^2/4, with p_j column j of
     ``_K_SERIES``, in the same order (negating a product is exact).
+    A ``slope`` buffer receives 1/x^2 - K_1(x)/x = -log(x/2) p_2/2 + p_3/4.
     """
-    u, p = work
+    u, p = work[0], work[1]
     np.multiply(v, v, out=u)
     u *= 0.25
     v *= 0.5
     np.log(v, out=v)
+    if slope is not None:
+        _horner(u, _K1_I1, slope)
+        slope *= v
+        slope *= -0.5
+        _horner(u, _K1_PSI, p)
+        p *= 0.25
+        slope += p
     _horner(u, _K0_I0, p)
     p *= v
     _horner(u, _K0_PSI, v)
@@ -193,32 +207,43 @@ def _k0_series(v, work):
     return v
 
 
-def _k0_fit(v, work):
+def _k0_fit(v, work, slope=None):
     """K_0 for x >= 3 in place: ``v`` holds x on entry and K_0 on return.
 
     ``work`` is (2, v.size) scratch; column 0 of the fit by Horner's rule,
-    times e^-x / sqrt(x).
+    times e^-x / sqrt(x).  A ``slope`` buffer receives
+    (1/x)(1/x - K_1(x)) from column 1 of the fit; it needs a third row of
+    ``work``.
     """
-    t, p = work
+    t, p = work[0], work[1]
     np.divide(6.0, v, out=t)
     t -= 1.0
     _horner(t, _K0_FIT, p)
+    if slope is not None:
+        _horner(t, _K1_FIT, slope)
+        inv = np.divide(1.0, v, out=work[2])
     np.negative(v, out=t)
     np.sqrt(v, out=v)
     with np.errstate(under="ignore"):
         np.exp(t, out=t)
         t /= v
+        if slope is not None:
+            slope *= t
+            np.subtract(inv, slope, out=slope)
+            slope *= inv
         return np.multiply(p, t, out=v)
 
 
-def k0_array(x, out=None, work=None):
+def k0_array(x, out=None, work=None, slope=None):
     """K_0 over a positive array (0 where e^-x underflows); kernel helper.
 
     The result has the shape of ``x``, which is not modified.  Callers
     that evaluate K_0 repeatedly may pass the buffers: ``out``, 1-d and
     contiguous with x.size entries, receives the result (returned as a
     view of it), and ``work``, shape (2, x.size) with contiguous rows, is
-    scratch; otherwise both are allocated here.
+    scratch; otherwise both are allocated here.  A ``slope`` buffer like
+    ``out`` also receives 1/x^2 - K_1(x)/x in flat order; ``work`` then
+    needs 3 rows.  The K_0 values do not depend on whether it is given.
 
     Every value depends on its own argument only, not on its position.
     The series and the fit each run once, in place on ``out``: in flat
@@ -236,7 +261,7 @@ def k0_array(x, out=None, work=None):
     if out is None:
         out = np.empty(n)
     if work is None:
-        work = np.empty((2, n))
+        work = np.empty((2 if slope is None else 3, n))
     # the mask borrows the bytes of ``out`` until the arguments are copied in
     hi = np.greater_equal(flat, _X_SWITCH_K_SERIES, out=out.view(bool)[:n])
     a = int(hi.argmax()) if hi.any() else n                # first x >= 3
@@ -249,12 +274,17 @@ def k0_array(x, out=None, work=None):
     zone = flat[a:b]
     out[a:s] = zone[lo]
     out[s:b] = zone[up]
-    _k0_series(out[:s], work[:, :s])
-    _k0_fit(out[s:], work[:, s:n])
+    if slope is None:
+        _k0_series(out[:s], work[:, :s])
+        _k0_fit(out[s:], work[:, s:n])
+    else:
+        _k0_series(out[:s], work[:, :s], slope[:s])
+        _k0_fit(out[s:], work[:, s:n], slope[s:n])
     if a < b:
-        values = out[a:b].copy()
-        out[a:b][lo] = values[: s - a]
-        out[a:b][up] = values[s - a :]
+        for buf in (out,) if slope is None else (out, slope):
+            values = buf[a:b].copy()
+            buf[a:b][lo] = values[: s - a]
+            buf[a:b][up] = values[s - a :]
     return out.reshape(x.shape)
 
 
@@ -268,7 +298,7 @@ def _i_ratio_seq(nmax, x):
     out = np.empty((nmax,) + np.shape(x))
     if nmax == 0:
         return out
-    xmax = float(np.max(x))
+    xmax = float(np.max(x, initial=0.0))
     start = nmax + 30 + int(2.0 * math.sqrt((nmax + 40) * xmax))
     rho = x / (2.0 * (start + 1))
     for n in range(start, 0, -1):

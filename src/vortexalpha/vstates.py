@@ -24,19 +24,26 @@ by msec and under the reflection (j, k) -> (-j, -k), so the kernel is
 evaluated once per chord class of :func:`vortexalpha.greens.pair_plan`:
 one sample costs about M msec / 4 + M kernel entries.
 
-The sign convention of the linearized multiplier relative to the
-frequency formulas is pinned empirically by the finite-difference Jacobian
-test in the suite (diagonal entries (n+1)(Omega^E_{n+1}(alpha) - Omega)),
-not assumed.
+The exact derivatives of the sampled F come from the same evaluation.
+Moving a_n moves the chord A_jk = |Phi(w_j) - Phi(w_k)| by
+Re((Phi_j - Phi_k) conj(conj(w_j)^n - conj(w_k)^n)) / A_jk, so every
+direction needs only the kernel slope g'(A)/A = (1/A)(1/A - K_1(A/alpha)/alpha),
+which the kernel evaluator writes on the same chord classes; all
+directions then share two matrix products.  At the disc the Jacobian is
+diagonal, with entries (n+1)(Omega^E_{n+1}(alpha) - Omega) for a_n (the
+sign convention relative to the frequency formulas is checked in the
+suite, not assumed).
 
 Branches are parametrized by the fixed leading amplitude a_{m-1} = s and
-solved by damped Newton on {g_{nm} = 0} for the higher coefficients and
-Omega; pseudo-arclength is an extension point, not needed at these
+solved by chord Newton on {g_{nm} = 0} for the higher coefficients and
+Omega, with the exact Jacobian, a secant start and a backtracking line
+search; pseudo-arclength is an extension point, not needed at these
 amplitudes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,20 +134,27 @@ def evaluate_F(alpha, Omega, perturbation, grid_size, band=None):
 
     ``band`` truncates the returned coefficients.
     """
-    if not 0 < alpha < np.inf:
-        raise DomainError("alpha must be positive and finite")
-    M = _integer(grid_size, "grid size")
-    if M < 8 or M % 2:
-        raise GridError("grid size must be even and at least 8")
-    if M < 4 * (perturbation.degree + 1):
-        raise GridError(
-            f"grid {M} under-resolves degree {perturbation.degree}; need M >= 4(N+1)"
-        )
-    samples = _f_samples(alpha, Omega, perturbation, M)
-    g = sine_coefficients(samples)
+    M = _grid_size(alpha, Omega, perturbation, grid_size)
+    g = sine_coefficients(_f_samples(alpha, Omega, perturbation, M))
     if band is not None:
         g = g[: _integer(band, "band")]
     return FunctionalValue(g, M)
+
+
+def _grid_size(alpha, Omega, pert, grid_size):
+    """The grid size M after checking the arguments of one evaluation."""
+    if not 0 < alpha < np.inf:
+        raise DomainError("alpha must be positive and finite")
+    if not math.isfinite(Omega):
+        raise DomainError("Omega must be finite")
+    M = _integer(grid_size, "grid size")
+    if M < 8 or M % 2:
+        raise GridError("grid size must be even and at least 8")
+    if M < 4 * (pert.degree + 1):
+        raise GridError(
+            f"grid {M} under-resolves degree {pert.degree}; need M >= 4(N+1)"
+        )
+    return M
 
 
 def _boundary_samples(pert, M):
@@ -158,7 +172,12 @@ def _boundary_samples(pert, M):
     return w, z, dphi
 
 
-def _f_samples(alpha, Omega, pert, M):
+def _f_samples(alpha, Omega, pert, M, modes=None):
+    """Samples of F on the M nodes; with ``modes``, also those of its derivatives.
+
+    ``modes`` lists coefficient indices n.  The derivative samples are an
+    (M, 1 + len(modes)) array: dF/dOmega, then dF/da_n for each n.
+    """
     w, z, dphi = _boundary_samples(pert, M)
     if np.min(np.abs(dphi)) < _MIN_PHI_PRIME:
         raise GeometryError("Phi' vanishes on the grid")
@@ -178,21 +197,70 @@ def _f_samples(alpha, Omega, pert, M):
     # means the curve crosses itself
     if np.count_nonzero(dist < 1e-12) != plan.zeros:
         raise GeometryError("boundary self-intersects on the grid")
-    G = combined_boundary_kernel(alpha, dist)[plan.inverse]
+    if modes is None:
+        G = combined_boundary_kernel(alpha, dist)[plan.inverse]
+    else:
+        G, S = combined_boundary_kernel(alpha, dist, slope=True)
+        G, S = G[plan.inverse], S[plan.inverse]
     # one real matrix product; G @ c with complex c would copy G to complex
     c = dphi * w
     re_im = G @ np.column_stack((c.real, c.imag)) / M
     I = re_im[:, 0] + 1j * re_im[:, 1]
-    sector = np.empty(msec)
-    sector[:h] = np.imag((Omega * zr + I) * np.conj(wr) * np.conj(dphir))
+    samples = _odd_tiled(np.imag((Omega * zr + I) * np.conj(wr) * np.conj(dphir)), msec, M)
+    if modes is None:
+        return samples
+    rows = _derivative_rows(Omega, modes, w, z, dphi, c, I, G, S)
+    return samples, _odd_tiled(rows, msec, M)
+
+
+def _derivative_rows(Omega, modes, w, z, dphi, c, I, G, S):
+    """dF/dOmega and dF/da_n on the h target rows of G and S = g'(A)/A.
+
+    Moving a_n moves Phi by dz = conj(w)^n and Phi' by -n conj(w)^(n+1),
+    so c = Phi' w moves by -n dz and the chord A_jk by
+    Re((z_j - z_k) conj(dz_j - dz_k)) / A_jk.  Split into row factors
+    times column factors, that chord term needs the products of S with
+    c, x c and y c (z = x + i y), shared by every direction, and with
+    dx c, dy c and Re(z conj dz) c for each direction; all of them come
+    from one real product with S, and the dz columns from one with G.
+    """
+    M, h = w.size, G.shape[0]
+    n = np.asarray(modes)
+    K = n.size
+    dz = w[(-np.outer(np.arange(M), n)) % M]  # conj(w_k)^n, exact from the table
+    x, y, dx, dy = z.real[:, None], z.imag[:, None], dz.real, dz.imag
+    q = x * dx + y * dy  # Re(z conj dz)
+    cc = c[:, None]
+    block = np.hstack((cc, x * cc, y * cc, dx * cc, dy * cc, q * cc))
+    Y = S @ np.hstack((block.real, block.imag)) / M
+    Y = Y[:, : 3 + 3 * K] + 1j * Y[:, 3 + 3 * K :]
+    Sc, Sxc, Syc = Y[:, :1], Y[:, 1:2], Y[:, 2:3]
+    Sdxc, Sdyc, Sqc = Y[:, 3 : 3 + K], Y[:, 3 + K : 3 + 2 * K], Y[:, 3 + 2 * K :]
+    Gdz = G @ np.hstack((dx, dy)) / M
+    dI = (
+        q[:h] * Sc + Sqc - x[:h] * Sdxc - y[:h] * Sdyc - dx[:h] * Sxc - dy[:h] * Syc
+        - n * (Gdz[:, :K] + 1j * Gdz[:, K:])
+    )
+    # F = Im{(Omega z + I) conj(w) conj(Phi')}, and conj(w) conj(dPhi') = -n w^n
+    wr, zr, dphir = w[:h, None], z[:h, None], dphi[:h, None]
+    frame = np.conj(wr) * np.conj(dphir)
+    dF = np.imag(
+        (Omega * dz[:h] + dI) * frame - n * (Omega * zr + I[:, None]) * np.conj(dz[:h])
+    )
+    return np.hstack((np.imag(zr * frame), dF))
+
+
+def _odd_tiled(rows, msec, M):
+    """Samples on all M nodes from the rows 0..h-1 of an odd sector of msec nodes.
+
+    Node msec - k takes minus row k, and the sector is tiled M // msec
+    times; columns of a 2-d ``rows`` are separate functions.
+    """
+    h = rows.shape[0]
+    sector = np.empty((msec,) + rows.shape[1:])
+    sector[:h] = rows
     sector[h:] = -sector[msec - h : 0 : -1]
-    return np.tile(sector, m) if msec < M else sector
-
-
-def _omega_derivative_samples(pert, M):
-    """Samples of dF/dOmega = Im{Phi(w) conj(w) conj(Phi'(w))} (kernel-free)."""
-    w, z, dphi = _boundary_samples(pert, M)
-    return np.imag(z * np.conj(w) * np.conj(dphi))
+    return np.tile(sector, (M // msec,) + (1,) * (rows.ndim - 1)) if msec < M else sector
 
 
 @dataclass(frozen=True)
@@ -243,7 +311,12 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None, kernel_tol=1e-10):
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One V-state on an m-fold branch."""
+    """One V-state on an m-fold branch.
+
+    ``residual_history`` holds max |g_nm| at each Newton iterate, from the
+    predicted point to the solution (whose value is ``residual``);
+    ``jacobians`` counts the exact Jacobians the point took.
+    """
 
     m: int
     alpha: float
@@ -253,6 +326,8 @@ class BranchPoint:
     amplitude: float
     alias_tail: float
     newton_steps: int
+    residual_history: tuple
+    jacobians: int
 
 
 def _branch_coeffs(m, s, higher):
@@ -265,14 +340,26 @@ def _branch_coeffs(m, s, higher):
     return coeffs
 
 
-def _branch_residual(alpha, m, s, u, M, N):
+def _branch_residual(alpha, m, s, u, M, N, jacobian=False):
+    """Band residual g_nm, alias tail and perturbation at u = (Omega, a_{2m-1}, ...).
+
+    With ``jacobian`` also the exact N x N Jacobian d g_nm / d u from one
+    evaluation; its residual is bitwise that of :func:`evaluate_F`.
+    """
     coeffs = _branch_coeffs(m, s, u[1:])
     pert = ConformalPerturbation(coeffs, fold=m)
-    fv = evaluate_F(alpha, u[0], pert, M)
-    g = fv.sine_coefficients
+    if jacobian:
+        M = _grid_size(alpha, u[0], pert, M)
+        samples, columns = _f_samples(alpha, u[0], pert, M, np.arange(2, N + 1) * m - 1)
+        g = sine_coefficients(samples)
+    else:
+        g = evaluate_F(alpha, u[0], pert, M).sine_coefficients
     band = g[m - 1 : N * m : m]            # g_m, g_2m, ..., g_Nm
     tail = g[N * m : min(2 * N * m, len(g))]
-    return band.copy(), float(np.max(np.abs(tail))) if len(tail) else 0.0, pert
+    out = (band.copy(), float(np.max(np.abs(tail))) if len(tail) else 0.0, pert)
+    if not jacobian:
+        return out
+    return out + (sine_coefficients(columns)[m - 1 : N * m : m],)
 
 
 def continue_branch(
@@ -288,20 +375,24 @@ def continue_branch(
     """Newton continuation of the m-fold branch over fixed leading amplitudes.
 
     For each amplitude s the system {g_{nm} = 0, n = 1..band} is solved for
-    (Omega, a_{2m-1}, ..., a_{band*m-1}), warm-started from the previous
-    point; the first point starts at the bifurcation frequency with zero
-    higher coefficients.  A line-search trial point outside the
-    bi-Lipschitz regime counts as a rejected step.  Raises
-    :class:`ConvergenceError` carrying the last iterate when Newton stalls,
-    and :class:`GridError` when the discarded sine tail exceeds
+    (Omega, a_{2m-1}, ..., a_{band*m-1}).  The first point starts at the
+    bifurcation frequency with zero higher coefficients, the second at
+    the first solution, and every later one at the secant through the
+    two previous solutions.  Each point is solved by chord Newton with
+    the exact Jacobian of its start; the Jacobian is recomputed at the
+    current iterate when a step contracts the residual by less than a
+    factor 5 or when the line search fails.  A line-search trial point
+    outside the bi-Lipschitz regime counts as a rejected step.  Raises
+    :class:`ConvergenceError` carrying the last iterate when Newton
+    stalls, and :class:`GridError` when the discarded sine tail exceeds
     ``tail_tol`` (under-resolved band).
     """
     m = _integer(m, "fold m")
     if m < 2:
         raise DomainError("branch continuation requires m >= 2")
     amplitudes = [float(s) for s in amplitudes]
-    if not amplitudes or any(s <= 0 for s in amplitudes):
-        raise DomainError("amplitudes must be positive")
+    if not amplitudes or not all(0 < s < math.inf for s in amplitudes):
+        raise DomainError("amplitudes must be positive and finite")
     if any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
         raise DomainError("amplitudes must be strictly increasing")
     if amplitudes[0] > 1e-3:
@@ -310,63 +401,57 @@ def continue_branch(
     if N < 1:
         raise DomainError(f"band must be at least 1, got {band!r}")
     M = _integer(grid_size, "grid size")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    max_steps = _integer(max_steps, "max_steps")
+    if max_steps < 0:
+        raise DomainError(f"max_steps must be nonnegative, got {max_steps!r}")
 
-    # omega_bifurcation(n, alpha) for n = m, 2m, ..., Nm from one table
-    omegas = spectrum.bifurcation_table(N * m, [alpha])[m - 1 :: m, 0]
     u = np.zeros(N)
-    u[0] = omegas[0]
-    points = []
+    u[0] = spectrum.bifurcation_table(m, [alpha])[m - 1, 0]
+    points, solved = [], []
     for s in amplitudes:
-        u, r, tail, pert, steps = _newton_solve(
-            alpha, m, s, u, M, N, tol, max_steps, omegas
+        if len(solved) == 2:
+            (s0, u0), (s1, u1) = solved
+            u = u1 + (s - s1) / (s1 - s0) * (u1 - u0)
+        u, tail, pert, history, jacobians = _newton_solve(
+            alpha, m, s, u, M, N, tol, max_steps
         )
         if tail > tail_tol:
             raise GridError(
                 f"alias tail {tail:.2e} above {tail_tol:.0e} at s={s}; "
                 "increase band or grid"
             )
+        solved = solved[-1:] + [(s, u)]
         points.append(
             BranchPoint(
                 m=m,
                 alpha=float(alpha),
                 Omega=float(u[0]),
                 perturbation=pert,
-                residual=float(np.max(np.abs(r))),
+                residual=history[-1],
                 amplitude=s,
                 alias_tail=tail,
-                newton_steps=steps,
+                newton_steps=len(history) - 1,
+                residual_history=history,
+                jacobians=jacobians,
             )
         )
     return points
 
 
-def _initial_jacobian(m, u, pert, M, N, omegas):
-    """Analytic Jacobian seed: exact Omega column + diagonal multipliers.
+def _newton_solve(alpha, m, s, u, M, N, tol, max_steps):
+    """Chord Newton for one branch point from the start u.
 
-    The Omega derivative of F is kernel-free, so its column is exact at
-    the current point; the coefficient columns start from the f = 0
-    linearization (nm)(Omega^E_nm - Omega), with ``omegas[k]`` =
-    omega_bifurcation((k+1) m, alpha), and are corrected by Broyden
-    updates as the iteration proceeds.
+    Returns the solution, its alias tail and perturbation, the residual
+    history and the number of exact Jacobians taken.
     """
-    jac = np.zeros((N, N))
-    g = sine_coefficients(_omega_derivative_samples(pert, M))
-    jac[:, 0] = g[m - 1 : N * m : m]
-    k = np.arange(1, N)
-    # sine mode n = (k+1) m is fed by coefficient a_{(k+1)m-1}
-    jac[k, k] = (k + 1) * m * (omegas[1:] - u[0])
-    return jac
-
-
-def _newton_solve(alpha, m, s, u0, M, N, tol, max_steps, omegas):
-    u = u0.copy()
-    r, tail, pert = _branch_residual(alpha, m, s, u, M, N)
-    rnorm = np.max(np.abs(r))
-    jac = _initial_jacobian(m, u, pert, M, N, omegas)
-    fd_fresh = False
-    steps = 0
-    while rnorm >= tol:
-        if steps >= max_steps:
+    r, tail, pert, jac = _branch_residual(alpha, m, s, u, M, N, jacobian=True)
+    history = [float(np.max(np.abs(r)))]
+    jacobians, fresh = 1, True  # fresh: jac was taken at u
+    while history[-1] >= tol:
+        rnorm = history[-1]
+        if len(history) > max_steps:
             raise ConvergenceError(
                 f"Newton stalled at residual {rnorm:.3e} (s={s})",
                 last_iterate={"u": u, "residual": rnorm},
@@ -380,44 +465,28 @@ def _newton_solve(alpha, m, s, u0, M, N, tol, max_steps, omegas):
         lam = 1.0
         for _ in range(10):
             try:
-                r_new, tail, pert = _branch_residual(alpha, m, s, u + lam * step, M, N)
+                trial = _branch_residual(alpha, m, s, u + lam * step, M, N)
             except GeometryError:
                 pass  # trial point outside the bi-Lipschitz regime: reject it
             else:
-                if np.max(np.abs(r_new)) < rnorm:
+                if np.max(np.abs(trial[0])) < rnorm:
                     break
             lam *= 0.5
         else:
-            if not fd_fresh:
-                jac = _fd_jacobian(alpha, m, s, u, r, M, N)
-                fd_fresh = True
-                steps += 1
-                continue
-            raise ConvergenceError(
-                f"line search failed at s={s}",
-                last_iterate={"u": u, "residual": rnorm},
-            )
-        new_norm = np.max(np.abs(r_new))
-        if new_norm > 0.2 * rnorm and not fd_fresh:
-            # slow contraction under the approximate Jacobian: go exact
-            jac = _fd_jacobian(alpha, m, s, u + lam * step, r_new, M, N)
-            fd_fresh = True
-        else:
-            du = lam * step
-            jac = jac + np.outer(r_new - r - jac @ du, du) / np.dot(du, du)
+            if fresh:
+                raise ConvergenceError(
+                    f"line search failed at s={s}",
+                    last_iterate={"u": u, "residual": rnorm},
+                )
+            r, tail, pert, jac = _branch_residual(alpha, m, s, u, M, N, jacobian=True)
+            jacobians, fresh = jacobians + 1, True
+            continue
         u = u + lam * step
-        r = r_new
-        rnorm = new_norm
-        steps += 1
-    return u, r, tail, pert, steps
-
-
-def _fd_jacobian(alpha, m, s, u, r, M, N):
-    jac = np.empty((N, N))
-    for k in range(N):
-        h = 1e-7 * max(1.0, abs(u[k]))
-        up = u.copy()
-        up[k] += h
-        rp, _, _ = _branch_residual(alpha, m, s, up, M, N)
-        jac[:, k] = (rp - r) / h
-    return jac
+        r, tail, pert = trial
+        history.append(float(np.max(np.abs(r))))
+        fresh = False
+        if tol <= history[-1] and history[-1] > 0.2 * rnorm:
+            # slow contraction under the chord Jacobian: take it afresh
+            r, tail, pert, jac = _branch_residual(alpha, m, s, u, M, N, jacobian=True)
+            jacobians, fresh = jacobians + 1, True
+    return u, tail, pert, tuple(history), jacobians

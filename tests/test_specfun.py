@@ -97,6 +97,9 @@ class TestBesselI:
         with pytest.raises(DomainError):
             sf.product_IK_array(2, np.array([math.inf, 1.0]))
 
+    def test_empty_argument(self):
+        assert sf.product_IK_array(3, np.array([])).shape == (4, 0)
+
     def test_negative_order_rejected(self):
         for nmax in (-1, 2.5, math.nan):
             with pytest.raises(DomainError):
@@ -310,6 +313,17 @@ class TestKSeries:
         assert np.array_equal(sf.k0_array(x[::-1]), sf.k0_array(x)[::-1])
         grid = x[perm][:4000].reshape(40, 100)
         assert np.array_equal(sf.k0_array(grid), sf.k0_array(grid.ravel()).reshape(40, 100))
+
+    @pytest.mark.parametrize("low, high", [(0.01, 8.0), (2.9, 3.1), (3.0, 9.0)])
+    def test_slope_leaves_k0_alone_and_follows_order(self, low, high):
+        # the slope rides through the same mixed-zone permutation as K_0
+        rng = np.random.default_rng(13)
+        x = np.sort(np.append(rng.uniform(low, high, 4001), [3.0, low + 1e-3]))
+        perm = rng.permutation(x.size)
+        slope, shuffled = np.empty(x.size), np.empty(x.size)
+        assert np.array_equal(sf.k0_array(x, slope=slope), sf.k0_array(x))
+        assert np.array_equal(sf.k0_array(x[perm], slope=shuffled), sf.k0_array(x[perm]))
+        assert np.array_equal(shuffled, slope[perm])
 
     def test_k_ratio_series_band(self):
         # K_1/K_0 from both orders of the x < 3 series, bounds as for K_0

@@ -233,6 +233,12 @@ class TestEvaluateF:
         with pytest.raises(DomainError):
             vs.evaluate_F(alpha, 0.1, pert, grid_size, band=band)
 
+    @pytest.mark.parametrize("Omega", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_omega_rejected(self, Omega):
+        pert = vs.ConformalPerturbation(np.zeros(2), fold=1)
+        with pytest.raises(DomainError):
+            vs.evaluate_F(1.0, Omega, pert, 64)
+
     def test_band_truncation(self):
         pert = vs.ConformalPerturbation(np.zeros(2), fold=1)
         fv = vs.evaluate_F(1.0, 0.1, pert, 64, band=5)
@@ -348,26 +354,6 @@ class TestBranchContinuation:
         live = c[c > 0]
         assert np.all(np.diff(np.log(live[:6])) < 0)  # geometric-ish decay
 
-    def test_jacobian_seed_diagonal_matches_scalar_frequencies(self, monkeypatch):
-        alpha, m, N = 0.7, 3, 8
-        seed = vs._initial_jacobian
-        seeds = []
-
-        def recording_seed(fold, u, *rest):
-            jac = seed(fold, u, *rest)
-            seeds.append((u[0], jac))
-            return jac
-
-        monkeypatch.setattr(vs, "_initial_jacobian", recording_seed)
-        vs.continue_branch(alpha, m, [1e-4, 0.01], band=N, grid_size=192)
-        assert len(seeds) == 2
-        assert seeds[0][0] == sp.omega_bifurcation(m, alpha)
-        for Om, jac in seeds:
-            for k in range(1, N):
-                n = (k + 1) * m
-                pred = n * (sp.omega_bifurcation(n, alpha) - Om)
-                assert jac[k, k] == pytest.approx(pred, rel=0, abs=1e-14)
-
     def test_distinct_folds_distinct_limits(self):
         p2 = vs.continue_branch(1.0, 2, [1e-4], band=8, grid_size=128)[0]
         p3 = vs.continue_branch(1.0, 3, [1e-4], band=8, grid_size=192)[0]
@@ -404,3 +390,107 @@ class TestBranchContinuation:
         with pytest.raises(ConvergenceError) as err:
             vs.continue_branch(0.7, 3, ladder)
         assert err.value.last_iterate is not None
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"tol": 0.0},
+            {"tol": -1e-11},
+            {"max_steps": 2.5},
+            {"max_steps": -1},
+            {"amplitudes": [math.nan]},
+            {"amplitudes": [1e-4, math.inf]},
+            {"amplitudes": [1e-4, math.nan]},
+        ],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        args = {"amplitudes": [1e-4], "band": 2, "grid_size": 64, **kwargs}
+        with pytest.raises(DomainError):
+            vs.continue_branch(1.0, 2, **args)
+
+    def test_residual_history(self):
+        pts = vs.continue_branch(0.7, 2, [1e-4, 0.02, 0.05, 0.08], band=6, grid_size=128)
+        for p in pts:
+            hist = p.residual_history
+            assert len(hist) == p.newton_steps + 1
+            assert hist[-1] == p.residual < 1e-11
+            assert all(b < a for a, b in zip(hist, hist[1:]))
+            assert p.jacobians >= 1
+
+    def test_residual_is_bitwise_evaluate_F(self):
+        alpha, m, N, M = 0.7, 3, 6, 192
+        pts = vs.continue_branch(alpha, m, [1e-4, 0.01, 0.03], band=N, grid_size=M)
+        for p in pts:
+            g = vs.evaluate_F(alpha, p.Omega, p.perturbation, M).sine_coefficients
+            assert p.residual == np.max(np.abs(g[m - 1 : N * m : m]))
+        u = branch_unknowns(pts[-1], m, N)
+        with_jacobian = vs._branch_residual(alpha, m, 0.03, u, M, N, jacobian=True)
+        plain = vs._branch_residual(alpha, m, 0.03, u, M, N)
+        assert np.array_equal(with_jacobian[0], plain[0])
+        assert with_jacobian[1] == plain[1]
+
+    def test_evaluate_F_calls_per_point(self, monkeypatch):
+        # chord Newton from the secant start: one evaluation per step and
+        # at most 3 steps per point on this ladder
+        calls = []
+        evaluate = vs.evaluate_F
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(vs, "evaluate_F", counting)
+        ladder = [1e-4] + [0.01 * k for k in range(1, 11)]
+        pts = vs.continue_branch(0.7, 2, ladder, band=8, grid_size=128)
+        assert len(calls) <= 3 * len(ladder)
+        assert sum(p.jacobians for p in pts) == len(ladder)
+
+
+def branch_unknowns(point, m, N):
+    """u = (Omega, a_{2m-1}, ..., a_{Nm-1}) of a branch point."""
+    return np.concatenate(([point.Omega], point.perturbation.coefficients[2 * m - 1 : N * m : m]))
+
+
+def central_jacobian(alpha, m, s, u, M, N, h=1e-6):
+    """d g_nm / d u by central differences of evaluate_F, column by column."""
+    jac = np.empty((N, N))
+    for k in range(N):
+        step = np.zeros(N)
+        step[k] = h
+        plus = vs._branch_residual(alpha, m, s, u + step, M, N)[0]
+        minus = vs._branch_residual(alpha, m, s, u - step, M, N)[0]
+        jac[:, k] = (plus - minus) / (2 * h)
+    return jac
+
+
+class TestExactJacobian:
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    @pytest.mark.parametrize("m, M, s", [(2, 128, 0.05), (2, 128, 0.15), (3, 192, 0.1), (3, 192, 0.15)])
+    def test_matches_central_differences(self, m, M, s, alpha):
+        # off the branch: Omega away from the bifurcation value and
+        # higher coefficients of a decaying size, so no column is special
+        N = 6
+        rng = np.random.default_rng(m)
+        u = np.empty(N)
+        u[0] = sp.omega_bifurcation(m, alpha) + 0.01
+        u[1:] = rng.uniform(-1.0, 1.0, N - 1) * s ** np.arange(2, N + 1)
+        jac = vs._branch_residual(alpha, m, s, u, M, N, jacobian=True)[3]
+        ref = central_jacobian(alpha, m, s, u, M, N)
+        assert np.max(np.abs(jac - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha, m", [(0.3, 2), (0.7, 3), (1.0, 4)])
+    def test_disc_jacobian_is_diagonal(self, alpha, m):
+        # at the disc (s = 0) the coefficient columns decouple, with the
+        # scalar multipliers nm (Omega^E_nm - Omega), and dF/dOmega = 0.
+        # The grid's multiplier of mode n approaches the scalar one like
+        # M^-5 (about 2e-9 for n = 6 at M = 256); 1024 nodes per sector
+        # put the gap below 1e-13 for n <= 3m.
+        N, Omega = 3, 0.1
+        u = np.r_[Omega, np.zeros(N - 1)]
+        jac = vs._branch_residual(alpha, m, 0.0, u, 1024 * m, N, jacobian=True)[3]
+        n = m * np.arange(1, N + 1)
+        pred = np.diag(n * (sp.bifurcation_table(N * m, [alpha])[n - 1, 0] - Omega))
+        pred[0, 0] = 0.0
+        assert np.max(np.abs(jac - pred)) <= 1e-13
