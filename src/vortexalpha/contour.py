@@ -14,22 +14,21 @@ with A the chord length between boundary points and avg the normalized
 of its two pieces cancel, leaving a continuous kernel with diagonal value
 log(2 alpha) - gamma, so the plain trapezoid rule applies.
 
-The eta-derivative form of the integrand factors through e^{i theta}:
-with P_j = sum_k G_jk R_k e^{i eta_k} and Q_j the same with R'_k, and
-C_j + i S_j = e^{-i theta_j} P_j, C'_j + i S'_j = e^{-i theta_j} Q_j,
+The eta-derivative form of the integrand factors through the boundary
+tangent z' = (R' + i R) e^{i eta}: with the rotated kernel average
 
-    F_j = (R'_j (S'_j + C_j) + R_j (S_j - C'_j)) / M,
+    V_j = e^{-i theta_j} avg_k G_jk z'_k,
 
-so one real product of the kernel matrix G with the M x 4 block
-[R cos, R sin, R' cos, R' sin] gives F (contour-dynamics form, Dritschel,
-Comput. Phys. Rep. 10 (1989)).  A call costs one kernel evaluation on
-the chord classes of :func:`vortexalpha.greens.pair_plan` (the M(M+1)/2
-chords j <= k on the full grid, about M msec / 2 for a fold-symmetric
-sector of msec target rows), gathered into the kernel matrix, plus one
-M x M x 4 product; there are no M x M trigonometric tables, and the
-chords, the K_0 arguments and values and the kernel matrix are written
-into per-grid workspace buffers, so a call allocates no array of the
-chord count.
+    F_j = R'_j Im V_j - R_j Re V_j,
+
+so one real product of the kernel matrix G with the M x 2 block
+[Re z', Im z'] gives F (contour-dynamics form, Dritschel, Comput. Phys.
+Rep. 10 (1989)).  A call costs one kernel evaluation on the chord
+classes of :func:`vortexalpha.greens.pair_plan` (the M(M+1)/2 chords
+j <= k on the full grid, about M msec / 2 for a fold-symmetric sector of
+msec target rows), gathered into the kernel matrix, plus one M x M x 2
+product, all in the workspace buffers of :mod:`vortexalpha.greens`; a
+call allocates no array of the chord count.
 
 The linearization uses d rho/dt = -d/dtheta (V rho + L rho) with
 V = Omega - V^E - V^SW and L = L^E + L^SW.  Note the relative signs: they
@@ -70,7 +69,9 @@ import numpy as np
 
 from . import spectrum
 from .errors import DomainError, GeometryError, GridError, InstabilityError
-from .greens import EULER_GAMMA, _kernel_into, green_kernel, pair_plan
+from .greens import (
+    EULER_GAMMA, _kernel_block, _pair_chords, _workspace, green_kernel, pair_plan,
+)
 from .numerics import dealias_twothirds, spectral_derivative
 from .spectrum import _integer
 
@@ -138,50 +139,6 @@ class Diagnostics:
     mean_r: float
 
 
-class _Workspace:
-    """Per-grid node vectors and the buffers of the kernel sums.
-
-    ``cos`` and ``sin`` hold cos theta_k and sin theta_k at the M nodes.
-    The other buffers are sized for the most chord classes a plan can
-    have, M(M+1)/2, so a kernel evaluation allocates no array of that
-    size.  Every kernel sum overwrites ``kernel`` (M x M): its leading
-    entries first with the chords of the plan's representative pairs,
-    then, once their kernel is evaluated, with the kernel matrix gathered
-    from the plan.  The kernel of the chords goes into ``k0`` (K_0 first,
-    the combined kernel on return), ``x`` holds the K_0 arguments A/alpha
-    and then log A, and ``work`` (two rows) is the scratch of the Horner
-    sums and of the chord gathers.  One instance serves one grid size.
-    The kernel sums are not reentrant (two threads must not run them at
-    once): the pair chords from :func:`_pair_chords` and the kernel
-    matrix from :func:`_interaction` are buffer views, valid until chords
-    are next formed on that grid size (by any kernel sum or the energy).
-    What :func:`rhs`, :func:`linearized_rhs` and :func:`diagnostics`
-    return owns its memory.
-    """
-
-    def __init__(self, M):
-        theta = 2 * np.pi * np.arange(M) / M
-        self.cos = np.cos(theta)
-        self.sin = np.sin(theta)
-        self.kernel = np.empty((M, M))
-        classes = M * (M + 1) // 2
-        self.x = np.empty(classes)
-        self.k0 = np.empty(classes)
-        self.work = np.empty((2, classes))
-        self.M = M
-
-
-_workspaces = {}  # the most recent grid size only: M^2 doubles
-
-
-def _workspace(M):
-    ws = _workspaces.get(M)
-    if ws is None:
-        _workspaces.clear()
-        ws = _workspaces[M] = _Workspace(M)
-    return ws
-
-
 def _check_samples(r):
     if not np.isfinite(r).all():
         raise GeometryError("samples must be finite")
@@ -197,111 +154,61 @@ def _geometry(patch):
     return R, Rp
 
 
-def _plan(M, msec=None):
-    """Chord classes of the first msec target rows: transpose, and rotation by msec."""
-    msec = msec or M
-    return pair_plan(M, msec, msec, False)
+def _kernel_product(patch, msec, *columns):
+    """R, R', the rotated kernel average V and G @ columns / M on msec target rows.
 
-
-def _pair_chords(R, ws, plan):
-    """Chords |z_j - z_k| of the plan's representative pairs, in ``ws.kernel``.
-
-    ``ws.work`` holds the gathered coordinates.  Formed from the Cartesian nodes z = R e^{i theta}: the zero-offset
-    chords are exactly zero, and every chord is bitwise the entry of the
-    full chord matrix at its representative and at its transpose.
+    The kernel matrix G of the first msec rows is evaluated once per
+    chord class (transpose, and rotation by msec) and gathered in the
+    workspace; on the full grid it is bitwise symmetric.  V_j =
+    avg_k G_jk z'_k e^{-i theta_j} with the tangent z' = (R' + i R) e^{i eta}
+    comes from G @ [Re z', Im z', *columns], one real product.
     """
-    x, y = R * ws.cos, R * ws.sin
-    n = plan.first.size
-    A = ws.kernel.reshape(-1)[:n]
-    dy, gathered = ws.work[:, :n]
-    plan.take(x, plan.first, A)
-    A -= plan.take(x, plan.second, gathered)
-    A *= A
-    plan.take(y, plan.first, dy)
-    dy -= plan.take(y, plan.second, gathered)
-    dy *= dy
-    A += dy
-    return np.sqrt(A, out=A)
-
-
-def _interaction(patch, msec=None):
-    """Workspace, R, R' and the kernel matrix G of the first msec target rows.
-
-    The kernel is evaluated once per chord class of :func:`_plan` and
-    gathered into ``ws.kernel``; on the full grid G is bitwise symmetric.
-    """
-    ws = _workspace(patch.size)
+    M = patch.size
+    ws = _workspace(M)
     R, Rp = _geometry(patch)
-    plan = _plan(patch.size, msec)
-    n = plan.first.size
-    K = _kernel_into(
-        patch.alpha, _pair_chords(R, ws, plan), slice(0, plan.zeros),
-        ws.x[:n], ws.k0[:n], ws.work[:, :n],
-    )
-    G = ws.kernel[: plan.inverse.shape[0]]
-    plan.take(K, plan.inverse, G)
-    return ws, R, Rp, G
-
-
-def _kernel_product(ws, G, R, Rp, *columns):
-    """Rotated kernel averages (P, Q) and G @ columns / M from one product.
-
-    P_j = avg_k G_jk R_k e^{i(eta_k - theta_j)} = (C_j + i S_j) / M and Q_j
-    the same with R'_k: the cosine and sine sums of the module docstring.
-    Both come from G @ [R cos, R sin, R' cos, R' sin, *columns], a real
-    (rows x M) @ (M x (4 + n)) product, rotated by e^{-i theta_j}.
-    """
+    plan = pair_plan(M, msec, msec, False)
     c, s = ws.cos, ws.sin
-    Y = G @ np.column_stack((R * c, R * s, Rp * c, Rp * s, *columns))
-    Y /= ws.M
-    rot = (c - 1j * s)[: G.shape[0]]
-    P = rot * (Y[:, 0] + 1j * Y[:, 1])
-    Q = rot * (Y[:, 2] + 1j * Y[:, 3])
-    return P, Q, Y[:, 4:]
+    x, y = R * c, R * s
+    G, _ = _kernel_block(patch.alpha, _pair_chords(x, y, ws, plan), ws, plan)
+    Y = G @ np.column_stack((Rp * c - y, Rp * s + x, *columns))
+    Y /= M
+    V = (c - 1j * s)[:msec] * (Y[:, 0] + 1j * Y[:, 1])
+    return R, Rp, V, Y[:, 2:]
 
 
-def rhs(patch, dealias=True):
+def rhs(patch):
     """Time derivative of r: -Omega dr/dtheta + joint kernel integral.
 
     The output has exactly zero mean (the analytic right-hand side is a
     theta-derivative; the numerical mean, already at round-off by kernel
-    antisymmetry, is subtracted).  Modes above the 2/3 band are zeroed
-    unless ``dealias`` is disabled.  Fold-symmetric patches evaluate one
-    target sector and tile.
+    antisymmetry, is subtracted), and its modes above the 2/3 band are
+    zeroed.  Fold-symmetric patches evaluate one target sector and tile.
     """
     fold = patch.fold
     msec = patch.size // fold if fold > 1 else patch.size
-    ws, R, Rp, G = _interaction(patch, msec)
-    P, Q, _ = _kernel_product(ws, G, R, Rp)
-    R, Rp = R[:msec], Rp[:msec]
-    F = Rp * (Q.imag + P.real) + R * (P.imag - Q.real)
+    R, Rp, V, _ = _kernel_product(patch, msec)
+    F = Rp[:msec] * V.imag - R[:msec] * V.real
     if fold > 1:
         F = np.tile(F, fold)
-    out = -patch.rotation_offset * spectral_derivative(patch.samples) + F
-    if dealias:
-        out = dealias_twothirds(out)
+    out = dealias_twothirds(-patch.rotation_offset * spectral_derivative(patch.samples) + F)
     return out - out.mean()
 
 
-def linearized_rhs(patch, direction, dealias=True):
+def linearized_rhs(patch, direction):
     """Action of the linearized evolution on a zero-mean direction rho.
 
-    Computes -d/dtheta (V rho + L rho) with the advection speed
-    V = Omega - V^E - V^SW and the joint integral operator
+    Computes -d/dtheta (V rho + L rho), dealiased, with the advection
+    speed V = Omega - V^E - V^SW and the joint integral operator
     (L rho)(theta) = avg_eta rho(eta) [log A + K_0(A/alpha)].  Both come
-    from one product G @ [R cos, R sin, R' cos, R' sin, rho]: V^E + V^SW
-    is (S' + C) / (M R), L rho the fifth column / M.
+    from one product G @ [Re z', Im z', rho]: V^E + V^SW is Im V / R for
+    the rotated average V of :func:`_kernel_product`, L rho its column.
     """
     rho = np.asarray(direction, dtype=float)
     if rho.shape != patch.samples.shape:
         raise GridError("direction must match the patch grid")
-    ws, R, Rp, G = _interaction(patch)
-    P, Q, rest = _kernel_product(ws, G, R, Rp, rho)
-    V = patch.rotation_offset - (Q.imag + P.real) / R
-    Lrho = rest[:, 0]
-    out = -spectral_derivative(V * rho + Lrho)
-    if dealias:
-        out = dealias_twothirds(out)
+    R, _, V, rest = _kernel_product(patch, patch.size, rho)
+    speed = patch.rotation_offset - V.imag / R
+    out = dealias_twothirds(-spectral_derivative(speed * rho + rest[:, 0]))
     return out - out.mean()
 
 
@@ -316,7 +223,7 @@ def default_timestep(patch, c=0.25):
     return c * (2 * np.pi / patch.size) / speed
 
 
-def step_rk4(patch, dt, dealias=True):
+def step_rk4(patch, dt):
     """Classical fourth-order step; preserves the spatial mean to round-off."""
     if dt == 0.0:
         raise DomainError("dt must be nonzero")
@@ -329,7 +236,7 @@ def step_rk4(patch, dt, dealias=True):
 
     def f(samples):
         try:
-            return rhs(patch.replace_samples(samples), dealias=dealias)
+            return rhs(patch.replace_samples(samples))
         except GeometryError as exc:
             raise InstabilityError(
                 f"geometry bound violated mid-step (dt={dt})"
@@ -346,7 +253,7 @@ def step_rk4(patch, dt, dealias=True):
         raise InstabilityError(f"geometry bound violated after step (dt={dt})") from exc
 
 
-def evolve(patch, T, dt=None, snapshot_every=None, dealias=True):
+def evolve(patch, T, dt=None, snapshot_every=None):
     """Integrate over [0, T] (T may be negative); returns (patch, snapshots).
 
     Snapshots are (t, RadialPatch) pairs taken every ``snapshot_every``
@@ -367,7 +274,7 @@ def evolve(patch, T, dt=None, snapshot_every=None, dealias=True):
     snaps = []
     current = patch
     for k in range(nsteps):
-        current = step_rk4(current, dt, dealias=dealias)
+        current = step_rk4(current, dt)
         if snapshot_every and ((k + 1) % snapshot_every == 0 or k == nsteps - 1):
             snaps.append(((k + 1) * dt, current))
     return current, snaps
@@ -405,9 +312,9 @@ def _energy(patch):
     # Cartesian z = R e^{i theta} and z' = (R' + i R) e^{i theta}
     x, y = R * ws.cos, R * ws.sin
     xp, yp = Rp * ws.cos - y, Rp * ws.sin + x
-    plan = _plan(M)
+    plan = pair_plan(M, M, M, False)
     j, k = plan.first[plan.zeros :], plan.second[plan.zeros :]
-    a = _pair_chords(R, ws, plan)[plan.zeros :]
+    a = _pair_chords(x, y, ws, plan)[plan.zeros :]
     W = xp[j] * xp[k] + yp[j] * yp[k]
     F = a * a * (np.log(a) - 1.0) / 4.0
     F += (2 * np.pi * alpha * alpha) * green_kernel(alpha, a)
@@ -432,7 +339,7 @@ def linear_qp_solution(S, amplitudes, Omega, alpha, t, M):
     return out
 
 
-def qp_residual(S, amplitudes, Omega, alpha, t, M, dealias=False):
+def qp_residual(S, amplitudes, Omega, alpha, t, M):
     """Max-norm defect of the linear solution in the flat-state equation."""
     S = [_integer(j, "each element of S") for j in S]
     theta = 2 * np.pi * np.arange(M) / M
@@ -442,7 +349,7 @@ def qp_residual(S, amplitudes, Omega, alpha, t, M, dealias=False):
         drho += a * wj * np.sin(j * theta - wj * t)
     rho = linear_qp_solution(S, amplitudes, Omega, alpha, t, M)
     flat = RadialPatch(np.zeros(M), Omega, alpha)
-    return float(np.max(np.abs(drho - linearized_rhs(flat, rho, dealias=dealias))))
+    return float(np.max(np.abs(drho - linearized_rhs(flat, rho))))
 
 
 def vstate_to_radial(branch_point, M, Omega=None):

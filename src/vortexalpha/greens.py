@@ -4,12 +4,12 @@ The stream kernel is G(rho) = (1/2pi)(log rho + K_0(rho/alpha)): the Euler
 log kernel plus a screened correction.  The two pieces have cancelling log
 singularities, so their sum extends continuously to the diagonal with value
 log(2 alpha) - gamma.  :func:`combined_boundary_kernel` is the one
-evaluator of that sum in the package: the contour dynamics in
+evaluator of that sum in the package; the contour dynamics in
 :mod:`vortexalpha.contour` and the rotating-patch functional in
-:mod:`vortexalpha.vstates` call it (or its buffered core) on their
-chords, and its zero entries take the analytic limit (the trapezoid
-weights and symmetry are preserved).  On request it also gives the
-slope g'(rho)/rho of the sum, from the same Bessel tables, for the exact
+:mod:`vortexalpha.vstates` call its buffered core on their chords, and
+its zero entries take the analytic limit (the trapezoid weights and
+symmetry are preserved).  On request it also gives the slope
+g'(rho)/rho of the sum, from the same Bessel tables, for the exact
 V-state Jacobian.
 
 :func:`pair_plan` is the one chord layout of those solvers.  A chord
@@ -21,6 +21,11 @@ kernel is evaluated once per class and gathered into the block.  On a
 near-circle the chords of one offset are nearly equal and grow with the
 offset, so the K_0 arguments in this order cross the series/fit switch
 at x = 3 only a few times.
+
+Both solvers share its chord-class step: :func:`_pair_chords` forms the
+representative chords from the node coordinates, and :func:`_kernel_block`
+evaluates the kernel (on request with its slope) once per class and
+gathers the block, both in the per-grid buffers of :class:`_Workspace`.
 """
 
 from __future__ import annotations
@@ -162,11 +167,11 @@ def _kernel_into(alpha, rho, zero, x, out, work, slope=None):
 
     ``zero`` indexes the zero entries of rho (a mask or a slice); ``x``
     and ``out`` have rho's size and ``work`` is (2, rho.size) scratch for
-    :func:`vortexalpha.specfun.k0_array`.  Zero entries are evaluated at
-    rho = alpha, whose K_0 argument lies in the series band, and then
-    overwritten by the limit.  A ``slope`` buffer of rho's size receives
-    g'(rho)/rho (0 at the zero entries); ``work`` then needs 3 rows.
-    Returns ``out``.
+    :func:`vortexalpha.specfun.k0_array` (a third row goes unused).  Zero
+    entries are evaluated at rho = alpha, whose K_0 argument lies in the
+    series band, and then overwritten by the limit.  A ``slope`` buffer of
+    rho's size receives g'(rho)/rho (0 at the zero entries); ``work`` then
+    needs 3 rows.  Returns ``out``.
     """
     np.divide(rho, alpha, out=x)
     x[zero] = 1.0
@@ -178,3 +183,86 @@ def _kernel_into(alpha, rho, zero, x, out, work, slope=None):
         out += np.log(rho, out=x)
     out[zero] = math.log(2 * alpha) - EULER_GAMMA
     return out
+
+
+class _Workspace:
+    """Per-grid node vectors and the buffers of the chord-class kernel block.
+
+    ``cos`` and ``sin`` hold cos theta_k and sin theta_k at the M nodes;
+    the other buffers fit the most chord classes a plan can have,
+    M(M+1)/2.  ``kernel`` (M x M) holds the chords of :func:`_pair_chords`
+    in its leading entries, then the block of :func:`_kernel_block`; ``x``
+    holds A/alpha and then log A, ``k0`` the kernel per class.  The first
+    slope request adds a third ``work`` row, ``slope`` and ``slopes``, so
+    callers that never ask for one keep the smaller footprint.  One
+    instance serves one grid size for both solvers, and is not
+    reentrant.  The chords and blocks are views, valid until chords are
+    next formed on that grid size: a :func:`vortexalpha.vstates.evaluate_F`
+    call invalidates the views of a :func:`vortexalpha.contour.rhs` call,
+    and the reverse.  What the solvers return owns its memory.
+    """
+
+    def __init__(self, M):
+        theta = 2 * np.pi * np.arange(M) / M
+        self.cos = np.cos(theta)
+        self.sin = np.sin(theta)
+        self.kernel = np.empty((M, M))
+        classes = M * (M + 1) // 2
+        self.x = np.empty(classes)
+        self.k0 = np.empty(classes)
+        self.work = np.empty((2, classes))
+        self.slope = self.slopes = None
+
+
+_workspaces = {}  # the most recent grid size only: about 3 M^2 doubles, 5 M^2 with slopes
+
+
+def _workspace(M):
+    ws = _workspaces.get(M)
+    if ws is None:
+        _workspaces.clear()
+        ws = _workspaces[M] = _Workspace(M)
+    return ws
+
+
+def _pair_chords(x, y, ws, plan):
+    """Chords |z_j - z_k| of the plan's representative pairs, in ``ws.kernel``.
+
+    ``x`` and ``y`` are the node coordinates; ``ws.work`` holds the
+    gathered ones.  The zero-offset chords are exactly zero, and every
+    chord is bitwise the entry of the full chord matrix at its
+    representative and at its transpose.
+    """
+    n = plan.first.size
+    A = ws.kernel.reshape(-1)[:n]
+    dy, gathered = ws.work[:2, :n]
+    plan.take(x, plan.first, A)
+    A -= plan.take(x, plan.second, gathered)
+    A *= A
+    plan.take(y, plan.first, dy)
+    dy -= plan.take(y, plan.second, gathered)
+    dy *= dy
+    A += dy
+    return np.sqrt(A, out=A)
+
+
+def _kernel_block(alpha, chords, ws, plan, slope=False):
+    """Kernel block G of the plan's target rows and, with ``slope``, S = g'(A)/A.
+
+    The kernel of the representative ``chords`` from :func:`_pair_chords`
+    is evaluated once per class and gathered into ``ws.kernel``, over the
+    chords, and the slope into ``ws.slopes``; S is None without ``slope``.
+    On the full grid G is bitwise symmetric.
+    """
+    n, rows = plan.first.size, plan.inverse.shape[0]
+    if slope and ws.slope is None:
+        classes = ws.x.size
+        ws.work = np.empty((3, classes))
+        ws.slope = np.empty(classes)
+        ws.slopes = np.empty_like(ws.kernel)
+    K = _kernel_into(
+        alpha, chords, slice(0, plan.zeros), ws.x[:n], ws.k0[:n], ws.work[:, :n],
+        ws.slope[:n] if slope else None,
+    )
+    G = plan.take(K, plan.inverse, ws.kernel[:rows])
+    return G, plan.take(ws.slope[:n], plan.inverse, ws.slopes[:rows]) if slope else None

@@ -49,16 +49,14 @@ def central_fd_stencil(deriv, order, h):
     return offsets, w
 
 
-def spectral_derivative(samples, order=1):
-    """Derivative of a 2*pi-periodic uniform sample set via FFT."""
+def spectral_derivative(samples):
+    """First derivative of a 2*pi-periodic uniform sample set via FFT."""
     samples = np.asarray(samples, dtype=float)
     m = samples.size
-    k = np.fft.rfftfreq(m, d=1.0 / m)
-    fk = np.fft.rfft(samples)
-    if order % 2 == 1 and m % 2 == 0:
-        # zero the unmatched Nyquist mode for odd derivatives
-        fk[-1] = 0.0
-    return np.fft.irfft(fk * (1j * k) ** order, n=m)
+    fk = np.fft.rfft(samples) * (1j * np.fft.rfftfreq(m, d=1.0 / m))
+    if m % 2 == 0:
+        fk[-1] = 0.0  # the unmatched Nyquist mode, as for every odd derivative
+    return np.fft.irfft(fk, n=m)
 
 
 def dealias_twothirds(samples):

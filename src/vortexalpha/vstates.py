@@ -10,10 +10,12 @@ functional
                                       + K_0(|Phi(w)-Phi(tau)|/alpha)] d tau,
 
 vanishes exactly on V-states.  It is sampled on M uniform circle nodes,
-with the kernel evaluated on the chord matrix by
-:func:`vortexalpha.greens.combined_boundary_kernel` (diagonal limit
-log(2 alpha) - gamma), and projected onto sine modes; outputs live in the
-sine-coefficient basis e_n(w) = Im(w^n).
+with the kernel block of :func:`vortexalpha.greens.combined_boundary_kernel`
+(diagonal limit log(2 alpha) - gamma) formed in the workspace buffers of
+:mod:`vortexalpha.greens`, shared with :mod:`vortexalpha.contour`, and
+reduced by one real product with the two node columns Re c, Im c of
+c = Phi'(w) w; the samples are projected onto sine modes, and outputs
+live in the sine-coefficient basis e_n(w) = Im(w^n).
 
 The coefficients are real, so Phi(conj w) = conj Phi(w) and F is odd,
 F(-theta) = -F(theta); with m-fold symmetry it also has period 2 pi / m.
@@ -50,11 +52,15 @@ import numpy as np
 
 from . import spectrum
 from .errors import ConvergenceError, DomainError, GeometryError, GridError
-from .greens import combined_boundary_kernel, pair_plan
+# unused here: perfbench/smoke_tests.py wraps this alias as its example
+from .greens import combined_boundary_kernel  # noqa: F401
+from .greens import _kernel_block, _pair_chords, _workspace, pair_plan
 from .numerics import sine_coefficients
 from .spectrum import _integer
 
 _MIN_PHI_PRIME = 1e-9
+_KERNEL_TOL = 1e-10  # |multiplier| below which a mode counts as kernel
+_TAIL_TOL = 1e-8  # largest discarded sine coefficient of a resolved band
 
 
 @dataclass(frozen=True)
@@ -192,16 +198,13 @@ def _f_samples(alpha, Omega, pert, M, modes=None):
     h = msec // 2 + 1
     zr, wr, dphir = z[:h], w[:h], dphi[:h]
     plan = pair_plan(M, h, msec, True)
-    dist = np.abs(z[plan.first] - z[plan.second])
-    # the zero-offset chords are exactly zero; any other chord this short
-    # means the curve crosses itself
-    if np.count_nonzero(dist < 1e-12) != plan.zeros:
+    ws = _workspace(M)
+    dist = _pair_chords(z.real, z.imag, ws, plan)
+    # checked before the kernel overwrites them: the zero-offset chords lead
+    # and are exactly zero, and any other this short (or NaN) means a crossing
+    if not dist[plan.zeros :].min() >= 1e-12:
         raise GeometryError("boundary self-intersects on the grid")
-    if modes is None:
-        G = combined_boundary_kernel(alpha, dist)[plan.inverse]
-    else:
-        G, S = combined_boundary_kernel(alpha, dist, slope=True)
-        G, S = G[plan.inverse], S[plan.inverse]
+    G, S = _kernel_block(alpha, dist, ws, plan, slope=modes is not None)
     # one real matrix product; G @ c with complex c would copy G to complex
     c = dphi * w
     re_im = G @ np.column_stack((c.real, c.imag)) / M
@@ -276,7 +279,7 @@ class CRReport:
     multipliers: tuple  # (coefficient index n, multiplier) pairs
 
 
-def check_crandall_rabinowitz(alpha, m, n_max, Omega=None, kernel_tol=1e-10):
+def check_crandall_rabinowitz(alpha, m, n_max, Omega=None):
     """Kernel dimension and transversality of the linearization at the disc.
 
     Works inside the m-fold coefficient pattern n = m-1 (mod m) up to
@@ -294,7 +297,7 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None, kernel_tol=1e-10):
         Omega = table[m - 1]
     pattern = range(m - 1, n_max + 1, m)
     mults = [(n, float((n + 1) * (table[n] - Omega))) for n in pattern]
-    kernel_modes = tuple(n for n, v in mults if abs(v) < kernel_tol)
+    kernel_modes = tuple(n for n, v in mults if abs(v) < _KERNEL_TOL)
     # d/dOmega of the multiplier is -(n+1); for the kernel direction this
     # is the transversality pairing against e_m
     trans = -(kernel_modes[0] + 1) if kernel_modes else 0.0
@@ -370,7 +373,6 @@ def continue_branch(
     grid_size=256,
     tol=1e-11,
     max_steps=40,
-    tail_tol=1e-8,
 ):
     """Newton continuation of the m-fold branch over fixed leading amplitudes.
 
@@ -385,7 +387,7 @@ def continue_branch(
     outside the bi-Lipschitz regime counts as a rejected step.  Raises
     :class:`ConvergenceError` carrying the last iterate when Newton
     stalls, and :class:`GridError` when the discarded sine tail exceeds
-    ``tail_tol`` (under-resolved band).
+    1e-8 (under-resolved band).
     """
     m = _integer(m, "fold m")
     if m < 2:
@@ -417,9 +419,9 @@ def continue_branch(
         u, tail, pert, history, jacobians = _newton_solve(
             alpha, m, s, u, M, N, tol, max_steps
         )
-        if tail > tail_tol:
+        if tail > _TAIL_TOL:
             raise GridError(
-                f"alias tail {tail:.2e} above {tail_tol:.0e} at s={s}; "
+                f"alias tail {tail:.2e} above {_TAIL_TOL:.0e} at s={s}; "
                 "increase band or grid"
             )
         solved = solved[-1:] + [(s, u)]

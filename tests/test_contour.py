@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vortexalpha import contour, specfun as sf, vstates as vs
+from vortexalpha import contour, greens, specfun as sf, vstates as vs
 from vortexalpha.errors import DomainError, GeometryError, InstabilityError
 from vortexalpha.greens import combined_boundary_kernel
 from vortexalpha.numerics import dealias_twothirds, spectral_derivative
@@ -122,10 +122,22 @@ def disc_energy(alpha):
     return float(mp.mpf(1) / 16 - alpha**2 * (1 - 2 * product) / 2)
 
 
+def full_plan(M, msec=None):
+    """The chord classes of the first msec target rows that ``contour.rhs`` uses."""
+    msec = msec or M
+    return greens.pair_plan(M, msec, msec, False)
+
+
+def pair_chords(R, plan):
+    """Pair chords of the kernel sums on the nodes R e^{i theta}."""
+    ws = greens._workspace(R.size)
+    return greens._pair_chords(R * ws.cos, R * ws.sin, ws, plan)
+
+
 def chord_matrix(R, msec=None):
     """Pair chords of the kernel sums gathered into their matrix layout."""
-    plan = contour._plan(R.size, msec)
-    return contour._pair_chords(R, contour._workspace(R.size), plan)[plan.inverse]
+    plan = full_plan(R.size, msec)
+    return pair_chords(R, plan)[plan.inverse]
 
 
 def two_mode_patch(M, alpha, amplitude=0.02, Omega=0.5, fold=1):
@@ -158,7 +170,7 @@ class TestRhs:
     def test_workspace_keeps_one_grid_size(self):
         contour.rhs(two_mode_patch(64, 0.7))
         contour.rhs(two_mode_patch(96, 0.7))
-        assert list(contour._workspaces) == [96]
+        assert list(greens._workspaces) == [96]
 
     @pytest.mark.parametrize("fold", [1, 2, 4])
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
@@ -172,7 +184,7 @@ class TestRhs:
         kept = first.copy()
         contour.rhs(two_mode_patch(128, 0.7, amplitude=0.05))
         assert np.array_equal(first, kept)
-        ws = contour._workspace(128)
+        ws = greens._workspace(128)
         for buffer in vars(ws).values():
             if isinstance(buffer, np.ndarray):
                 assert not np.shares_memory(first, buffer)
@@ -197,7 +209,7 @@ class TestRhs:
         patch = two_mode_patch(128, 0.3, amplitude=0.2, fold=fold)
         msec = 128 // fold
         R = patch.radii
-        ws = contour._workspace(128)
+        ws = greens._workspace(128)
         x, y = R * ws.cos, R * ws.sin
         direct = np.sqrt((x[:msec, None] - x) ** 2 + (y[:msec, None] - y) ** 2)
         A = chord_matrix(R, msec)
@@ -211,7 +223,9 @@ class TestRhs:
     def test_triangle_kernel_matches_full_matrix(self, alpha):
         patch = two_mode_patch(128, alpha)
         A = chord_matrix(patch.radii)
-        _, _, _, G = contour._interaction(patch)
+        plan = full_plan(128)
+        ws = greens._workspace(128)
+        G, _ = greens._kernel_block(alpha, pair_chords(patch.radii, plan), ws, plan)
         assert A.shape == G.shape == (128, 128)
         assert np.array_equal(G, combined_boundary_kernel(alpha, A))
         assert np.array_equal(G, G.T)
@@ -219,13 +233,19 @@ class TestRhs:
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_buffered_kernel_matches_fresh_on_evolve_chords(self, alpha):
         # the workspace-buffer kernel path against the fresh-array evaluator
-        # on the pair chords of the evolve benchmark's grid and amplitude
+        # on the pair chords of the evolve benchmark's grid and amplitude,
+        # with and without the slope
         patch = two_mode_patch(256, alpha, amplitude=0.01)
         R, _ = contour._geometry(patch)
-        chords = contour._pair_chords(R, contour._workspace(256), contour._plan(256)).copy()
-        fresh = combined_boundary_kernel(alpha, chords)
-        _, _, _, G = contour._interaction(patch)
-        assert np.array_equal(G, fresh[contour._plan(256).inverse])
+        plan = full_plan(256)
+        ws = greens._workspace(256)
+        chords = pair_chords(R, plan).copy()
+        fresh, slope = combined_boundary_kernel(alpha, chords, slope=True)
+        G, S = greens._kernel_block(alpha, pair_chords(R, plan), ws, plan)
+        assert np.array_equal(G, fresh[plan.inverse]) and S is None
+        G, S = greens._kernel_block(alpha, pair_chords(R, plan), ws, plan, slope=True)
+        assert np.array_equal(G, fresh[plan.inverse])
+        assert np.array_equal(S, slope[plan.inverse])
 
     def test_warm_rhs_allocates_no_chord_sized_array(self):
         # chords, K_0 arguments, Horner sums and kernel matrix all live in

@@ -10,6 +10,7 @@ reaching.  The tests themselves are not read.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -71,3 +72,55 @@ def test_every_definition_is_reached_outside_the_tests():
 def test_entry_points_have_no_other_caller():
     # also shows that the scan reports what no root reaches
     assert set(ENTRY_POINTS) <= set(unreached(entry_points=()))
+
+
+def benchmark_attributes():
+    """(module, attribute) pairs of ``vortexalpha`` that ``perfbench/`` names.
+
+    Attribute accesses on an imported ``vortexalpha`` module, and pairs
+    (module, "attr") or ("vortexalpha.module", "attr") such as the tracer's
+    smoke tests list.
+    """
+    pairs = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "vortexalpha"
+            for alias in node.names
+        }
+
+        def module_of(node):
+            if isinstance(node, ast.Name):
+                return modules.get(node.id)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                package, _, name = node.value.partition(".")
+                return name if package == "vortexalpha" and name else None
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                module, attr = modules.get(node.value.id), node.attr
+            elif isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                module, attr = module_of(node.elts[0]), getattr(node.elts[1], "value", None)
+            else:
+                continue
+            if module and isinstance(attr, str):
+                pairs.add((module, attr))
+    return pairs
+
+
+def test_benchmark_attributes_exist():
+    # tier-1 does not run the benchmark's smoke tests, so a deleted alias
+    # such as vstates.combined_boundary_kernel would otherwise pass here
+    pairs = benchmark_attributes()
+    assert {("vstates", "combined_boundary_kernel"), ("contour", "green_kernel"),
+            ("spectrum", "central_fd_stencil"), ("greens", "combined_boundary_kernel"),
+            ("contour", "evolve")} <= pairs
+    missing = sorted(
+        (module, attr)
+        for module, attr in pairs
+        if not hasattr(importlib.import_module(f"vortexalpha.{module}"), attr)
+    )
+    assert missing == []

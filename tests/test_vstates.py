@@ -1,11 +1,12 @@
 """Tests for the rotating-patch functional and branch continuation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vortexalpha import greens
+from vortexalpha import contour, greens
 from vortexalpha import spectrum as sp
 from vortexalpha import vstates as vs
 from vortexalpha.errors import ConvergenceError, DomainError, GeometryError, GridError
@@ -203,16 +204,17 @@ class TestEvaluateF:
         M = 256
         msec = M // m if M % m == 0 else M
         shapes = []
+        kernel_into = greens._kernel_into
 
-        def recording_kernel(alpha, rho):
+        def recording_kernel(alpha, rho, *buffers):
             shapes.append(np.shape(rho))
-            return greens.combined_boundary_kernel(alpha, rho)
+            return kernel_into(alpha, rho, *buffers)
 
         with monkeypatch.context() as patch:
-            patch.setattr(vs, "combined_boundary_kernel", recording_kernel)
+            patch.setattr(greens, "_kernel_into", recording_kernel)
             pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01]), fold=m)
             vs.evaluate_F(0.7, 0.3, pert, M)
-        assert vs.combined_boundary_kernel is greens.combined_boundary_kernel
+        assert greens._kernel_into is kernel_into
         # one 1-d call on the chord classes, not the (msec // 2 + 1) x M rows
         assert len(shapes) == 1 and len(shapes[0]) == 1
         assert shapes[0][0] <= M * msec // 4 + M
@@ -239,10 +241,62 @@ class TestEvaluateF:
         with pytest.raises(DomainError):
             vs.evaluate_F(1.0, Omega, pert, 64)
 
+    def test_nan_coefficient_is_a_geometry_error(self):
+        # the construction check sum n |a_n| < 1 lets NaN through; the chord
+        # check reports it before the kernel sees NaN chords
+        pert = vs.ConformalPerturbation([0.0, math.nan], fold=1)
+        with pytest.raises(GeometryError):
+            vs.evaluate_F(0.7, 0.3, pert, 64)
+
     def test_band_truncation(self):
         pert = vs.ConformalPerturbation(np.zeros(2), fold=1)
         fv = vs.evaluate_F(1.0, 0.1, pert, 64, band=5)
         assert len(fv.sine_coefficients) == 5
+
+
+class TestSharedKernelBlock:
+    """The chord-class kernel block that ``vstates`` shares with ``contour``."""
+
+    @staticmethod
+    def warm_peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_warm_evaluation_allocates_no_chord_sized_array(self, m):
+        # chords, K_0 arguments, kernel and slope blocks live in the greens
+        # workspace; with a small band the Jacobian's own M x 6N products
+        # stay below one chord-sized array too (at m = 3, where msec = M)
+        M, N = 256, 2
+        msec = M // m if M % m == 0 else M
+        chord_bytes = 8 * greens.pair_plan(M, msec // 2 + 1, msec, True).first.size
+        pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.002]), fold=m)
+        assert self.warm_peak(lambda: vs.evaluate_F(0.7, 0.3, pert, M)) < chord_bytes
+        if m == 3:
+            u = np.array([0.3, 0.002])
+            peak = self.warm_peak(
+                lambda: vs._branch_residual(0.7, m, 0.05, u, M, N, jacobian=True)
+            )
+            assert peak < chord_bytes
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_disc_block_rows_match_contour(self, alpha):
+        # both solvers leave their block in the shared workspace buffer; the
+        # vstates chords come from rotated and reflected representatives,
+        # each rounded from its own two nodes (measured 1.2e-15 at alpha = 0.3)
+        M, m = 256, 2
+        h = M // m // 2 + 1
+        ws = greens._workspace(M)
+        contour.rhs(contour.RadialPatch(np.zeros(M), 0.5, alpha))
+        G = ws.kernel.copy()
+        vs.evaluate_F(alpha, 0.3, vs.ConformalPerturbation(np.zeros(m), fold=m), M)
+        assert greens._workspace(M) is ws
+        assert np.max(np.abs(ws.kernel[:h] - G[:h])) <= 2e-15
 
 
 class TestMultiplierAndSuperposition:
