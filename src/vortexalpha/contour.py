@@ -122,9 +122,6 @@ class RadialPatch:
     def mean(self):
         return float(self.samples.mean())
 
-    def theta(self):
-        return 2 * np.pi * np.arange(self.size) / self.size
-
     def replace_samples(self, samples):
         return RadialPatch(samples, self.rotation_offset, self.alpha, self.fold)
 
@@ -149,7 +146,7 @@ def _check_samples(r):
 def _geometry(patch):
     r = patch.samples
     _check_samples(r)
-    R = np.sqrt(1.0 + 2.0 * r)
+    R = patch.radii
     Rp = spectral_derivative(r) / R
     return R, Rp
 
@@ -183,6 +180,7 @@ def rhs(patch):
     theta-derivative; the numerical mean, already at round-off by kernel
     antisymmetry, is subtracted), and its modes above the 2/3 band are
     zeroed.  Fold-symmetric patches evaluate one target sector and tile.
+    The advection term takes dr/dtheta = R R' from the geometry.
     """
     fold = patch.fold
     msec = patch.size // fold if fold > 1 else patch.size
@@ -190,7 +188,7 @@ def rhs(patch):
     F = Rp[:msec] * V.imag - R[:msec] * V.real
     if fold > 1:
         F = np.tile(F, fold)
-    out = dealias_twothirds(-patch.rotation_offset * spectral_derivative(patch.samples) + F)
+    out = dealias_twothirds(-patch.rotation_offset * (R * Rp) + F)
     return out - out.mean()
 
 
@@ -280,20 +278,19 @@ def evolve(patch, T, dt=None, snapshot_every=None):
     return current, snaps
 
 
-def diagnostics(patch, n_radial=None, n_angular=None, include_energy=True):
+def diagnostics(patch, n_radial=None):
     """Angular momentum J (closed form), kinetic energy E and H = (E - Omega J)/2.
 
     E is the boundary double integral of the module docstring, summed by
     the trapezoid rule on the patch's own M nodes: O(M^2) time and memory,
     one :func:`green_kernel` call on the M(M-1)/2 distinct chords.  The
     error falls like M^-5 (on the disc at alpha = 0.3: 4e-6 relative at
-    M = 32, 1e-10 at M = 256).  ``n_radial`` and ``n_angular`` are
-    ignored; they are accepted for callers written for the earlier area
-    quadrature.
+    M = 32, 1e-10 at M = 256).  ``n_radial`` is ignored; it is accepted
+    for callers written for the earlier area quadrature.
     """
     r = patch.samples
     J = 0.25 * float(np.mean((1.0 + 2.0 * r) ** 2))
-    E = _energy(patch) if include_energy else math.nan
+    E = _energy(patch)
     H = 0.5 * (E - patch.rotation_offset * J)
     return Diagnostics(J=J, E=E, H=H, mean_r=patch.mean)
 
@@ -352,7 +349,7 @@ def qp_residual(S, amplitudes, Omega, alpha, t, M):
     return float(np.max(np.abs(drho - linearized_rhs(flat, rho))))
 
 
-def vstate_to_radial(branch_point, M, Omega=None):
+def vstate_to_radial(branch_point, M):
     """Convert a conformal V-state to radial samples on an M-grid.
 
     Inverts theta -> arg Phi(e^{i phi}) by Newton with exact (spectral)
@@ -365,11 +362,11 @@ def vstate_to_radial(branch_point, M, Omega=None):
     enclose area pi (1 - sum n a_n^2).  Rescaling it away would change
     the effective length-scale parameter, so the mean is kept.
 
-    ``Omega`` overrides the patch's rotation offset.  By default the offset
-    is -Omega of the V-state, which makes it a steady state of :func:`rhs`:
-    a flat-state mode e_j evolves with frequency j (offset +
-    omega_bifurcation(j, alpha)), while V-states bifurcate at
-    Omega = omega_bifurcation(m, alpha).
+    The patch's rotation offset is -Omega of the V-state, which makes it
+    a steady state of :func:`rhs`: a flat-state mode e_j evolves with
+    frequency j (offset + omega_bifurcation(j, alpha)), while V-states
+    bifurcate at Omega = omega_bifurcation(m, alpha).  For another offset,
+    ``dataclasses.replace(patch, rotation_offset=...)``.
     """
     pert = branch_point.perturbation
     theta = 2 * np.pi * np.arange(M) / M
@@ -387,6 +384,5 @@ def vstate_to_radial(branch_point, M, Omega=None):
     z = pert.map_points(w)
     residual = float(np.max(np.abs(np.angle(z * np.exp(-1j * theta)))))
     r = 0.5 * (np.abs(z) ** 2 - 1.0)
-    om = -branch_point.Omega if Omega is None else Omega
     fold = branch_point.m if M % branch_point.m == 0 else 1
-    return RadialPatch(r, om, branch_point.alpha, fold=fold), residual
+    return RadialPatch(r, -branch_point.Omega, branch_point.alpha, fold=fold), residual

@@ -6,11 +6,11 @@ singularities, so their sum extends continuously to the diagonal with value
 log(2 alpha) - gamma.  :func:`combined_boundary_kernel` is the one
 evaluator of that sum in the package; the contour dynamics in
 :mod:`vortexalpha.contour` and the rotating-patch functional in
-:mod:`vortexalpha.vstates` call its buffered core on their chords, and
-its zero entries take the analytic limit (the trapezoid weights and
-symmetry are preserved).  On request it also gives the slope
-g'(rho)/rho of the sum, from the same Bessel tables, for the exact
-V-state Jacobian.
+:mod:`vortexalpha.vstates` call its buffered core :func:`_kernel_into`
+on their chords, and its zero entries take the analytic limit (the
+trapezoid weights and symmetry are preserved).  On request the buffered
+core also gives the slope g'(rho)/rho of the sum, from the same Bessel
+tables, for the exact V-state Jacobian.
 
 :func:`pair_plan` is the one chord layout of those solvers.  A chord
 matrix |z_j - z_k| on M uniform nodes is symmetric, and a patch with
@@ -134,14 +134,11 @@ def green_kernel(alpha, rho):
     return out
 
 
-def combined_boundary_kernel(alpha, rho, slope=False):
+def combined_boundary_kernel(alpha, rho):
     """log rho + K_0(rho/alpha), continued by log(2 alpha) - gamma at rho = 0.
 
     A scalar gives a float; an array of any shape gives an array of that
-    shape.  The input is not modified.  With ``slope`` the result is the
-    pair (kernel, g'(rho)/rho), where g'(rho)/rho = (1/x^2 - K_1(x)/x) /
-    alpha^2, x = rho/alpha, is the kernel's derivative over the chord,
-    set to 0 at rho = 0; the kernel values are the same as without it.
+    shape.  The input is not modified.
     """
     if not 0 < alpha < math.inf:
         raise DomainError("alpha must be positive and finite")
@@ -150,16 +147,8 @@ def combined_boundary_kernel(alpha, rho, slope=False):
         raise DomainError("rho must be nonnegative")
     flat = arr.reshape(-1)
     n = flat.size
-    d = np.empty(n) if slope else None
-    out = _kernel_into(
-        alpha, flat, flat == 0.0, np.empty(n), np.empty(n),
-        np.empty((3 if slope else 2, n)), d,
-    )
-
-    def shaped(v):
-        return float(v[0]) if arr.ndim == 0 else v.reshape(arr.shape)
-
-    return (shaped(out), shaped(d)) if slope else shaped(out)
+    out = _kernel_into(alpha, flat, flat == 0.0, np.empty(n), np.empty(n), np.empty((2, n)))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _kernel_into(alpha, rho, zero, x, out, work, slope=None):
@@ -170,7 +159,9 @@ def _kernel_into(alpha, rho, zero, x, out, work, slope=None):
     :func:`vortexalpha.specfun.k0_array` (a third row goes unused).  Zero
     entries are evaluated at rho = alpha, whose K_0 argument lies in the
     series band, and then overwritten by the limit.  A ``slope`` buffer of
-    rho's size receives g'(rho)/rho (0 at the zero entries); ``work`` then
+    rho's size receives g'(rho)/rho = (1/x^2 - K_1(x)/x) / alpha^2,
+    x = rho/alpha, the kernel's derivative over the chord (0 at the zero
+    entries; the kernel values are the same as without it); ``work`` then
     needs 3 rows.  Returns ``out``.
     """
     np.divide(rho, alpha, out=x)

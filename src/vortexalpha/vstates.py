@@ -72,6 +72,8 @@ class ConformalPerturbation:
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
+        if not np.isfinite(coeffs).all():
+            raise DomainError("coefficients must be finite")
         m = _integer(self.fold, "fold")
         if m < 1:
             raise DomainError("fold must be a positive integer")
@@ -94,57 +96,37 @@ class ConformalPerturbation:
         return len(self.coefficients) - 1
 
     def map_points(self, w):
-        """Phi(w) = w + sum a_n conj(w)^n on the unit circle."""
+        """Phi(w) = w + sum a_n conj(w)^n on the unit circle (Horner's rule)."""
         w = np.asarray(w, dtype=complex)
-        wb = np.conj(w)
-        out = w.astype(complex)
-        p = np.ones_like(w)
-        for a in self.coefficients:
-            if a != 0.0:
-                out = out + a * p
-            p = p * wb
-        return out
+        return w + np.polyval(self.coefficients[::-1], np.conj(w))
 
     def map_derivative(self, w):
-        """Phi'(w) = 1 - sum n a_n w^{-n-1} on the unit circle."""
-        w = np.asarray(w, dtype=complex)
-        wb = np.conj(w)
-        out = np.ones_like(w)
-        p = wb.copy()  # conj(w)^(n+1) at index n
-        for n, a in enumerate(self.coefficients):
-            if n >= 1 and a != 0.0:
-                out = out - n * a * p
-            p = p * wb
-        return out
+        """Phi'(w) = 1 - sum n a_n w^{-n-1} on the unit circle (Horner's rule)."""
+        wb = np.conj(np.asarray(w, dtype=complex))
+        a = self.coefficients
+        return 1.0 - wb * np.polyval((np.arange(a.size) * a)[::-1], wb)
 
 
 @dataclass(frozen=True)
 class FunctionalValue:
     """Sine-mode expansion of one functional evaluation.
 
-    ``sine_coefficients[k]`` is the coefficient of sin((k+1) theta).
+    ``sine_coefficients[k]`` is the coefficient of sin((k+1) theta), that
+    is g_{k+1}, the coefficient of e_{k+1} = Im(w^{k+1}).
     """
 
     sine_coefficients: np.ndarray
     grid_size: int
 
-    def coefficient(self, n):
-        """g_n, the coefficient of e_n = Im(w^n)."""
-        if n < 1 or n > len(self.sine_coefficients):
-            raise DomainError(f"mode {n} outside the computed band")
-        return float(self.sine_coefficients[n - 1])
 
-
-def evaluate_F(alpha, Omega, perturbation, grid_size, band=None):
+def evaluate_F(alpha, Omega, perturbation, grid_size):
     """Sample the rotating-patch functional and project onto sine modes.
 
-    ``band`` truncates the returned coefficients.
+    All M/2 coefficients g_1..g_{M/2} of the M-node grid are returned; a
+    caller that needs a band slices ``sine_coefficients``.
     """
     M = _grid_size(alpha, Omega, perturbation, grid_size)
-    g = sine_coefficients(_f_samples(alpha, Omega, perturbation, M))
-    if band is not None:
-        g = g[: _integer(band, "band")]
-    return FunctionalValue(g, M)
+    return FunctionalValue(sine_coefficients(_f_samples(alpha, Omega, perturbation, M)), M)
 
 
 def _grid_size(alpha, Omega, pert, grid_size):
@@ -205,10 +187,10 @@ def _f_samples(alpha, Omega, pert, M, modes=None):
     if not dist[plan.zeros :].min() >= 1e-12:
         raise GeometryError("boundary self-intersects on the grid")
     G, S = _kernel_block(alpha, dist, ws, plan, slope=modes is not None)
-    # one real matrix product; G @ c with complex c would copy G to complex
+    # one real matrix product with c read as (Re c, Im c) columns; G @ c
+    # with complex c would copy G to complex
     c = dphi * w
-    re_im = G @ np.column_stack((c.real, c.imag)) / M
-    I = re_im[:, 0] + 1j * re_im[:, 1]
+    I = (G @ c.view(float).reshape(M, 2) / M).view(complex)[:, 0]
     samples = _odd_tiled(np.imag((Omega * zr + I) * np.conj(wr) * np.conj(dphir)), msec, M)
     if modes is None:
         return samples
@@ -225,7 +207,8 @@ def _derivative_rows(Omega, modes, w, z, dphi, c, I, G, S):
     times column factors, that chord term needs the products of S with
     c, x c and y c (z = x + i y), shared by every direction, and with
     dx c, dy c and Re(z conj dz) c for each direction; all of them come
-    from one real product with S, and the dz columns from one with G.
+    from one real product with S, and the dz columns from one with G, each
+    reading its complex columns as (re, im) pairs of floats.
     """
     M, h = w.size, G.shape[0]
     n = np.asarray(modes)
@@ -235,14 +218,13 @@ def _derivative_rows(Omega, modes, w, z, dphi, c, I, G, S):
     q = x * dx + y * dy  # Re(z conj dz)
     cc = c[:, None]
     block = np.hstack((cc, x * cc, y * cc, dx * cc, dy * cc, q * cc))
-    Y = S @ np.hstack((block.real, block.imag)) / M
-    Y = Y[:, : 3 + 3 * K] + 1j * Y[:, 3 + 3 * K :]
+    Y = (S @ block.view(float) / M).view(complex)
     Sc, Sxc, Syc = Y[:, :1], Y[:, 1:2], Y[:, 2:3]
     Sdxc, Sdyc, Sqc = Y[:, 3 : 3 + K], Y[:, 3 + K : 3 + 2 * K], Y[:, 3 + 2 * K :]
-    Gdz = G @ np.hstack((dx, dy)) / M
+    Gdz = (G @ dz.view(float) / M).view(complex)
     dI = (
         q[:h] * Sc + Sqc - x[:h] * Sdxc - y[:h] * Sdyc - dx[:h] * Sxc - dy[:h] * Syc
-        - n * (Gdz[:, :K] + 1j * Gdz[:, K:])
+        - n * Gdz
     )
     # F = Im{(Omega z + I) conj(w) conj(Phi')}, and conj(w) conj(dPhi') = -n w^n
     wr, zr, dphir = w[:h, None], z[:h, None], dphi[:h, None]

@@ -1,5 +1,6 @@
 """Tests for radial contour dynamics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,7 +25,7 @@ def separate_pieces(patch):
     M, alpha = patch.size, patch.alpha
     R = patch.radii
     Rp = spectral_derivative(patch.samples) / R
-    theta = patch.theta()
+    theta = 2 * np.pi * np.arange(M) / M
     u = theta[None, :] - theta[:, None]  # eta - theta
     cos, sin = np.cos(u), np.sin(u)
     off = ~np.eye(M, dtype=bool)
@@ -75,7 +76,7 @@ def d_matrix_rhs(patch):
     msec = M // fold
     R = patch.radii
     Rp = spectral_derivative(patch.samples) / R
-    theta = patch.theta()
+    theta = 2 * np.pi * np.arange(M) / M
     u = theta[None, :] - theta[:msec, None]  # eta - theta
     Rr, Rpr = R[:msec, None], Rp[:msec, None]
     a2 = Rr**2 + R[None, :] ** 2 - 2.0 * (Rr * R[None, :]) * np.cos(u)
@@ -232,15 +233,18 @@ class TestRhs:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_buffered_kernel_matches_fresh_on_evolve_chords(self, alpha):
-        # the workspace-buffer kernel path against the fresh-array evaluator
-        # on the pair chords of the evolve benchmark's grid and amplitude,
-        # with and without the slope
+        # the workspace-buffer kernel path against the kernel core in fresh
+        # buffers on the pair chords of the evolve benchmark's grid and
+        # amplitude, with and without the slope
         patch = two_mode_patch(256, alpha, amplitude=0.01)
         R, _ = contour._geometry(patch)
         plan = full_plan(256)
         ws = greens._workspace(256)
         chords = pair_chords(R, plan).copy()
-        fresh, slope = combined_boundary_kernel(alpha, chords, slope=True)
+        n = chords.size
+        slope = np.empty(n)
+        work = (np.empty(n), np.empty(n), np.empty((3, n)))
+        fresh = greens._kernel_into(alpha, chords, chords == 0.0, *work, slope)
         G, S = greens._kernel_block(alpha, pair_chords(R, plan), ws, plan)
         assert np.array_equal(G, fresh[plan.inverse]) and S is None
         G, S = greens._kernel_block(alpha, pair_chords(R, plan), ws, plan, slope=True)
@@ -291,7 +295,7 @@ class TestLinearization:
         h, gaps = 1e-5, []
         for M in (64, 128, 256):
             patch = two_mode_patch(M, 0.3, amplitude=0.2)
-            theta = patch.theta()
+            theta = 2 * np.pi * np.arange(M) / M
             rho = np.cos(4 * theta + 0.3) + 0.3 * np.cos(7 * theta - 0.2)
             lin = contour.linearized_rhs(patch, rho)
             fd = (
@@ -315,8 +319,8 @@ class TestEvolution:
     def test_angular_momentum_conserved(self):
         patch = two_mode_patch(128, 0.3)
         final, _ = contour.evolve(patch, 0.5)
-        J0 = contour.diagnostics(patch, include_energy=False).J
-        J1 = contour.diagnostics(final, include_energy=False).J
+        J0 = contour.diagnostics(patch).J
+        J1 = contour.diagnostics(final).J
         assert abs(J1 - J0) / J0 <= 1e-10
 
     def test_dt_bound(self):
@@ -413,6 +417,12 @@ class TestVStateConversion:
 
     def test_explicit_offset_is_used(self):
         point = vs.continue_branch(0.7, 2, [1e-4])[-1]
-        patch, _ = contour.vstate_to_radial(point, 64, Omega=0.5)
+        converted, _ = contour.vstate_to_radial(point, 64)
+        patch = dataclasses.replace(converted, rotation_offset=0.5)
         assert patch.rotation_offset == 0.5
-        assert patch.fold == 2
+        assert patch.fold == 2 and patch.mean == converted.mean
+        final, snaps = contour.evolve(patch, 0.05, snapshot_every=1)
+        assert len(snaps) >= 2 and snaps[-1][1] is final
+        for _, p in snaps:
+            assert p.rotation_offset == 0.5 and p.fold == 2
+            assert abs(p.mean - patch.mean) < 1e-14

@@ -149,27 +149,32 @@ def mp_slope(alpha, rho):
         return float(mp.diff(g, mp.mpf(rho)) / rho)
 
 
+def kernel_and_slope(alpha, rho):
+    """Kernel and slope of a flat rho from the buffered core, in fresh buffers."""
+    n = rho.size
+    slope = np.empty(n)
+    work = (np.empty(n), np.empty(n), np.empty((3, n)))
+    return greens._kernel_into(alpha, rho, rho == 0.0, *work, slope), slope
+
+
 class TestKernelSlope:
     @pytest.mark.parametrize("low, high", [(1e-3, 3.0), (3.0, 30.0)])
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_against_mpmath(self, alpha, low, high):
         x = np.geomspace(low, high, 60)
         rho = alpha * x
-        _, slope = greens.combined_boundary_kernel(alpha, rho, slope=True)
+        _, slope = kernel_and_slope(alpha, rho)
         ref = np.array([mp_slope(alpha, r) for r in rho])
         assert np.max(np.abs(slope / ref - 1.0)) <= 4e-15
 
     def test_kernel_values_unchanged_and_zero_slope_on_the_diagonal(self):
         rng = np.random.default_rng(3)
-        rho = rng.uniform(0.0, 4.0, (30, 40))
+        rho = rng.uniform(0.0, 4.0, 1200)
         rho[rng.random(rho.shape) < 0.1] = 0.0
-        kernel, slope = greens.combined_boundary_kernel(0.3, rho, slope=True)
+        kernel, slope = kernel_and_slope(0.3, rho)
         assert np.array_equal(kernel, greens.combined_boundary_kernel(0.3, rho))
-        assert slope.shape == rho.shape
         assert np.all(slope[rho == 0.0] == 0.0)
         assert np.all(slope[rho > 0.0] > 0.0)  # g' > 0: g grows with the chord
-        pair = greens.combined_boundary_kernel(0.3, 1.0, slope=True)
-        assert all(isinstance(v, float) for v in pair)
 
 
 def orbit_ids(M, rows, period, reflect):
