@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vortexalpha import contour, greens, specfun as sf, vstates as vs
+from vortexalpha import contour, greens, specfun as sf, spectrum, vstates as vs
 from vortexalpha.errors import DomainError, GeometryError, InstabilityError
 from vortexalpha.greens import combined_boundary_kernel
 from vortexalpha.numerics import dealias_twothirds, spectral_derivative
@@ -311,7 +311,7 @@ class TestEvolution:
     def test_mean_conserved(self):
         patch = two_mode_patch(64, 0.5)
         patch = patch.replace_samples(patch.samples - 0.01)
-        final, snaps = contour.evolve(patch, 0.2, snapshot_every=5)
+        final, snaps = contour.evolve(patch, 0.2, dt=0.02, snapshot_every=5)
         assert len(snaps) >= 2
         for _, p in snaps:
             assert abs(p.mean - patch.mean) < 1e-14
@@ -355,6 +355,76 @@ class TestEvolution:
         patch = contour.RadialPatch(r, 0.5, 0.7)
         with pytest.raises(InstabilityError, match="mid-step"):
             contour.step_rk4(patch, contour.default_timestep(patch, c=0.5))
+
+
+class TestIntegratingFactor:
+    def test_fourth_order(self):
+        patch = two_mode_patch(128, 0.3, amplitude=0.1)
+        ref, coarse, fine = (
+            contour.evolve(patch, 0.4, dt=dt)[0].samples for dt in (0.005, 0.04, 0.02)
+        )
+        assert np.max(np.abs(coarse - ref)) >= 12 * np.max(np.abs(fine - ref))
+
+    def test_flat_symbol_matches_equilibrium_frequencies(self):
+        L = contour._flat_symbol(128, 0.3, 0.5)
+        kmax = 64 * 2 // 3  # the last mode dealias_twothirds keeps
+        omega = np.array(
+            [spectrum.equilibrium_frequency(k, 0.5, 0.3) for k in range(1, kmax + 1)]
+        )
+        gap = np.abs(L.imag[1 : kmax + 1] + omega)
+        assert L.shape == (65,) and np.max(np.abs(L.real)) <= 1e-13
+        assert np.max(gap[:8]) <= 1e-6 and np.max(gap) <= 2e-4
+        assert L[0] == 0.0 and np.all(L[kmax + 1 :] == 0.0)
+        assert np.all(L[1 : kmax + 1] != 0.0)
+
+    def test_symbol_cache_is_bounded_and_read_only(self):
+        for M in (64, 96, 128):
+            for alpha in (0.3, 0.7):
+                contour._flat_symbol(M, alpha, 0.5)
+        info = contour._flat_symbol.cache_info()
+        assert info.maxsize == 4 and info.currsize <= 4
+        L = contour._flat_symbol(128, 0.7, 0.5)
+        with pytest.raises(ValueError):
+            L[1] = 0.0
+
+    def test_flat_patch_takes_the_ceiling(self):
+        for alpha, offset in [(0.3, 0.5), (1e-6, -2.0)]:
+            flat = contour.RadialPatch(np.zeros(64), offset, alpha)
+            assert contour.default_timestep(flat) == 1.0
+
+    def test_default_step_follows_the_state(self):
+        # max|r'| of this patch grows along the run, and each step stays
+        # within the bound of the state it starts from
+        patch = two_mode_patch(128, 0.3, amplitude=0.1)
+        _, snaps = contour.evolve(patch, 1.0, snapshot_every=1)
+        times = np.array([0.0] + [t for t, _ in snaps])
+        starts = [patch] + [p for _, p in snaps[:-1]]
+        bounds = np.array([contour.default_timestep(p) for p in starts])
+        assert times[-1] == 1.0
+        assert np.all(np.diff(times) <= bounds * (1 + 1e-12))
+        assert bounds[-1] < bounds[0]
+
+    def test_converted_vstate_stays_steady(self):
+        point = vs.continue_branch(0.7, 3, [1e-4, 0.02, 0.04])[-1]
+        patch, _ = contour.vstate_to_radial(point, 128)
+        final, _ = contour.evolve(patch, 1.0)
+        assert np.max(np.abs(final.samples - patch.samples)) <= 1e-9
+
+    def test_backward_evolution_returns_to_start(self):
+        patch = two_mode_patch(128, 0.3, amplitude=0.1)
+        there, _ = contour.evolve(patch, 0.5)
+        back, _ = contour.evolve(there, -0.5)
+        assert np.max(np.abs(back.samples - patch.samples)) <= 1e-12
+
+    def test_small_alpha_step_makes_no_bessel_product(self, monkeypatch):
+        calls = []
+        product = sf.product_IK_array
+        monkeypatch.setattr(
+            sf, "product_IK_array", lambda *args: calls.append(args) or product(*args)
+        )
+        patch = two_mode_patch(128, 1e-6)
+        contour.step_rk4(patch, contour.default_timestep(patch))
+        assert calls == []
 
 
 class TestEnergy:
@@ -421,7 +491,7 @@ class TestVStateConversion:
         patch = dataclasses.replace(converted, rotation_offset=0.5)
         assert patch.rotation_offset == 0.5
         assert patch.fold == 2 and patch.mean == converted.mean
-        final, snaps = contour.evolve(patch, 0.05, snapshot_every=1)
+        final, snaps = contour.evolve(patch, 0.05, dt=0.01, snapshot_every=1)
         assert len(snaps) >= 2 and snaps[-1][1] is final
         for _, p in snaps:
             assert p.rotation_offset == 0.5 and p.fold == 2

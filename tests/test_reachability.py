@@ -31,6 +31,7 @@ ENTRY_POINTS = (
     "check_crandall_rabinowitz",
     "difference_derivative_bound",
     "omega_bifurcation",
+    "omega_infinity",
     "omega_sw",
     "qp_residual",
     "v0_curve",

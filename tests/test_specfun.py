@@ -325,6 +325,26 @@ class TestKSeries:
         assert np.array_equal(sf.k0_array(x[perm], slope=shuffled), sf.k0_array(x[perm]))
         assert np.array_equal(shuffled, slope[perm])
 
+    def test_slope_bitwise_full_series(self):
+        # the slope sums fewer rows of its two columns than the table holds;
+        # the full 20-row series in the plain Horner form gives the same bits
+        def plain(coef, u):
+            p = coef[-1]
+            for c in coef[-2::-1]:
+                p = p * u + c
+            return p
+
+        x = np.concatenate(
+            [np.linspace(1e-3, 3.0, 20001)[:-1],
+             np.random.default_rng(17).uniform(2.5, 3.0, 200000)]
+        )
+        u = x * x * 0.25
+        full = plain(sf._K_SERIES[:, 2], u) * np.log(x * 0.5) * -0.5
+        full += plain(sf._K_SERIES[:, 3], u) * 0.25
+        slope = np.empty(x.size)
+        sf.k0_array(x, slope=slope)
+        assert np.array_equal(slope, full)
+
     def test_k_ratio_series_band(self):
         # K_1/K_0 from both orders of the x < 3 series, bounds as for K_0
         # alone above
