@@ -103,18 +103,22 @@ class RadialPatch:
     fold: int = 1
 
     def __post_init__(self):
-        r = np.asarray(self.samples, dtype=float)
+        r = np.array(self.samples, dtype=float)
         if r.ndim != 1 or r.size < 32 or r.size % 2:
             raise GridError("samples must be a 1-d even array of size >= 32")
         fold = _integer(self.fold, "fold")
         if fold < 1 or r.size % fold:
             raise GridError("fold must divide the grid size")
-        _check_samples(r)
+        if not np.isfinite(r).all():
+            raise GeometryError("samples must be finite")
+        if np.min(1.0 + 2.0 * r) <= 0.0:
+            raise GeometryError("1 + 2r must stay positive")
         if fold > 1:
             sector = r[: r.size // fold]
             if np.max(np.abs(r - np.tile(sector, fold))) > 1e-12:
                 raise GridError("samples are not fold-symmetric")
             r = np.tile(sector, fold)
+        r.flags.writeable = False  # a frozen patch owns its samples
         if not 0 < self.alpha < math.inf:
             raise DomainError("alpha must be positive and finite")
         if not math.isfinite(self.rotation_offset):
@@ -148,18 +152,9 @@ class Diagnostics:
     mean_r: float
 
 
-def _check_samples(r):
-    if not np.isfinite(r).all():
-        raise GeometryError("samples must be finite")
-    if np.min(1.0 + 2.0 * r) <= 0.0:
-        raise GeometryError("1 + 2r must stay positive")
-
-
 def _geometry(patch):
-    r = patch.samples
-    _check_samples(r)
     R = patch.radii
-    Rp = spectral_derivative(r) / R
+    Rp = spectral_derivative(patch.samples) / R
     return R, Rp
 
 

@@ -17,7 +17,9 @@ matrix |z_j - z_k| on M uniform nodes is symmetric, and a patch with
 discrete rotational symmetry (and, for real conformal coefficients, with
 mirror symmetry) repeats each chord many times.  The plan lists every
 chord class of a target block once, ordered by circulant offset, so the
-kernel is evaluated once per class and gathered into the block.  On a
+kernel is evaluated once per class and gathered into the block.  A
+pair's class is its shorter offset and the least residue of the nodes
+that start it, modulo the rotation period (and mirror images).  On a
 near-circle the chords of one offset are nearly equal and grow with the
 offset, so the K_0 arguments in this order cross the series/fit switch
 at x = 3 only a few times.
@@ -46,11 +48,11 @@ EULER_GAMMA = sf.EULER_GAMMA
 class PairPlan:
     """Chord classes of a rows x M target block, each listed once.
 
-    ``first`` and ``second`` hold the representative node pair (j_r, k_r)
-    of every class, sorted by circulant offset
-    d = min((k - j) mod M, (j - k) mod M) and, within one offset, by
-    j_r M + k_r; the first ``zeros`` classes have d = 0, the diagonal,
-    whose chords are exactly zero.
+    ``first`` and ``second`` hold the representative node pair
+    (r, (r + e) mod M) of every class, sorted by circulant offset
+    e = min((k - j) mod M, (j - k) mod M) and, within one offset, by the
+    start residue r of :func:`pair_plan`; the first ``zeros`` classes
+    have e = 0, the diagonal, whose chords are exactly zero.
     ``inverse[j, k]`` is the class of the pair (j, k), so a kernel K
     evaluated on the representative chords gives the block as
     ``K[inverse]``.  The index arrays are read-only, since the cache
@@ -79,10 +81,16 @@ def pair_plan(M, rows, period, reflect):
     other: the transpose (j, k) -> (k, j), the rotation
     (j, k) -> (j + period, k + period) mod M, and, if ``reflect``, the
     reflection (j, k) -> (-j, -k) mod M.  A chord matrix must be
-    invariant under them: ``period = M`` means no rotation.  The
-    representative is the pair of the orbit with the least j M + k.
-    Built from integer arithmetic in O(M^2) time, with temporaries of a
-    few M^2 words.
+    invariant under them: ``period = M`` means no rotation.
+
+    A class is named by formula, not found by orbit search.  With
+    d = (k - j) mod M the offset is e = min(d, M - d); it starts at j if
+    d <= M - d and at k if d >= M - d.  Rotation moves a start a by
+    ``period`` and reflection takes it to -(a + e), so e and the least
+    residue r modulo ``period`` of the starts (and, if ``reflect``, of
+    their images) name the class.  The classes are listed by e, then r,
+    with representative (r, (r + e) mod M): O(rows M) integer work, with
+    key tables of (M/2 + 1) period entries.
 
     The four most recent plans are kept.  One holds at most 3 rows M
     index words (8 bytes each), about 2 rows M in practice: 1 MiB for
@@ -92,30 +100,28 @@ def pair_plan(M, rows, period, reflect):
         raise GridError("need 1 <= rows <= M and a period that divides M")
     j = np.arange(rows)[:, None]
     k = np.arange(M)
-    key = np.full((rows, M), M * M)
-    for t in range(0, M, period):
-        images = [((j + t) % M, (k + t) % M)]
-        if reflect:
-            images.append(((t - j) % M, (t - k) % M))
-        for a, b in images:
-            np.minimum(key, a * M + b, out=key)
-            np.minimum(key, b * M + a, out=key)
-    seen = np.zeros(M * M, dtype=bool)
+    key = k - j
+    np.add(key, M, out=key, where=key < 0)  # d = (k - j) mod M
+    from_j, from_k = key <= M // 2, key >= (M + 1) // 2  # the start(s) of the shorter offset
+    np.subtract(M, key, out=key, where=from_k)
+    start = np.where(from_j, j % period, period)
+    np.minimum(start, k % period, out=start, where=from_k)
+    if reflect:  # the reflection starts the offset at the negated other end
+        np.minimum(start, -k % period, out=start, where=from_j)
+        np.minimum(start, -j % period, out=start, where=from_k)
+    del from_j, from_k
+    key *= period
+    key += start
+    del start
+    seen = np.zeros((M // 2 + 1) * period, dtype=bool)
     seen[key] = True
-    reps = np.flatnonzero(seen)
-    del seen
-    d = (reps % M - reps // M) % M
-    d = np.minimum(d, M - d)
-    zeros = int(np.count_nonzero(d == 0))
-    # by offset, then by j M + k; the temporaries are freed as soon as
-    # possible, since a plan is built next to the solvers' own buffers
-    reps = np.sort(d * (M * M) + reps) % (M * M)
-    del d
-    rank = np.empty(M * M, dtype=np.intp)  # read only at the representatives
-    rank[reps] = np.arange(reps.size)
+    rank = np.cumsum(seen, dtype=np.intp) - 1
     inverse = rank[key]
     del rank, key
-    first, second = np.divmod(reps, M)
+    offset, first = np.divmod(np.flatnonzero(seen), period)
+    zeros = int(np.count_nonzero(offset == 0))
+    second = first + offset
+    second %= M
     views = [a.view() for a in (first, second, inverse)]
     for v in views:
         v.flags.writeable = False  # shared by every caller of the cache

@@ -73,15 +73,15 @@ def omega_bifurcation(m, alpha):
     m = _integer(m, "fold m")
     if m < 1:
         raise DomainError("fold m must be a positive integer")
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     return (m - 1) / (2.0 * m) - omega_sw(m, 1.0 / alpha)
 
 
 def omega_infinity(alpha):
     """Limit of the bifurcation frequencies: 1/2 - I_1 K_1(1/alpha)."""
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     return 0.5 - sf.product_IK_array(1, np.array([1.0 / alpha]))[1, 0]
 
 
@@ -91,8 +91,8 @@ def bifurcation_table(m_max, alphas):
     if m_max < 1:
         raise DomainError("m_max must be at least 1")
     alphas = np.asarray(alphas, dtype=float)
-    if not np.all(alphas > 0):
-        raise DomainError("alpha must be positive")
+    if not np.all((alphas > 0) & (alphas < math.inf)):
+        raise DomainError("alpha must be positive and finite")
     P = sf.product_IK_array(m_max, 1.0 / alphas)
     m = np.arange(1, m_max + 1, dtype=float)[:, None]
     return (m - 1) / (2 * m) - (P[1][None, :] - P[1:])
@@ -118,8 +118,8 @@ def _frequency_rows(js, Omega, alpha_grid):
     if not 0 < Omega < math.inf:
         raise DomainError("rotation offset Omega must be positive and finite")
     alpha_grid = np.asarray(alpha_grid, dtype=float)
-    if not np.all(alpha_grid > 0):
-        raise DomainError("alpha must be positive")
+    if not np.all((alpha_grid > 0) & (alpha_grid < math.inf)):
+        raise DomainError("alpha must be positive and finite")
     js = [_integer(j, "mode j") for j in js]
     P = sf.product_IK_array(max([1] + [abs(j) for j in js]), 1.0 / alpha_grid)
     W = np.zeros((len(js), P.shape[1]))

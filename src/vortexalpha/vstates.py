@@ -71,7 +71,7 @@ class ConformalPerturbation:
     fold: int = 1
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
+        coeffs = np.atleast_1d(np.array(self.coefficients, dtype=float))
         if not np.isfinite(coeffs).all():
             raise DomainError("coefficients must be finite")
         m = _integer(self.fold, "fold")
@@ -88,6 +88,7 @@ class ConformalPerturbation:
             raise GeometryError(
                 f"sum n |a_n| = {weight:.3f} >= 1: bi-Lipschitz regime violated"
             )
+        coeffs.flags.writeable = False  # a frozen perturbation owns its coefficients
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "fold", m)
 
@@ -315,23 +316,14 @@ class BranchPoint:
     jacobians: int
 
 
-def _branch_coeffs(m, s, higher):
-    """Coefficient array with a_{m-1} = s and a_{nm-1} = higher[n-2]."""
-    N = len(higher) + 1
-    coeffs = np.zeros(N * m)
-    coeffs[m - 1] = s
-    for k, a in enumerate(higher):
-        coeffs[(k + 2) * m - 1] = a
-    return coeffs
-
-
 def _branch_residual(alpha, m, s, u, M, N, jacobian=False):
     """Band residual g_nm, alias tail and perturbation at u = (Omega, a_{2m-1}, ...).
 
     With ``jacobian`` also the exact N x N Jacobian d g_nm / d u from one
     evaluation; its residual is bitwise that of :func:`evaluate_F`.
     """
-    coeffs = _branch_coeffs(m, s, u[1:])
+    coeffs = np.zeros(len(u) * m)
+    coeffs[m - 1 :: m] = np.concatenate(([s], u[1:]))
     pert = ConformalPerturbation(coeffs, fold=m)
     if jacobian:
         M = _grid_size(alpha, u[0], pert, M)

@@ -270,10 +270,13 @@ class TestRhs:
         r[5] = bad
         with pytest.raises(GeometryError):
             contour.RadialPatch(r, 0.5, 0.7)
-        patch = two_mode_patch(64, 0.7)
-        patch.samples[5] = bad  # a patch changed after its construction
-        with pytest.raises(GeometryError):
-            contour.rhs(patch)
+        # a validated patch owns read-only samples, so it cannot change later
+        r[5] = 0.0
+        patch = contour.RadialPatch(r, 0.5, 0.7)
+        r[5] = bad
+        assert np.all(patch.samples == 0.0)
+        with pytest.raises(ValueError):
+            patch.samples[5] = bad
 
     @pytest.mark.parametrize(
         "offset, alpha, fold",

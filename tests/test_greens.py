@@ -223,6 +223,15 @@ PLAN_CASES = [
     (128, 128, 128, False),
     (128, 64, 64, False),
     (128, 32, 32, False),
+    # odd and even grids where the half offset, the rotation and the
+    # reflection act on the start residue together
+    (15, 5, 5, False),
+    (15, 5, 5, True),
+    (21, 8, 7, True),
+    (24, 3, 8, True),
+    (24, 24, 8, False),
+    (30, 11, 10, True),
+    (36, 36, 12, True),
 ]
 
 

@@ -368,6 +368,15 @@ class TestNondegeneracy:
             sp.check_nondegeneracy((2,), 0.5, (0.5, 2.0), augment="bogus")
 
 
+# alpha = inf must be named as alpha, not fail deeper as a Bessel argument
+INFINITE_ALPHA = [
+    lambda: sp.omega_bifurcation(2, math.inf),
+    lambda: sp.omega_infinity(math.inf),
+    lambda: sp.bifurcation_table(3, [0.5, math.inf]),
+    lambda: sp.equilibrium_matrix([2], 0.5, [math.inf]),
+]
+
+
 class TestArgumentValidation:
     """Bad arguments raise DomainError at entry, not a bare error or a wrong value."""
 
@@ -439,10 +448,11 @@ class TestArgumentValidation:
             lambda: sp.equilibrium_matrix([2], 0.5, [math.nan]),
             lambda: sp.equilibrium_matrix([2.5], 0.5, [0.5]),
             lambda: sp.v0_curve(0.5, [0.5, math.nan]),
+            *INFINITE_ALPHA,
         ],
     )
     def test_frequency_tables_reject(self, call):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="alpha" if call in INFINITE_ALPHA else None):
             call()
 
     @pytest.mark.parametrize(

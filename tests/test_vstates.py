@@ -87,6 +87,15 @@ class TestConformalPerturbation:
         with pytest.raises(GeometryError):
             vs.ConformalPerturbation([0.0, 0.6, 0.3], fold=1)
 
+    def test_owns_read_only_coefficients(self):
+        # the guard holds for the stored copy, whatever the caller's array does
+        c = np.array([0.0, 0.1])
+        pert = vs.ConformalPerturbation(c)
+        c[1] = 5.0
+        assert pert.coefficients[1] == 0.1
+        with pytest.raises(ValueError):
+            pert.coefficients[1] = 5.0
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_grid_samples_match_coefficient_loop(self, m):
         # the FFT samples of the functional against the power loops
