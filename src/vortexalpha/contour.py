@@ -24,11 +24,11 @@ tangent z' = (R' + i R) e^{i eta}: with the rotated kernel average
 so one real product of the kernel matrix G with the M x 2 block
 [Re z', Im z'] gives F (contour-dynamics form, Dritschel, Comput. Phys.
 Rep. 10 (1989)).  A call costs one kernel evaluation on the chord
-classes of :func:`vortexalpha.greens.pair_plan` (the M(M+1)/2 chords
-j <= k on the full grid, about M msec / 2 for a fold-symmetric sector of
-msec target rows), gathered into the kernel matrix, plus one M x M x 2
-product, all in the workspace buffers of :mod:`vortexalpha.greens`; a
-call allocates no array of the chord count.
+classes of :func:`vortexalpha.greens.pair_plan` (the M(M-1)/2 chords
+j < k and the diagonal on the full grid, about M msec / 2 for a
+fold-symmetric sector of msec target rows), gathered into the kernel
+matrix, plus one M x M x 2 product, all in the workspace buffers of
+:mod:`vortexalpha.greens`; a call allocates no array of the chord count.
 
 The linearization uses d rho/dt = -d/dtheta (V rho + L rho) with
 V = Omega - V^E - V^SW and L = L^E + L^SW.  Note the relative signs: they
@@ -170,7 +170,7 @@ def _kernel_product(patch, msec, *columns):
     M = patch.size
     ws = _workspace(M)
     R, Rp = _geometry(patch)
-    plan = pair_plan(M, msec, msec, False)
+    plan = pair_plan(M, msec, False)
     c, s = ws.cos, ws.sin
     x, y = R * c, R * s
     G, _ = _kernel_block(patch.alpha, _pair_chords(x, y, ws, plan), ws, plan)
@@ -189,12 +189,9 @@ def rhs(patch):
     zeroed.  Fold-symmetric patches evaluate one target sector and tile.
     The advection term takes dr/dtheta = R R' from the geometry.
     """
-    fold = patch.fold
-    msec = patch.size // fold if fold > 1 else patch.size
+    msec = patch.size // patch.fold
     R, Rp, V, _ = _kernel_product(patch, msec)
-    F = Rp[:msec] * V.imag - R[:msec] * V.real
-    if fold > 1:
-        F = np.tile(F, fold)
+    F = np.tile(Rp[:msec] * V.imag - R[:msec] * V.real, patch.fold)
     out = dealias_twothirds(-patch.rotation_offset * (R * Rp) + F)
     return out - out.mean()
 
@@ -366,9 +363,10 @@ def _energy(patch):
     """mean_{j,k} Re(z'_j conj z'_k) F(|z_j - z_k|), with F of the module docstring.
 
     The summand is symmetric: it is formed on the M(M-1)/2 pairs j < k
-    of the grid's plan (in its diagonal order), summed once and doubled,
-    and the diagonal, where F(0) = alpha^2 (log(2 alpha) - gamma) and
-    |z'_j|^2 = R'_j^2 + R_j^2, is added in closed form.
+    of the grid's plan (its classes after class 0, the diagonal), summed
+    once and doubled, and the diagonal, where
+    F(0) = alpha^2 (log(2 alpha) - gamma) and |z'_j|^2 = R'_j^2 + R_j^2,
+    is added in closed form.
     """
     M, alpha = patch.size, patch.alpha
     ws = _workspace(M)
@@ -376,9 +374,9 @@ def _energy(patch):
     # Cartesian z = R e^{i theta} and z' = (R' + i R) e^{i theta}
     x, y = R * ws.cos, R * ws.sin
     xp, yp = Rp * ws.cos - y, Rp * ws.sin + x
-    plan = pair_plan(M, M, M, False)
-    j, k = plan.first[plan.zeros :], plan.second[plan.zeros :]
-    a = _pair_chords(x, y, ws, plan)[plan.zeros :]
+    plan = pair_plan(M, M, False)
+    j, k = plan.first[1:], plan.second[1:]
+    a = _pair_chords(x, y, ws, plan)[1:]
     W = xp[j] * xp[k] + yp[j] * yp[k]
     F = a * a * (np.log(a) - 1.0) / 4.0
     F += (2 * np.pi * alpha * alpha) * green_kernel(alpha, a)
@@ -387,31 +385,27 @@ def _energy(patch):
     return (2.0 * float(np.dot(W, F)) + diagonal) / M**2
 
 
-def linear_qp_solution(S, amplitudes, Omega, alpha, t, M):
-    """Samples of the explicit linear solution sum a_j cos(j theta - w_j t)."""
+def _linear_solution(S, amplitudes, Omega, alpha, t, M):
+    """rho = sum a_j cos(j theta - w_j t) on M nodes and its time derivative."""
     S = [_integer(j, "each element of S") for j in S]
     if any(j < 1 for j in S):
         raise DomainError("S must contain positive integers")
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.shape != (len(S),) or np.any(amplitudes == 0.0):
         raise DomainError("one nonzero amplitude per mode required")
-    theta = 2 * np.pi * np.arange(M) / M
-    out = np.zeros(M)
-    for j, a in zip(S, amplitudes):
-        wj = spectrum.equilibrium_frequency(j, Omega, alpha)
-        out += a * np.cos(j * theta - wj * t)
-    return out
+    w = spectrum.equilibrium_matrix(S, Omega, [alpha])[:, 0]
+    phase = np.outer(2 * np.pi * np.arange(M) / M, S) - w * t
+    return np.cos(phase) @ amplitudes, np.sin(phase) @ (amplitudes * w)
+
+
+def linear_qp_solution(S, amplitudes, Omega, alpha, t, M):
+    """Samples of the explicit linear solution sum a_j cos(j theta - w_j t)."""
+    return _linear_solution(S, amplitudes, Omega, alpha, t, M)[0]
 
 
 def qp_residual(S, amplitudes, Omega, alpha, t, M):
     """Max-norm defect of the linear solution in the flat-state equation."""
-    S = [_integer(j, "each element of S") for j in S]
-    theta = 2 * np.pi * np.arange(M) / M
-    drho = np.zeros(M)
-    for j, a in zip(S, np.asarray(amplitudes, dtype=float)):
-        wj = spectrum.equilibrium_frequency(j, Omega, alpha)
-        drho += a * wj * np.sin(j * theta - wj * t)
-    rho = linear_qp_solution(S, amplitudes, Omega, alpha, t, M)
+    rho, drho = _linear_solution(S, amplitudes, Omega, alpha, t, M)
     flat = RadialPatch(np.zeros(M), Omega, alpha)
     return float(np.max(np.abs(drho - linearized_rhs(flat, rho))))
 

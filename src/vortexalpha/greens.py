@@ -15,14 +15,16 @@ tables, for the exact V-state Jacobian.
 :func:`pair_plan` is the one chord layout of those solvers.  A chord
 matrix |z_j - z_k| on M uniform nodes is symmetric, and a patch with
 discrete rotational symmetry (and, for real conformal coefficients, with
-mirror symmetry) repeats each chord many times.  The plan lists every
-chord class of a target block once, ordered by circulant offset, so the
-kernel is evaluated once per class and gathered into the block.  A
-pair's class is its shorter offset and the least residue of the nodes
-that start it, modulo the rotation period (and mirror images).  On a
-near-circle the chords of one offset are nearly equal and grow with the
-offset, so the K_0 arguments in this order cross the series/fit switch
-at x = 3 only a few times.
+mirror symmetry) repeats each chord many times.  A plan is named by that
+symmetry alone: its rotation period fixes the target rows (one period,
+or its odd half with the mirror), and it lists every chord class of
+those rows once, ordered by circulant offset, so the kernel is evaluated
+once per class and gathered into the block.  A pair's class is its
+shorter offset and the least residue of the nodes that start it, modulo
+the period (and mirror images); all zero chords form class 0, the
+diagonal.  On a near-circle the chords of one offset are nearly equal
+and grow with the offset, so the K_0 arguments in this order cross the
+series/fit switch at x = 3 only a few times.
 
 Both solvers share its chord-class step: :func:`_pair_chords` forms the
 representative chords from the node coordinates, and :func:`_kernel_block`
@@ -46,22 +48,20 @@ EULER_GAMMA = sf.EULER_GAMMA
 
 @dataclass(frozen=True)
 class PairPlan:
-    """Chord classes of a rows x M target block, each listed once.
+    """Chord classes of a target block against all M nodes, each listed once.
 
     ``first`` and ``second`` hold the representative node pair
     (r, (r + e) mod M) of every class, sorted by circulant offset
     e = min((k - j) mod M, (j - k) mod M) and, within one offset, by the
-    start residue r of :func:`pair_plan`; the first ``zeros`` classes
-    have e = 0, the diagonal, whose chords are exactly zero.
-    ``inverse[j, k]`` is the class of the pair (j, k), so a kernel K
-    evaluated on the representative chords gives the block as
-    ``K[inverse]``.  The index arrays are read-only, since the cache
-    shares them; gather with :meth:`take` into a buffer.
+    start residue r of :func:`pair_plan`; class 0 is the diagonal (0, 0),
+    the one class of zero chords.  ``inverse[j, k]`` is the class of the
+    pair (j, k), so a kernel K evaluated on the representative chords
+    gives the block as ``K[inverse]``.  The index arrays are read-only,
+    since the cache shares them; gather with :meth:`take` into a buffer.
     """
 
     first: np.ndarray
     second: np.ndarray
-    zeros: int
     inverse: np.ndarray
 
     def take(self, values, indices, out):
@@ -74,37 +74,40 @@ class PairPlan:
 
 
 @functools.lru_cache(maxsize=4)
-def pair_plan(M, rows, period, reflect):
-    """The :class:`PairPlan` of target rows 0..rows-1 against all M nodes.
+def pair_plan(M, period, reflect):
+    """The :class:`PairPlan` of a chord matrix with this symmetry on M nodes.
 
     Two pairs share a class when a chain of these maps takes one to the
     other: the transpose (j, k) -> (k, j), the rotation
     (j, k) -> (j + period, k + period) mod M, and, if ``reflect``, the
     reflection (j, k) -> (-j, -k) mod M.  A chord matrix must be
-    invariant under them: ``period = M`` means no rotation.
+    invariant under them: ``period = M`` means no rotation.  The target
+    rows are one period, 0..period-1, or with ``reflect`` its odd half
+    0..period//2, whose images under the maps give every row.
 
     A class is named by formula, not found by orbit search.  With
     d = (k - j) mod M the offset is e = min(d, M - d); it starts at j if
     d <= M - d and at k if d >= M - d.  Rotation moves a start a by
     ``period`` and reflection takes it to -(a + e), so e and the least
     residue r modulo ``period`` of the starts (and, if ``reflect``, of
-    their images) name the class.  The classes are listed by e, then r,
-    with representative (r, (r + e) mod M): O(rows M) integer work, with
-    key tables of (M/2 + 1) period entries.
+    their images) name the class; every zero chord is class 0.  The
+    classes are listed by e, then r, with representative
+    (r, (r + e) mod M): O(period M) integer work, with key tables of
+    (M/2 + 1) period entries.
 
-    The four most recent plans are kept.  One holds at most 3 rows M
-    index words (8 bytes each), about 2 rows M in practice: 1 MiB for
-    rows = M = 256.
+    The four most recent plans are kept.  One of n classes holds
+    rows M + 2 n index words (8 bytes each), with n <= M(M-1)/2 + 1:
+    1 MiB for the full grid at M = 256.
     """
-    if not 1 <= rows <= M or period < 1 or M % period:
-        raise GridError("need 1 <= rows <= M and a period that divides M")
-    j = np.arange(rows)[:, None]
+    if period < 1 or M % period:
+        raise GridError("the period must divide the grid size")
+    j = np.arange(period // 2 + 1 if reflect else period)[:, None]
     k = np.arange(M)
     key = k - j
     np.add(key, M, out=key, where=key < 0)  # d = (k - j) mod M
     from_j, from_k = key <= M // 2, key >= (M + 1) // 2  # the start(s) of the shorter offset
     np.subtract(M, key, out=key, where=from_k)
-    start = np.where(from_j, j % period, period)
+    start = np.where(from_j, j, period)
     np.minimum(start, k % period, out=start, where=from_k)
     if reflect:  # the reflection starts the offset at the negated other end
         np.minimum(start, -k % period, out=start, where=from_j)
@@ -113,19 +116,19 @@ def pair_plan(M, rows, period, reflect):
     key *= period
     key += start
     del start
+    key[key < period] = 0  # one diagonal class: its chords are all exactly zero
     seen = np.zeros((M // 2 + 1) * period, dtype=bool)
     seen[key] = True
     rank = np.cumsum(seen, dtype=np.intp) - 1
     inverse = rank[key]
     del rank, key
     offset, first = np.divmod(np.flatnonzero(seen), period)
-    zeros = int(np.count_nonzero(offset == 0))
     second = first + offset
     second %= M
     views = [a.view() for a in (first, second, inverse)]
     for v in views:
         v.flags.writeable = False  # shared by every caller of the cache
-    return PairPlan(views[0], views[1], zeros, views[2])
+    return PairPlan(*views)
 
 
 def green_kernel(alpha, rho):
@@ -160,8 +163,9 @@ def combined_boundary_kernel(alpha, rho):
 def _kernel_into(alpha, rho, zero, x, out, work, slope=None):
     """:func:`combined_boundary_kernel` of a flat rho into caller-owned buffers.
 
-    ``zero`` indexes the zero entries of rho (a mask or a slice); ``x``
-    and ``out`` have rho's size and ``work`` is (2, rho.size) scratch for
+    ``zero`` indexes the zero entries of rho (a mask, or 0 for class 0 of
+    a :class:`PairPlan`, the diagonal); ``x`` and ``out`` have rho's size
+    and ``work`` is (2, rho.size) scratch for
     :func:`vortexalpha.specfun.k0_array` (a third row goes unused).  Zero
     entries are evaluated at rho = alpha, whose K_0 argument lies in the
     series band, and then overwritten by the limit.  A ``slope`` buffer of
@@ -187,16 +191,17 @@ class _Workspace:
 
     ``cos`` and ``sin`` hold cos theta_k and sin theta_k at the M nodes;
     the other buffers fit the most chord classes a plan can have,
-    M(M+1)/2.  ``kernel`` (M x M) holds the chords of :func:`_pair_chords`
-    in its leading entries, then the block of :func:`_kernel_block`; ``x``
-    holds A/alpha and then log A, ``k0`` the kernel per class.  The first
-    slope request adds a third ``work`` row, ``slope`` and ``slopes``, so
-    callers that never ask for one keep the smaller footprint.  One
-    instance serves one grid size for both solvers, and is not
-    reentrant.  The chords and blocks are views, valid until chords are
-    next formed on that grid size: a :func:`vortexalpha.vstates.evaluate_F`
-    call invalidates the views of a :func:`vortexalpha.contour.rhs` call,
-    and the reverse.  What the solvers return owns its memory.
+    M(M-1)/2 + 1: the pairs j < k and the diagonal.  ``kernel`` (M x M)
+    holds the chords of :func:`_pair_chords` in its leading entries, then
+    the block of :func:`_kernel_block`; ``x`` holds A/alpha and then
+    log A, ``k0`` the kernel per class.  The first slope request adds a
+    third ``work`` row, ``slope`` and ``slopes``, so callers that never
+    ask for one keep the smaller footprint.  One instance serves one grid
+    size for both solvers, and is not reentrant.  The chords and blocks
+    are views, valid until chords are next formed on that grid size: a
+    :func:`vortexalpha.vstates.evaluate_F` call invalidates the views of a
+    :func:`vortexalpha.contour.rhs` call, and the reverse.  What the
+    solvers return owns its memory.
     """
 
     def __init__(self, M):
@@ -204,7 +209,7 @@ class _Workspace:
         self.cos = np.cos(theta)
         self.sin = np.sin(theta)
         self.kernel = np.empty((M, M))
-        classes = M * (M + 1) // 2
+        classes = M * (M - 1) // 2 + 1
         self.x = np.empty(classes)
         self.k0 = np.empty(classes)
         self.work = np.empty((2, classes))
@@ -226,7 +231,7 @@ def _pair_chords(x, y, ws, plan):
     """Chords |z_j - z_k| of the plan's representative pairs, in ``ws.kernel``.
 
     ``x`` and ``y`` are the node coordinates; ``ws.work`` holds the
-    gathered ones.  The zero-offset chords are exactly zero, and every
+    gathered ones.  The chord of class 0 is exactly zero, and every
     chord is bitwise the entry of the full chord matrix at its
     representative and at its transpose.
     """
@@ -258,8 +263,7 @@ def _kernel_block(alpha, chords, ws, plan, slope=False):
         ws.slope = np.empty(classes)
         ws.slopes = np.empty_like(ws.kernel)
     K = _kernel_into(
-        alpha, chords, slice(0, plan.zeros), ws.x[:n], ws.k0[:n], ws.work[:, :n],
-        ws.slope[:n] if slope else None,
+        alpha, chords, 0, ws.x[:n], ws.k0[:n], ws.work[:, :n], ws.slope[:n] if slope else None
     )
     G = plan.take(K, plan.inverse, ws.kernel[:rows])
     return G, plan.take(ws.slope[:n], plan.inverse, ws.slopes[:rows]) if slope else None

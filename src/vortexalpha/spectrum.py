@@ -10,8 +10,8 @@ Two distinct frequency families share the letter Omega:
 
 The rotation offset Omega > 0 is a free modelling input (kept positive so
 the first equilibrium frequency cannot resonate, and checked by every
-frequency table); 1/2 is the documented default used by the CLI, with no
-claim of matching any canonical choice.
+frequency table); 1/2 is the suggested default, with no claim of
+matching any canonical choice.
 
 Every frequency row on an alpha grid (``equilibrium_matrix``, ``v0_curve``
 and the non-degeneracy samples) comes from one I_n K_n table per call.

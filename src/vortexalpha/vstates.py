@@ -23,8 +23,9 @@ Of the msec target nodes of one period (msec = M/m when m divides M, else
 msec = M) only the nodes 0..msec//2 are evaluated, and the rest follow by
 oddness.  The chords of those rows repeat under transpose, under rotation
 by msec and under the reflection (j, k) -> (-j, -k), so the kernel is
-evaluated once per chord class of :func:`vortexalpha.greens.pair_plan`:
-one sample costs about M msec / 4 + M kernel entries.
+evaluated once per chord class of :func:`vortexalpha.greens.pair_plan`,
+the diagonal as one class: one sample of F costs at most
+M msec / 4 + M / 4 + 1 kernel entries.
 
 The exact derivatives of the sampled F come from the same evaluation.
 Moving a_n moves the chord A_jk = |Phi(w_j) - Phi(w_k)| by
@@ -177,15 +178,15 @@ def _f_samples(alpha, Omega, pert, M, modes=None):
     # is a rotation, reflection or transpose of a representative, so the
     # self-intersection check below still sees every chord class.
     m = pert.fold
-    msec = M // m if (m > 1 and M % m == 0) else M
+    msec = M // m if M % m == 0 else M
     h = msec // 2 + 1
     zr, wr, dphir = z[:h], w[:h], dphi[:h]
-    plan = pair_plan(M, h, msec, True)
+    plan = pair_plan(M, msec, True)
     ws = _workspace(M)
     dist = _pair_chords(z.real, z.imag, ws, plan)
-    # checked before the kernel overwrites them: the zero-offset chords lead
-    # and are exactly zero, and any other this short (or NaN) means a crossing
-    if not dist[plan.zeros :].min() >= 1e-12:
+    # checked before the kernel overwrites them: class 0 is the diagonal,
+    # and any other chord this short (or NaN) means a crossing
+    if not dist[1:].min() >= 1e-12:
         raise GeometryError("boundary self-intersects on the grid")
     G, S = _kernel_block(alpha, dist, ws, plan, slope=modes is not None)
     # one real matrix product with c read as (Re c, Im c) columns; G @ c

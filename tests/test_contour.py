@@ -126,7 +126,7 @@ def disc_energy(alpha):
 def full_plan(M, msec=None):
     """The chord classes of the first msec target rows that ``contour.rhs`` uses."""
     msec = msec or M
-    return greens.pair_plan(M, msec, msec, False)
+    return greens.pair_plan(M, msec, False)
 
 
 def pair_chords(R, plan):
@@ -157,6 +157,16 @@ class TestRhs:
     def test_linear_solution_rejects(self, call, S, Omega):
         with pytest.raises(DomainError):
             call(S, [1e-3], Omega, 0.7, 0.3, 64)
+
+    def test_linear_solution_is_the_mode_sum(self):
+        S, a, t, M = [2, 3, 5], np.array([1e-3, -2e-3, 5e-4]), 0.3, 128
+        theta = 2 * np.pi * np.arange(M) / M
+        ref = sum(
+            aj * np.cos(j * theta - spectrum.equilibrium_frequency(j, 0.5, 0.7) * t)
+            for j, aj in zip(S, a)
+        )
+        got = contour.linear_qp_solution(S, a, 0.5, 0.7, t, M)
+        assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps * np.sum(np.abs(a))
 
     def test_flat_state_multiplier(self):
         res = contour.qp_residual([2, 3, 5], [1e-3, -2e-3, 5e-4], 0.5, 0.7, 0.3, 128)

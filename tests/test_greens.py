@@ -177,18 +177,19 @@ class TestKernelSlope:
         assert np.all(slope[rho > 0.0] > 0.0)  # g' > 0: g grows with the chord
 
 
-def orbit_ids(M, rows, period, reflect):
-    """Orbit number of every pair of the rows x M block, by closure of the maps.
+def orbit_ids(M, period, reflect):
+    """Orbit number of every pair of the M x M chord matrix, by closure of the maps.
 
     Independent of ``pair_plan``: each orbit is grown pair by pair under
     the transpose, the rotation by ``period`` and (if ``reflect``) the
-    reflection.  Returns the (rows, M) ids and the pair -> id dict.
+    reflection.  The orbits of the diagonal pairs, whose chords are all
+    exactly zero, are merged into id 0.  Returns the pair -> id dict.
     """
     maps = [lambda a, b: (b, a), lambda a, b: ((a + period) % M, (b + period) % M)]
     if reflect:
         maps.append(lambda a, b: ((-a) % M, (-b) % M))
     ids, label = {}, 0
-    for j in range(rows):
+    for j in range(M):
         for k in range(M):
             if (j, k) in ids:
                 continue
@@ -201,30 +202,47 @@ def orbit_ids(M, rows, period, reflect):
                     if image not in ids:
                         ids[image] = label
                         stack.append(image)
-    block = np.array([[ids[(j, k)] for k in range(M)] for j in range(rows)])
-    return block, ids
+    diagonal = {ids[(a, a)] for a in range(M)}
+    return {pair: 0 if i in diagonal else i for pair, i in ids.items()}
 
 
-def sector_plan_args(m, M):
-    """(M, rows, period, reflect) of the V-state functional on an m-fold grid."""
-    msec = M // m if (m > 1 and M % m == 0) else M
-    return M, msec // 2 + 1, msec, True
+def row_classes(plan, M, rows, period, reflect):
+    """The plan's class of every pair of chord-matrix rows 0..rows-1.
+
+    Each pair is moved into the plan's target rows by the maps: a
+    rotation to row j mod period, then, with ``reflect``, the reflection
+    and a rotation from a row above period // 2 to row period - j.
+    """
+    j, k = np.arange(rows)[:, None], np.arange(M)
+    k = (k - (j - j % period)) % M
+    j = j % period
+    flip = reflect & (j > period // 2)
+    return plan.inverse[np.where(flip, period - j, j), np.where(flip, (period - k) % M, k)]
 
 
+def sector_case(m, M):
+    """(M, rows, period, reflect): the V-state plan on an m-fold grid, on its target rows."""
+    period = M // m if M % m == 0 else M
+    return M, period // 2 + 1, period, True
+
+
+# (M, rows, period, reflect): the plan of (M, period, reflect), checked
+# on chord-matrix rows 0..rows-1
 PLAN_CASES = [
-    # the six grids of the V-state half-sector tests
-    sector_plan_args(1, 128),
-    sector_plan_args(2, 128),
-    sector_plan_args(3, 192),
-    sector_plan_args(4, 128),
-    sector_plan_args(3, 256),
-    sector_plan_args(2, 90),
-    # contour dynamics, folds 1, 2 and 4: sector rows, no reflection
+    # the six grids of the V-state half-sector tests, on the target rows
+    sector_case(1, 128),
+    sector_case(2, 128),
+    sector_case(3, 192),
+    sector_case(4, 128),
+    sector_case(3, 256),
+    sector_case(2, 90),
+    # contour dynamics, folds 1, 2 and 4: one sector of rows, no reflection
     (128, 128, 128, False),
     (128, 64, 64, False),
     (128, 32, 32, False),
     # odd and even grids where the half offset, the rotation and the
-    # reflection act on the start residue together
+    # reflection act on the start residue together, on fewer rows than
+    # the plan's, on one period and on rows beyond it
     (15, 5, 5, False),
     (15, 5, 5, True),
     (21, 8, 7, True),
@@ -238,41 +256,47 @@ PLAN_CASES = [
 class TestPairPlan:
     @pytest.mark.parametrize("M, rows, period, reflect", PLAN_CASES)
     def test_every_pair_maps_into_its_own_orbit(self, M, rows, period, reflect):
-        plan = greens.pair_plan(M, rows, period, reflect)
-        block, ids = orbit_ids(M, rows, period, reflect)
-        assert plan.inverse.shape == (rows, M)
+        plan = greens.pair_plan(M, period, reflect)
+        ids = orbit_ids(M, period, reflect)
+        assert plan.inverse.shape == (period // 2 + 1 if reflect else period, M)
         reps = [ids[(int(j), int(k))] for j, k in zip(plan.first, plan.second)]
         # each class once, and every pair's representative in its orbit
-        assert len(set(reps)) == len(reps) == len(np.unique(block))
-        assert np.array_equal(np.array(reps)[plan.inverse], block)
+        assert len(set(reps)) == len(reps) == len(set(ids.values()))
+        block = np.array([[ids[(j, k)] for k in range(M)] for j in range(rows)])
+        classes = row_classes(plan, M, rows, period, reflect)
+        assert np.array_equal(np.array(reps)[classes], block)
 
     @pytest.mark.parametrize("M, rows, period, reflect", PLAN_CASES)
     def test_diagonal_order(self, M, rows, period, reflect):
-        plan = greens.pair_plan(M, rows, period, reflect)
+        plan = greens.pair_plan(M, period, reflect)
         d = (plan.second - plan.first) % M
         d = np.minimum(d, M - d)
         assert np.all(np.diff(d) >= 0)
-        assert plan.zeros == np.count_nonzero(d == 0) > 0
-        assert np.all(plan.first[: plan.zeros] == plan.second[: plan.zeros])
+        # class 0 is the diagonal (0, 0), the only zero-offset class, and
+        # exactly the diagonal pairs of the chord matrix fall in it
+        assert plan.first[0] == plan.second[0] == 0
+        assert np.count_nonzero(d == 0) == 1
+        classes = row_classes(plan, M, rows, period, reflect)
+        assert np.array_equal(classes == 0, np.eye(rows, M, dtype=bool))
 
     def test_class_counts_halve_the_half_sector(self):
         # m = 2: 65 x 256 rows; m = 3 (does not divide 256): 129 x 256
-        assert greens.pair_plan(*sector_plan_args(2, 256)).first.size == 8321
-        assert greens.pair_plan(*sector_plan_args(3, 256)).first.size == 16513
-        assert greens.pair_plan(256, 256, 256, False).first.size == 256 * 257 // 2
+        assert greens.pair_plan(256, 128, True).first.size == 8257
+        assert greens.pair_plan(256, 256, True).first.size == 16385
+        assert greens.pair_plan(256, 256, False).first.size == 256 * 255 // 2 + 1
 
     def test_cache_stays_bounded(self):
         for M in (32, 40, 48, 56, 64, 72):
-            plan = greens.pair_plan(M, M, M, False)
+            plan = greens.pair_plan(M, M, False)
             assert not plan.inverse.flags.writeable
         info = greens.pair_plan.cache_info()
         assert info.maxsize == 4 and info.currsize <= info.maxsize
 
     def test_rejects_bad_layout(self):
         with pytest.raises(GridError):
-            greens.pair_plan(64, 65, 64, False)
+            greens.pair_plan(64, 0, False)
         with pytest.raises(GridError):
-            greens.pair_plan(64, 8, 24, False)
+            greens.pair_plan(64, 24, False)
 
 
 class TestVelocity:

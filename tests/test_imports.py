@@ -5,12 +5,19 @@
 0.8 MB (27.5 to 28.3 MB after ``import numpy``, Linux x86-64), which the
 benchmark's peak-RSS metric would see.  The import runs in a fresh
 interpreter, since the other tests load scipy and mpmath.
+
+Every console script that ``pyproject.toml`` declares must name a module
+and a callable that import, or the installed script fails at start.
 """
 
+import importlib
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EXCLUDED = ("scipy", "mpmath", "numpy.polynomial")
@@ -35,3 +42,11 @@ def test_importing_every_module_loads_no_excluded_module():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert "vortexalpha.vstates" in modules  # the scan saw the package
+
+
+def test_declared_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(operator.attrgetter(attr)(importlib.import_module(module))), name

@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ENTRY_POINTS = (
     "check_crandall_rabinowitz",
     "difference_derivative_bound",
+    "equilibrium_frequency",
+    "linear_qp_solution",
     "omega_bifurcation",
     "omega_infinity",
     "omega_sw",

@@ -51,7 +51,7 @@ def full_sector_samples(alpha, Omega, pert, M):
     z = pert.map_points(w)
     dphi = pert.map_derivative(w)
     m = pert.fold
-    msec = M // m if (m > 1 and M % m == 0) else M
+    msec = M // m if M % m == 0 else M
     dist = np.abs(z[:msec, None] - z[None, :])
     G = greens.combined_boundary_kernel(alpha, dist)
     I = (G * (dphi * w)[None, :]).mean(axis=1)
@@ -199,9 +199,9 @@ class TestEvaluateF:
         # relative to the largest chord: a short chord carries the absolute
         # rounding of its two nodes (|z| ~ 1), whichever pair forms it
         pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01, -0.004]), fold=m)
-        msec = M // m if (m > 1 and M % m == 0) else M
+        msec = M // m if M % m == 0 else M
         h = msec // 2 + 1
-        plan = greens.pair_plan(M, h, msec, True)
+        plan = greens.pair_plan(M, msec, True)
         z = pert.map_points(np.exp(2j * np.pi * np.arange(M) / M))
         direct = np.abs(z[:h, None] - z[None, :])
         gathered = np.abs(z[plan.first] - z[plan.second])[plan.inverse]
@@ -212,21 +212,29 @@ class TestEvaluateF:
     def test_kernel_rows_cover_half_a_sector(self, monkeypatch, m):
         M = 256
         msec = M // m if M % m == 0 else M
-        shapes = []
+        calls = []
         kernel_into = greens._kernel_into
 
         def recording_kernel(alpha, rho, *buffers):
-            shapes.append(np.shape(rho))
+            calls.append((np.shape(rho), np.flatnonzero(rho == 0.0)))
             return kernel_into(alpha, rho, *buffers)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(greens, "_kernel_into", recording_kernel)
-            pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01]), fold=m)
+        pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01]), fold=m)
+        r = 0.01 * np.cos(m * 2 * np.pi * np.arange(M) / M)
+        patch = contour.RadialPatch(r, 0.5, 0.7, fold=m if M % m == 0 else 1)
+        with monkeypatch.context() as context:
+            context.setattr(greens, "_kernel_into", recording_kernel)
             vs.evaluate_F(0.7, 0.3, pert, M)
+            vs._f_samples(0.7, 0.3, pert, M, [m - 1])  # with Jacobian columns
+            contour.rhs(patch)
+            contour.linearized_rhs(patch, r - r.mean())
         assert greens._kernel_into is kernel_into
-        # one 1-d call on the chord classes, not the (msec // 2 + 1) x M rows
-        assert len(shapes) == 1 and len(shapes[0]) == 1
-        assert shapes[0][0] <= M * msec // 4 + M
+        # one 1-d call per evaluation on the chord classes, not the
+        # (msec // 2 + 1) x M rows
+        assert len(calls) == 4 and all(len(shape) == 1 for shape, _ in calls)
+        assert calls[0][0][0] <= M * msec // 4 + M
+        # the diagonal is one class: a single zero chord, at index 0
+        assert all(np.array_equal(zeros, [0]) for _, zeros in calls)
 
     def test_grid_validation(self):
         pert = vs.ConformalPerturbation(np.zeros(10), fold=1)
@@ -275,7 +283,7 @@ class TestSharedKernelBlock:
         # stay below one chord-sized array too (at m = 3, where msec = M)
         M, N = 256, 2
         msec = M // m if M % m == 0 else M
-        chord_bytes = 8 * greens.pair_plan(M, msec // 2 + 1, msec, True).first.size
+        chord_bytes = 8 * greens.pair_plan(M, msec, True).first.size
         pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.002]), fold=m)
         assert self.warm_peak(lambda: vs.evaluate_F(0.7, 0.3, pert, M)) < chord_bytes
         if m == 3:
@@ -501,6 +509,32 @@ class TestBranchContinuation:
         pts = vs.continue_branch(0.7, 2, ladder, band=8, grid_size=128)
         assert len(calls) <= 3 * len(ladder)
         assert sum(p.jacobians for p in pts) == len(ladder)
+
+    def test_stale_jacobian_is_refreshed_when_the_line_search_fails(self, monkeypatch):
+        # r(u) = u^3 - 3u - 0.7 from u = 0.8: the first step crosses the
+        # fold of r at u = -1, so the chord Jacobian's slope has the wrong
+        # sign at the new iterate and every trial of the line search fails;
+        # Newton must take the Jacobian afresh there and converge
+        def residual(u):
+            return u**3 - 3 * u - 0.7
+
+        calls = []
+
+        def stub(alpha, m, s, u, M, N, jacobian=False):
+            calls.append((jacobian, float(u[0])))
+            out = (residual(u), 0.0, None)
+            return out + (np.array([[3 * u[0] ** 2 - 3]]),) if jacobian else out
+
+        monkeypatch.setattr(vs, "_branch_residual", stub)
+        tol = 1e-12
+        _, _, _, history, jacobians = vs._newton_solve(
+            0.7, 2, 0.0, np.array([0.8]), 64, 1, tol, 30
+        )
+        assert jacobians == 2 and history[-1] < tol
+        # one accepted step, ten rejected trials, then the Jacobian afresh
+        # at the accepted iterate
+        assert [jac for jac, _ in calls[:13]] == [True] + [False] * 11 + [True]
+        assert calls[12][1] == calls[1][1] == pytest.approx(0.8 - residual(0.8) / -1.08)
 
 
 def branch_unknowns(point, m, N):
