@@ -393,6 +393,11 @@ def _linear_solution(S, amplitudes, Omega, alpha, t, M):
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.shape != (len(S),) or np.any(amplitudes == 0.0):
         raise DomainError("one nonzero amplitude per mode required")
+    if not math.isfinite(t):
+        raise DomainError("t must be finite")
+    M = _integer(M, "grid size")
+    if M < 1:
+        raise GridError("grid size must be positive")
     w = spectrum.equilibrium_matrix(S, Omega, [alpha])[:, 0]
     phase = np.outer(2 * np.pi * np.arange(M) / M, S) - w * t
     return np.cos(phase) @ amplitudes, np.sin(phase) @ (amplitudes * w)

@@ -6,9 +6,10 @@ frequency formulas (``product_IK_array``) and K_0 of the combined kernel
 estimated truncation errors cross the accuracy targets, see below):
 
 * ``K_0, K_1``: the log + psi power series for ``x < 3``, both orders
-  from one Horner table in ``x^2/4`` (``_K_SERIES``).  Its
-  cancellation error grows like ``e^(2x) * eps``: below 1e-14 relative up
-  to x = 2.5, up to about 4e-14 just below 3.  For ``x >= 3`` the smooth
+  from one Horner table of 15 terms in ``x^2/4`` (``_K_SERIES``), whose
+  truncation stays below 1e-17 relative.  Its cancellation error grows
+  like ``e^(2x) * eps``: below 1e-14 relative up to x = 2.5, up to about
+  4e-14 just below 3.  For ``x >= 3`` the smooth
   functions ``sqrt(x) e^x K_n(x)``, n = 0, 1, are one degree-20 Chebyshev
   series in ``t = 6/x - 1`` on [-1, 1] (the classical form of W. J. Cody,
   ACM TOMS Algorithm 715).  The coefficients interpolate
@@ -96,10 +97,11 @@ def _psi(m):
 
 # Horner coefficients c[m, j] in u = x^2/4 of the x < 3 series of K_0, K_1:
 #   K_0 = -log(x/2) p_0 + p_1,  K_1 = 1/x + (x/2) log(x/2) p_2 - (x/4) p_3,
-# with p_j = sum_m c[m, j] u^m and, for m = 0..19,
+# with p_j = sum_m c[m, j] u^m and, for m = 0..14,
 #   c[m] = (1/(m!)^2, psi(m+1)/(m!)^2,
 #           1/(m! (m+1)!), (psi(m+1) + psi(m+2))/(m! (m+1)!)).
-# 20 terms keep the truncation below 1e-17 relative for x <= 3.
+# 15 terms keep the truncation below 1e-17 relative for x <= 3: at
+# u = 9/4 the first omitted term of every column is at most 3.1e-19.
 _K_SERIES = np.array(
     [
         [
@@ -108,7 +110,7 @@ _K_SERIES = np.array(
             1.0 / (math.factorial(m) * math.factorial(m + 1)),
             (_psi(m + 1) + _psi(m + 2)) / (math.factorial(m) * math.factorial(m + 1)),
         ]
-        for m in range(20)
+        for m in range(15)
     ]
 )
 
@@ -153,10 +155,7 @@ def _monomial(c):
 _K01E_POWERS = _monomial(_K01E_CHEB)
 _K0_I0, _K0_PSI = _K_SERIES[:, 0].tolist(), _K_SERIES[:, 1].tolist()
 _K0_FIT = _K01E_POWERS[:, 0].tolist()
-# the slope's columns on their first 16 rows: the last four change no bit of
-# 1/x^2 - K_1/x for x < 3 (checked on the V-state chords and 2e6 points of
-# (2.5, 3); 15 rows move 24 of those points by a few ulp)
-_K1_I1, _K1_PSI = _K_SERIES[:16, 2].tolist(), _K_SERIES[:16, 3].tolist()
+_K1_I1, _K1_PSI = _K_SERIES[:, 2].tolist(), _K_SERIES[:, 3].tolist()
 _K1_FIT = _K01E_POWERS[:, 1].tolist()
 
 

@@ -39,9 +39,10 @@ suite, not assumed).
 
 Branches are parametrized by the fixed leading amplitude a_{m-1} = s and
 solved by chord Newton on {g_{nm} = 0} for the higher coefficients and
-Omega, with the exact Jacobian, a secant start and a backtracking line
-search; pseudo-arclength is an extension point, not needed at these
-amplitudes.
+Omega, with the exact Jacobian and a backtracking line search.  The branch
+is symmetric under s -> -s (rotation by pi/m), so each point starts at an
+interpolant in s^2 through the latest solved points, anchored at the disc;
+pseudo-arclength is an extension point, not needed at these amplitudes.
 """
 
 from __future__ import annotations
@@ -301,7 +302,8 @@ class BranchPoint:
     """One V-state on an m-fold branch.
 
     ``residual_history`` holds max |g_nm| at each Newton iterate, from the
-    predicted point to the solution (whose value is ``residual``);
+    predicted start (``residual_history[0]``) to the solution (whose value
+    is ``residual``);
     ``jacobians`` counts the exact Jacobians the point took.
     """
 
@@ -352,10 +354,12 @@ def continue_branch(
     """Newton continuation of the m-fold branch over fixed leading amplitudes.
 
     For each amplitude s the system {g_{nm} = 0, n = 1..band} is solved for
-    (Omega, a_{2m-1}, ..., a_{band*m-1}).  The first point starts at the
-    bifurcation frequency with zero higher coefficients, the second at
-    the first solution, and every later one at the secant through the
-    two previous solutions.  Each point is solved by chord Newton with
+    (Omega, a_{2m-1}, ..., a_{band*m-1}).  The disc, with Omega at the
+    bifurcation frequency and zero higher coefficients, is the branch
+    point at s = 0.  Each point starts at the interpolant in s^2 through
+    the latest three known points, the disc among them at first, with
+    the coefficients that are odd in s divided by s; the first point
+    thus starts at the disc.  Each point is solved by chord Newton with
     the exact Jacobian of its start; the Jacobian is recomputed at the
     current iterate when a step contracts the residual by less than a
     factor 5 or when the line search fails.  A line-search trial point
@@ -386,20 +390,17 @@ def continue_branch(
 
     u = np.zeros(N)
     u[0] = spectrum.bifurcation_table(m, [alpha])[m - 1, 0]
-    points, solved = [], []
+    points, solved = [], [(0.0, u)]  # the disc is the branch point at s = 0
     for s in amplitudes:
-        if len(solved) == 2:
-            (s0, u0), (s1, u1) = solved
-            u = u1 + (s - s1) / (s1 - s0) * (u1 - u0)
         u, tail, pert, history, jacobians = _newton_solve(
-            alpha, m, s, u, M, N, tol, max_steps
+            alpha, m, s, _predict(solved, s), M, N, tol, max_steps
         )
         if tail > _TAIL_TOL:
             raise GridError(
                 f"alias tail {tail:.2e} above {_TAIL_TOL:.0e} at s={s}; "
                 "increase band or grid"
             )
-        solved = solved[-1:] + [(s, u)]
+        solved = solved[-2:] + [(s, u)]
         points.append(
             BranchPoint(
                 m=m,
@@ -415,6 +416,26 @@ def continue_branch(
             )
         )
     return points
+
+
+def _predict(solved, s):
+    """Start at amplitude s: Lagrange interpolation in s^2 through ``solved``.
+
+    ``solved`` holds up to three (amplitude, u) pairs, the first of them
+    possibly the disc (0, u_b).  Rotation by pi/m maps the branch at s to
+    the one at -s with a_{km-1} -> (-1)^k a_{km-1}, so Omega and the entries
+    u[i] of odd i are even in s and those of even i >= 2 are odd: the odd
+    ones are interpolated as u[i]/s (0 at the disc) and multiplied back.
+    """
+    q = [t * t for t, _ in solved]
+    u = np.zeros_like(solved[0][1])
+    for j, (t, uj) in enumerate(solved):
+        weight = math.prod((s * s - ql) / (q[j] - ql) for ql in q[:j] + q[j + 1 :])
+        v = uj.copy()
+        v[2::2] = uj[2::2] / t if t else 0.0
+        u += weight * v
+    u[2::2] *= s
+    return u
 
 
 def _newton_solve(alpha, m, s, u, M, N, tol, max_steps):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vortexalpha import contour, greens, specfun as sf, spectrum, vstates as vs
-from vortexalpha.errors import DomainError, GeometryError, InstabilityError
+from vortexalpha.errors import DomainError, GeometryError, GridError, InstabilityError
 from vortexalpha.greens import combined_boundary_kernel
 from vortexalpha.numerics import dealias_twothirds, spectral_derivative
 
@@ -157,6 +157,18 @@ class TestRhs:
     def test_linear_solution_rejects(self, call, S, Omega):
         with pytest.raises(DomainError):
             call(S, [1e-3], Omega, 0.7, 0.3, 64)
+
+    @pytest.mark.parametrize("call", [contour.linear_qp_solution, contour.qp_residual])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_linear_solution_rejects_nonfinite_time(self, call, t):
+        with pytest.raises(DomainError, match="t must be finite"):
+            call([2], [0.01], 0.5, 0.3, t, 64)
+
+    @pytest.mark.parametrize("call", [contour.linear_qp_solution, contour.qp_residual])
+    @pytest.mark.parametrize("M, error", [(0, GridError), (-4, GridError), (64.5, DomainError)])
+    def test_linear_solution_rejects_bad_grid(self, call, M, error):
+        with pytest.raises(error, match="grid size"):
+            call([2], [0.01], 0.5, 0.3, 0.3, M)
 
     def test_linear_solution_is_the_mode_sum(self):
         S, a, t, M = [2, 3, 5], np.array([1e-3, -2e-3, 5e-4]), 0.3, 128

@@ -326,8 +326,8 @@ class TestKSeries:
         assert np.array_equal(shuffled, slope[perm])
 
     def test_slope_bitwise_full_series(self):
-        # the slope sums fewer rows of its two columns than the table holds;
-        # the full 20-row series in the plain Horner form gives the same bits
+        # the slope's in-place Horner sums over the whole table give the
+        # bits of the plain Horner form
         def plain(coef, u):
             p = coef[-1]
             for c in coef[-2::-1]:
@@ -344,6 +344,26 @@ class TestKSeries:
         slope = np.empty(x.size)
         sf.k0_array(x, slope=slope)
         assert np.array_equal(slope, full)
+
+    def test_table_truncation_at_the_switch(self):
+        # every column of the table is its series up to the table's length,
+        # and the first omitted term at u = 9/4 (x = 3) is below 1e-17 of
+        # the column's sum
+        def psi(m):
+            return sum(1.0 / k for k in range(1, m)) - sf.EULER_GAMMA
+
+        def terms(m):
+            f0, f1 = math.factorial(m), math.factorial(m + 1)
+            return np.array(
+                [1 / f0**2, psi(m + 1) / f0**2,
+                 1 / (f0 * f1), (psi(m + 1) + psi(m + 2)) / (f0 * f1)]
+            )
+
+        n = sf._K_SERIES.shape[0]
+        assert np.allclose(sf._K_SERIES, [terms(m) for m in range(n)], rtol=1e-15, atol=0)
+        u = 9 / 4
+        sums = np.abs(u ** np.arange(n) @ sf._K_SERIES)
+        assert np.all(np.abs(terms(n)) * u**n < 1e-17 * sums)
 
     def test_k_ratio_series_band(self):
         # K_1/K_0 from both orders of the x < 3 series, bounds as for K_0

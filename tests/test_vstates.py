@@ -495,8 +495,8 @@ class TestBranchContinuation:
         assert with_jacobian[1] == plain[1]
 
     def test_evaluate_F_calls_per_point(self, monkeypatch):
-        # chord Newton from the secant start: one evaluation per step and
-        # at most 3 steps per point on this ladder
+        # chord Newton from the predicted start: one evaluation per step,
+        # one step per point on this ladder and two to spare
         calls = []
         evaluate = vs.evaluate_F
 
@@ -507,8 +507,33 @@ class TestBranchContinuation:
         monkeypatch.setattr(vs, "evaluate_F", counting)
         ladder = [1e-4] + [0.01 * k for k in range(1, 11)]
         pts = vs.continue_branch(0.7, 2, ladder, band=8, grid_size=128)
-        assert len(calls) <= 3 * len(ladder)
+        assert len(calls) <= len(ladder) + 2
         assert sum(p.jacobians for p in pts) == len(ladder)
+
+    def test_predictor_is_exact_on_a_symmetric_branch(self):
+        # Omega, a_{2m-1} and a_{4m-1} quadratic in s^2 and a_{3m-1} s times
+        # one, all through the disc (0.4, 0, 0, 0) at s = 0: the interpolant
+        # in s^2 reproduces such a branch from any three of its points
+        def branch(s):
+            q = s * s
+            return np.array(
+                [0.4 + 0.3 * q - 2.0 * q * q, -1.5 * q + 4.0 * q * q,
+                 s * (0.7 * q - 3.0 * q * q), 0.2 * q * q]
+            )
+
+        disc = (0.0, branch(0.0))
+        assert np.array_equal(vs._predict([disc], 1e-4), branch(0.0))
+        for solved, s in [
+            ([disc, (0.01, branch(0.01)), (0.02, branch(0.02))], 0.03),
+            ([(0.01, branch(0.01)), (0.02, branch(0.02)), (0.035, branch(0.035))], 0.05),
+        ]:
+            assert np.max(np.abs(vs._predict(solved, s) - branch(s))) <= 1e-14
+
+    def test_predicted_start_needs_at_most_two_steps(self):
+        # a start extrapolated linearly in s needs three steps per point here
+        ladder = [1e-4, 0.01, 0.02, 0.03, 0.04]
+        pts = vs.continue_branch(0.7, 3, ladder, band=10, grid_size=192)
+        assert all(p.newton_steps <= 2 for p in pts[1:])
 
     def test_stale_jacobian_is_refreshed_when_the_line_search_fails(self, monkeypatch):
         # r(u) = u^3 - 3u - 0.7 from u = 0.8: the first step crosses the
