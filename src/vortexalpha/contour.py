@@ -280,8 +280,8 @@ def step_rk4(patch, dt):
     at c = 0.5), not by 1/M.  L_0 = 0 and N has zero mean, so the
     spatial mean is kept to round-off.
     """
-    if dt == 0.0:
-        raise DomainError("dt must be nonzero")
+    if not math.isfinite(dt) or dt == 0.0:
+        raise DomainError(f"dt must be finite and nonzero, got {dt!r}")
     cap = default_timestep(patch, c=0.5)
     if abs(dt) > cap * (1 + 1e-12):
         raise DomainError(f"dt={dt} exceeds the step bound {cap:.3e}")
@@ -320,10 +320,13 @@ def evolve(patch, T, dt=None, snapshot_every=None):
     step follows the amplitude as it changes.  Snapshots are
     (t, RadialPatch) pairs taken every ``snapshot_every`` steps (always
     including the final state) when requested.  T = 0 takes no step and
-    returns the input patch.  T and dt must be finite, and dt nonzero.
+    returns the input patch.  T and dt must be finite, dt nonzero, and
+    ``snapshot_every`` None or an integer of at least 1.
     """
     if not math.isfinite(T) or not (dt is None or (math.isfinite(dt) and dt != 0)):
         raise DomainError(f"T and dt must be finite and dt nonzero, got T={T!r}, dt={dt!r}")
+    if snapshot_every is not None and _integer(snapshot_every, "snapshot_every") < 1:
+        raise DomainError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
     if T == 0:
         return patch, [(0.0, patch)] if snapshot_every else []
     if dt is not None and T * dt < 0:

@@ -216,15 +216,9 @@ class _Workspace:
         self.slope = self.slopes = None
 
 
-_workspaces = {}  # the most recent grid size only: about 3 M^2 doubles, 5 M^2 with slopes
-
-
+@functools.lru_cache(maxsize=1)  # one grid size at a time: about 3 M^2 doubles, 5 with slopes
 def _workspace(M):
-    ws = _workspaces.get(M)
-    if ws is None:
-        _workspaces.clear()
-        ws = _workspaces[M] = _Workspace(M)
-    return ws
+    return _Workspace(M)
 
 
 def _pair_chords(x, y, ws, plan):

@@ -1,52 +1,32 @@
-"""Small shared numerical utilities: FD weights, spectral derivatives."""
+"""Small shared numerical utilities: a central FD stencil, FFT derivatives."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-
-def fd_weights(nodes, x0, deriv):
-    """Finite-difference weights on arbitrary nodes (Fornberg's algorithm).
-
-    Returns w such that f^(deriv)(x0) ~ sum_i w[i] f(nodes[i]), exact for
-    polynomials up to degree len(nodes)-1.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
-    c = np.zeros((n, deriv + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = nodes[0] - x0
-    for i in range(1, n):
-        mn = min(i, deriv)
-        c2 = 1.0
-        c5 = c4
-        c4 = nodes[i] - x0
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, deriv]
+from .errors import DomainError
 
 
 def central_fd_stencil(deriv, order, h):
-    """Symmetric central stencil (offsets, weights) of given accuracy order."""
-    half = (deriv + order + 1) // 2
-    # ensure symmetry and the requested order for odd/even derivatives
-    if (deriv % 2 == 0 and (deriv + order) % 2 != 0) or (
-        deriv % 2 == 1 and (deriv + order) % 2 == 0
-    ):
-        half = (deriv + order) // 2 + 1
+    """Smallest central stencil (offsets, weights) of even accuracy ``order``.
+
+    Offsets -half..half, half = (deriv + order - 1) // 2; weight j is deriv!
+    times the x^deriv coefficient of offset j's Lagrange basis polynomial,
+    over h^deriv, and correctly rounded at h = 1 (up to 21 offsets).  Only a
+    test uses it; it stays here as the benchmark tracer wraps the
+    ``spectrum`` alias, until ROADMAP direction 2 moves it into the tests.
+    """
+    half = (deriv + order - 1) // 2
+    if deriv < 1 or order < 2 or order % 2 or 2 * half + 1 > 21:
+        raise DomainError(f"no central stencil of derivative {deriv}, order {order}")
     offsets = np.arange(-half, half + 1)
-    w = fd_weights(offsets * h, 0.0, deriv)
-    return offsets, w
+    weights = np.empty(offsets.size)
+    for i, j in enumerate(offsets):
+        others = offsets[offsets != j]
+        weights[i] = math.factorial(deriv) * np.poly(others)[-1 - deriv] / np.prod(j - others)
+    return offsets, weights / h**deriv
 
 
 def spectral_derivative(samples):

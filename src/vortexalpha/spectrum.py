@@ -212,6 +212,8 @@ def transversality_report(
         raise DomainError("q0 must be at least 1")
     j = None if j is None else _integer(j, "j")
     j0 = None if j0 is None else _integer(j0, "j0")
+    if (j is not None and variant == "pure") or (j0 is not None and variant != "difference"):
+        raise DomainError(f"variant {variant!r} takes no j={j} or j0={j0}")
     if variant == "pure" and not any(l):
         raise DomainError("variant 'pure' requires l != 0")
     if variant in ("plus_jV0", "plus_Omega_j"):

@@ -276,8 +276,10 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None):
     if m < 1:
         raise DomainError("m must be a positive integer")
     n_max = _integer(n_max, "n_max")
+    if n_max < m - 1:
+        raise DomainError(f"n_max={n_max} is below the kernel mode m - 1 = {m - 1}")
     # table[n] = omega_bifurcation(n + 1, alpha), one I_n K_n table
-    table = spectrum.bifurcation_table(max(n_max + 1, m), [alpha])[:, 0]
+    table = spectrum.bifurcation_table(n_max + 1, [alpha])[:, 0]
     if Omega is None:
         Omega = table[m - 1]
     pattern = range(m - 1, n_max + 1, m)

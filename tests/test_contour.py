@@ -193,7 +193,10 @@ class TestRhs:
     def test_workspace_keeps_one_grid_size(self):
         contour.rhs(two_mode_patch(64, 0.7))
         contour.rhs(two_mode_patch(96, 0.7))
-        assert list(greens._workspaces) == [96]
+        hits = greens._workspace.cache_info().hits
+        greens._workspace(96)  # a hit: the 96-point workspace is the one kept
+        info = greens._workspace.cache_info()
+        assert (info.maxsize, info.currsize, info.hits) == (1, 1, hits + 1)
 
     @pytest.mark.parametrize("fold", [1, 2, 4])
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
@@ -363,6 +366,17 @@ class TestEvolution:
     def test_bad_horizon_or_step_rejected(self, T, dt):
         with pytest.raises(DomainError):
             contour.evolve(two_mode_patch(64, 0.7), T, dt=dt)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_step_rejects_nonfinite_dt(self, dt):
+        with pytest.raises(DomainError):
+            contour.step_rk4(two_mode_patch(64, 0.7), dt)
+
+    @pytest.mark.parametrize("every", [-2, 0, 0.5, 2.5, math.nan, "2"])
+    @pytest.mark.parametrize("T", [0.0, 0.6])
+    def test_bad_snapshot_every_rejected(self, T, every):
+        with pytest.raises(DomainError):
+            contour.evolve(two_mode_patch(64, 0.3), T, snapshot_every=every)
 
     def test_zero_horizon_takes_no_step(self, monkeypatch):
         patch = two_mode_patch(64, 0.7)

@@ -1,6 +1,7 @@
 """Tests for the Euler-alpha Green kernel and boundary-integral velocity."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -448,3 +449,49 @@ class TestLaplacianIdentity:
         lap2 = lap(lap1, idx2)
         recon = lap1[idx2] - alpha**2 * lap2
         assert np.max(np.abs(recon - om(Rext[idx2]))) < 1e-6
+
+
+def exact_weights(deriv, offsets):
+    """deriv! times the x^deriv coefficient of each Lagrange basis polynomial, exactly."""
+    weights = []
+    for j in offsets:
+        poly, denom = [Fraction(1)], 1  # prod (x - k) over k != j, lowest power first
+        for k in offsets:
+            if k != j:
+                poly = [a - k * b for a, b in zip([0] + poly, poly + [0])]
+                denom *= int(j - k)
+        weights.append(math.factorial(deriv) * poly[deriv] / denom)
+    return weights
+
+
+class TestCentralStencil:
+    CASES = [
+        (deriv, order)
+        for deriv in range(1, 5)
+        for order in range(2, 21, 2)
+        if 2 * ((deriv + order - 1) // 2) + 1 <= 21
+    ]
+
+    @pytest.mark.parametrize("deriv, order", CASES)
+    def test_weights_are_the_rounded_rationals(self, deriv, order):
+        offsets, weights = central_fd_stencil(deriv, order, 1.0)
+        half = (deriv + order - 1) // 2
+        assert offsets.tolist() == list(range(-half, half + 1))
+        assert weights.tolist() == [float(w) for w in exact_weights(deriv, offsets)]
+
+    @pytest.mark.parametrize("deriv, order", [(1, 2), (2, 2), (1, 6), (2, 6), (3, 4)])
+    def test_order_is_the_requested_one(self, deriv, order):
+        # exact on x^p for p < deriv + order, and not on x^(deriv + order)
+        offsets, weights = central_fd_stencil(deriv, order, 0.5)
+        x = 0.5 * offsets
+        for p in range(deriv + order):
+            want = math.factorial(deriv) if p == deriv else 0.0
+            assert np.dot(weights, x**p) == pytest.approx(want, abs=1e-9)
+        assert abs(np.dot(weights, x ** (deriv + order))) > 1e-3
+
+    @pytest.mark.parametrize(
+        "deriv, order", [(0, 2), (-1, 2), (1, 0), (1, -2), (1, 3), (2, 5), (1, 22), (3, 20), (4, 20)]
+    )
+    def test_rejects(self, deriv, order):
+        with pytest.raises(DomainError):
+            central_fd_stencil(deriv, order, 0.1)

@@ -395,6 +395,10 @@ class TestArgumentValidation:
             dict(alpha_interval=(0.3,)),
             dict(variant="plus_Omega_j", j=5.5),
             dict(variant="difference", j=5, j0=math.nan),
+            dict(j=5),
+            dict(j0=7),
+            dict(variant="plus_jV0", j=5, j0=7),
+            dict(variant="plus_Omega_j", j=5, j0=7),
         ],
         ids=repr,
     )

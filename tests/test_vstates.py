@@ -368,6 +368,11 @@ class TestIntegerArguments:
 
 
 class TestCrandallRabinowitz:
+    def test_window_below_the_kernel_mode_rejected(self):
+        with pytest.raises(DomainError):
+            vs.check_crandall_rabinowitz(0.5, 3, 1)
+        assert vs.check_crandall_rabinowitz(0.5, 3, 2).kernel_modes == (2,)
+
     def test_kernel_and_transversality(self):
         rep = vs.check_crandall_rabinowitz(1.0, 3, 32)
         assert rep.kernel_dim == 1
