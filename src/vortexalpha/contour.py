@@ -81,11 +81,11 @@ import numpy as np
 
 from . import spectrum
 from .errors import DomainError, GeometryError, GridError, InstabilityError
+from .errors import _finite, _integer, _positive
 from .greens import (
     EULER_GAMMA, _kernel_block, _pair_chords, _workspace, green_kernel, pair_plan,
 )
 from .numerics import dealias_twothirds, spectral_derivative
-from .spectrum import _integer
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,8 @@ class RadialPatch:
                 raise GridError("samples are not fold-symmetric")
             r = np.tile(sector, fold)
         r.flags.writeable = False  # a frozen patch owns its samples
-        if not 0 < self.alpha < math.inf:
-            raise DomainError("alpha must be positive and finite")
-        if not math.isfinite(self.rotation_offset):
-            raise DomainError("rotation offset must be finite")
+        _positive(self.alpha, "alpha")
+        _finite(self.rotation_offset, "rotation offset")
         object.__setattr__(self, "samples", r)
         object.__setattr__(self, "fold", fold)
 
@@ -205,8 +203,8 @@ def linearized_rhs(patch, direction):
     from one product G @ [Re z', Im z', rho]: V^E + V^SW is Im V / R for
     the rotated average V of :func:`_kernel_product`, L rho its column.
     """
-    rho = np.asarray(direction, dtype=float)
-    if rho.shape != patch.samples.shape:
+    rho = _finite(direction, "direction")
+    if np.shape(rho) != patch.samples.shape:
         raise GridError("direction must match the patch grid")
     R, _, V, rest = _kernel_product(patch, patch.size, rho)
     speed = patch.rotation_offset - V.imag / R
@@ -238,6 +236,7 @@ def default_timestep(patch, c=0.25):
     c = 0.25 is the integration default, c = 0.5 the cap enforced by
     :func:`step_rk4`.
     """
+    c = _positive(c, "c")
     r = patch.samples
     slope = float(np.max(np.abs(spectral_derivative(r))))
     height = float(np.max(np.abs(r)))
@@ -325,8 +324,8 @@ def evolve(patch, T, dt=None, snapshot_every=None):
     """
     if not math.isfinite(T) or not (dt is None or (math.isfinite(dt) and dt != 0)):
         raise DomainError(f"T and dt must be finite and dt nonzero, got T={T!r}, dt={dt!r}")
-    if snapshot_every is not None and _integer(snapshot_every, "snapshot_every") < 1:
-        raise DomainError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
+    if snapshot_every is not None:
+        _integer(snapshot_every, "snapshot_every", least=1)
     if T == 0:
         return patch, [(0.0, patch)] if snapshot_every else []
     if dt is not None and T * dt < 0:
@@ -390,14 +389,11 @@ def _energy(patch):
 
 def _linear_solution(S, amplitudes, Omega, alpha, t, M):
     """rho = sum a_j cos(j theta - w_j t) on M nodes and its time derivative."""
-    S = [_integer(j, "each element of S") for j in S]
-    if any(j < 1 for j in S):
-        raise DomainError("S must contain positive integers")
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    if amplitudes.shape != (len(S),) or np.any(amplitudes == 0.0):
+    S = [_integer(j, "each element of S", least=1) for j in S]
+    amplitudes = _finite(amplitudes, "amplitudes")
+    if np.shape(amplitudes) != (len(S),) or np.any(amplitudes == 0.0):
         raise DomainError("one nonzero amplitude per mode required")
-    if not math.isfinite(t):
-        raise DomainError("t must be finite")
+    t = _finite(t, "t")
     M = _integer(M, "grid size")
     if M < 1:
         raise GridError("grid size must be positive")
@@ -437,6 +433,9 @@ def vstate_to_radial(branch_point, M):
     bifurcate at Omega = omega_bifurcation(m, alpha).  For another offset,
     ``dataclasses.replace(patch, rotation_offset=...)``.
     """
+    M = _integer(M, "grid size")
+    if M < 32 or M % 2:
+        raise GridError(f"grid size must be even and at least 32, got {M}")
     pert = branch_point.perturbation
     theta = 2 * np.pi * np.arange(M) / M
     phi = theta.copy()

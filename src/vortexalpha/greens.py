@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .errors import DomainError, GridError
+from .errors import DomainError, GridError, _positive
 
 EULER_GAMMA = sf.EULER_GAMMA
 
@@ -134,11 +134,9 @@ def pair_plan(M, period, reflect):
 def green_kernel(alpha, rho):
     """Stream kernel (1/2pi)(log rho + K_0(rho/alpha)); rho > 0.
 
-    Accepts scalars or arrays; every entry must be positive.
+    Accepts scalars or arrays; every entry must be positive and finite.
     """
-    if np.any(np.asarray(rho, dtype=float) <= 0):
-        raise DomainError("green_kernel requires rho > 0")
-    out = combined_boundary_kernel(alpha, rho)
+    out = combined_boundary_kernel(alpha, _positive(rho, "rho"))
     out /= 2 * np.pi
     return out
 
@@ -147,13 +145,12 @@ def combined_boundary_kernel(alpha, rho):
     """log rho + K_0(rho/alpha), continued by log(2 alpha) - gamma at rho = 0.
 
     A scalar gives a float; an array of any shape gives an array of that
-    shape.  The input is not modified.
+    shape.  The input is not modified; every entry must be nonnegative and finite.
     """
-    if not 0 < alpha < math.inf:
-        raise DomainError("alpha must be positive and finite")
+    alpha = _positive(alpha, "alpha")
     arr = np.asarray(rho, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("rho must be nonnegative")
+    if not (arr.min(initial=0.0) >= 0 and math.isfinite(arr.max(initial=0.0))):  # nan propagates
+        raise DomainError("rho must be nonnegative and finite")
     flat = arr.reshape(-1)
     n = flat.size
     out = _kernel_into(alpha, flat, flat == 0.0, np.empty(n), np.empty(n), np.empty((2, n)))

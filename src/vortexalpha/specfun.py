@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _positive
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -298,8 +298,6 @@ def _i_ratio_seq(nmax, x):
     seed error is washed out by the time the requested range is reached.
     """
     out = np.empty((nmax,) + np.shape(x))
-    if nmax == 0:
-        return out
     xmax = float(np.max(x, initial=0.0))
     start = nmax + 30 + int(2.0 * math.sqrt((nmax + 40) * xmax))
     rho = x / (2.0 * (start + 1))
@@ -318,12 +316,8 @@ def product_IK_array(nmax, x):
     no overflowing intermediates, valid for large order.  Every x must be
     positive and finite.
     """
-    if nmax < 0 or not float(nmax).is_integer():
-        raise DomainError(f"order must be a nonnegative integer, got {nmax!r}")
-    nmax = int(nmax)
-    x = np.asarray(x, dtype=float)
-    if not np.all((x > 0) & (x < math.inf)):
-        raise DomainError("argument must be positive and finite")
+    nmax = _integer(nmax, "order", least=0)
+    x = np.asarray(_positive(x, "argument"))
     rho = _i_ratio_seq(nmax + 1, x)
     kappa = _k_ratio(x)
     P = np.empty((nmax + 1, x.size))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .errors import DomainError
+from .errors import DomainError, _integer, _positive
 # unused here: perfbench/smoke_tests.py wraps this alias as its example
 from .numerics import central_fd_stencil  # noqa: F401
 
@@ -46,61 +46,35 @@ _VARIANTS = ("pure", "plus_jV0", "plus_Omega_j", "difference")
 _AUGMENTS = ("none", "V0", "V0_and_1")
 
 
-def _integer(value, what):
-    """``value`` as an int, or DomainError if it is not an integer (2.5, nan, "3")."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return n
-
-
 def omega_sw(m, lam):
     """Screened-model bifurcation value I_1 K_1(lambda) - I_m K_m(lambda)."""
-    m = _integer(m, "fold m")
-    if m < 1:
-        raise DomainError("fold m must be a positive integer")
-    if not 0 < lam < math.inf:
-        raise DomainError("lambda must be positive and finite")
-    P = sf.product_IK_array(m, np.array([float(lam)]))
+    m = _integer(m, "fold m", least=1)
+    P = sf.product_IK_array(m, np.array([_positive(lam, "lambda")]))
     return float(P[1, 0] - P[m, 0])
 
 
 def omega_bifurcation(m, alpha):
     """Bifurcation frequency (m-1)/(2m) - omega_sw(m, 1/alpha)."""
-    m = _integer(m, "fold m")
-    if m < 1:
-        raise DomainError("fold m must be a positive integer")
-    if not 0 < alpha < math.inf:
-        raise DomainError("alpha must be positive and finite")
-    return (m - 1) / (2.0 * m) - omega_sw(m, 1.0 / alpha)
+    m = _integer(m, "fold m", least=1)
+    return (m - 1) / (2.0 * m) - omega_sw(m, 1.0 / _positive(alpha, "alpha"))
 
 
 def omega_infinity(alpha):
     """Limit of the bifurcation frequencies: 1/2 - I_1 K_1(1/alpha)."""
-    if not 0 < alpha < math.inf:
-        raise DomainError("alpha must be positive and finite")
-    return 0.5 - sf.product_IK_array(1, np.array([1.0 / alpha]))[1, 0]
+    return 0.5 - sf.product_IK_array(1, np.array([1.0 / _positive(alpha, "alpha")]))[1, 0]
 
 
 def bifurcation_table(m_max, alphas):
     """Matrix B[m, i] = omega_bifurcation(m, alphas[i]) for m = 1..m_max."""
-    m_max = _integer(m_max, "m_max")
-    if m_max < 1:
-        raise DomainError("m_max must be at least 1")
-    alphas = np.asarray(alphas, dtype=float)
-    if not np.all((alphas > 0) & (alphas < math.inf)):
-        raise DomainError("alpha must be positive and finite")
-    P = sf.product_IK_array(m_max, 1.0 / alphas)
+    m_max = _integer(m_max, "m_max", least=1)
+    P = sf.product_IK_array(m_max, 1.0 / _positive(alphas, "alpha"))
     m = np.arange(1, m_max + 1, dtype=float)[:, None]
     return (m - 1) / (2 * m) - (P[1][None, :] - P[1:])
 
 
 def _validate_tangential_set(S):
-    S = tuple(_integer(j, "each element of S") for j in S)
-    if not S or any(j < 1 for j in S) or any(b <= a for a, b in zip(S, S[1:])):
+    S = tuple(_integer(j, "each element of S", least=1) for j in S)
+    if not S or any(b <= a for a, b in zip(S, S[1:])):
         raise DomainError("S must be a nonempty strictly increasing set of positive integers")
     return S
 
@@ -115,11 +89,8 @@ def _frequency_rows(js, Omega, alpha_grid):
 
     Entries of ``js`` may be negative (odd extension) or zero (a zero row).
     """
-    if not 0 < Omega < math.inf:
-        raise DomainError("rotation offset Omega must be positive and finite")
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    if not np.all((alpha_grid > 0) & (alpha_grid < math.inf)):
-        raise DomainError("alpha must be positive and finite")
+    Omega = _positive(Omega, "rotation offset Omega")
+    alpha_grid = _positive(alpha_grid, "alpha")
     js = [_integer(j, "mode j") for j in js]
     P = sf.product_IK_array(max([1] + [abs(j) for j in js]), 1.0 / alpha_grid)
     W = np.zeros((len(js), P.shape[1]))
@@ -280,13 +251,7 @@ def _margin_grid(alpha_interval, q0, npts):
     npts >= 2.  The ints keep float keys out of the basis and table caches.
     """
     a0, a1 = _interval(alpha_interval)
-    q0 = _integer(q0, "q0")
-    if q0 < 0:
-        raise DomainError(f"q0 must be nonnegative, got {q0}")
-    npts = _integer(npts, "npts")
-    if npts < 2:
-        raise DomainError(f"npts must be at least 2, got {npts}")
-    return a0, a1, q0, npts
+    return a0, a1, _integer(q0, "q0", least=0), _integer(npts, "npts", least=2)
 
 
 def _affine_form(modes, coef, v0_coef, Omega):
@@ -297,8 +262,7 @@ def _affine_form(modes, coef, v0_coef, Omega):
     V_0 = Omega + 1/2 - P_1: Omega enters c only.  Integer ``coef``,
     ``modes`` and ``v0_coef`` give exact weights (w_1 = 0 for |j| = 1).
     """
-    if not 0 < Omega < math.inf:
-        raise DomainError("rotation offset Omega must be positive and finite")
+    Omega = _positive(Omega, "rotation offset Omega")
     weights = np.zeros(max([1] + [abs(j) for j in modes]))
     const = v0_coef * (Omega + 0.5)
     weights[0] -= v0_coef

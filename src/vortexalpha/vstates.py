@@ -54,11 +54,11 @@ import numpy as np
 
 from . import spectrum
 from .errors import ConvergenceError, DomainError, GeometryError, GridError
+from .errors import _finite, _integer, _positive
 # unused here: perfbench/smoke_tests.py wraps this alias as its example
 from .greens import combined_boundary_kernel  # noqa: F401
 from .greens import _kernel_block, _pair_chords, _workspace, pair_plan
 from .numerics import sine_coefficients
-from .spectrum import _integer
 
 _MIN_PHI_PRIME = 1e-9
 _KERNEL_TOL = 1e-10  # |multiplier| below which a mode counts as kernel
@@ -73,12 +73,8 @@ class ConformalPerturbation:
     fold: int = 1
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.array(self.coefficients, dtype=float))
-        if not np.isfinite(coeffs).all():
-            raise DomainError("coefficients must be finite")
-        m = _integer(self.fold, "fold")
-        if m < 1:
-            raise DomainError("fold must be a positive integer")
+        coeffs = np.atleast_1d(np.array(_finite(self.coefficients, "coefficients")))
+        m = _integer(self.fold, "fold", least=1)
         live = np.nonzero(coeffs)[0]
         bad = [int(n) for n in live if n % m != (m - 1) % m]
         if bad:
@@ -134,10 +130,8 @@ def evaluate_F(alpha, Omega, perturbation, grid_size):
 
 def _grid_size(alpha, Omega, pert, grid_size):
     """The grid size M after checking the arguments of one evaluation."""
-    if not 0 < alpha < np.inf:
-        raise DomainError("alpha must be positive and finite")
-    if not math.isfinite(Omega):
-        raise DomainError("Omega must be finite")
+    _positive(alpha, "alpha")
+    _finite(Omega, "Omega")
     M = _integer(grid_size, "grid size")
     if M < 8 or M % 2:
         raise GridError("grid size must be even and at least 8")
@@ -272,16 +266,13 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None):
     (the default) the kernel must be one-dimensional, spanned by the
     conj(w)^(m-1) direction, with transversality derivative exactly -m.
     """
-    m = _integer(m, "fold m")
-    if m < 1:
-        raise DomainError("m must be a positive integer")
+    m = _integer(m, "fold m", least=1)
     n_max = _integer(n_max, "n_max")
     if n_max < m - 1:
         raise DomainError(f"n_max={n_max} is below the kernel mode m - 1 = {m - 1}")
     # table[n] = omega_bifurcation(n + 1, alpha), one I_n K_n table
     table = spectrum.bifurcation_table(n_max + 1, [alpha])[:, 0]
-    if Omega is None:
-        Omega = table[m - 1]
+    Omega = table[m - 1] if Omega is None else _finite(Omega, "Omega")
     pattern = range(m - 1, n_max + 1, m)
     mults = [(n, float((n + 1) * (table[n] - Omega))) for n in pattern]
     kernel_modes = tuple(n for n, v in mults if abs(v) < _KERNEL_TOL)
@@ -337,8 +328,8 @@ def _branch_residual(alpha, m, s, u, M, N, jacobian=False):
     else:
         g = evaluate_F(alpha, u[0], pert, M).sine_coefficients
     band = g[m - 1 : N * m : m]            # g_m, g_2m, ..., g_Nm
-    tail = g[N * m : min(2 * N * m, len(g))]
-    out = (band.copy(), float(np.max(np.abs(tail))) if len(tail) else 0.0, pert)
+    tail = g[N * m : 2 * N * m]  # nonempty: _grid_size keeps M >= 4 N m
+    out = (band.copy(), float(np.max(np.abs(tail))), pert)
     if not jacobian:
         return out
     return out + (sine_coefficients(columns)[m - 1 : N * m : m],)
@@ -370,25 +361,16 @@ def continue_branch(
     stalls, and :class:`GridError` when the discarded sine tail exceeds
     1e-8 (under-resolved band).
     """
-    m = _integer(m, "fold m")
-    if m < 2:
-        raise DomainError("branch continuation requires m >= 2")
-    amplitudes = [float(s) for s in amplitudes]
-    if not amplitudes or not all(0 < s < math.inf for s in amplitudes):
-        raise DomainError("amplitudes must be positive and finite")
-    if any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
-        raise DomainError("amplitudes must be strictly increasing")
+    m = _integer(m, "fold m", least=2)
+    amplitudes = [float(s) for s in _positive(amplitudes, "amplitudes")]
+    if not amplitudes or any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
+        raise DomainError("amplitudes must be a nonempty strictly increasing sequence")
     if amplitudes[0] > 1e-3:
         raise DomainError("first amplitude must be at most 1e-3 (local branch)")
-    N = _integer(band, "band")
-    if N < 1:
-        raise DomainError(f"band must be at least 1, got {band!r}")
+    N = _integer(band, "band", least=1)
     M = _integer(grid_size, "grid size")
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    max_steps = _integer(max_steps, "max_steps")
-    if max_steps < 0:
-        raise DomainError(f"max_steps must be nonnegative, got {max_steps!r}")
+    tol = _positive(tol, "tol")
+    max_steps = _integer(max_steps, "max_steps", least=0)
 
     u = np.zeros(N)
     u[0] = spectrum.bifurcation_table(m, [alpha])[m - 1, 0]

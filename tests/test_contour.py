@@ -170,6 +170,12 @@ class TestRhs:
         with pytest.raises(error, match="grid size"):
             call([2], [0.01], 0.5, 0.3, 0.3, M)
 
+    @pytest.mark.parametrize("call", [contour.linear_qp_solution, contour.qp_residual])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_linear_solution_rejects_nonfinite_amplitudes(self, call, bad):
+        with pytest.raises(DomainError, match="amplitudes"):
+            call([2, 3], [0.01, bad], 0.5, 0.3, 0.1, 64)
+
     def test_linear_solution_is_the_mode_sum(self):
         S, a, t, M = [2, 3, 5], np.array([1e-3, -2e-3, 5e-4]), 0.3, 128
         theta = 2 * np.pi * np.arange(M) / M
@@ -334,6 +340,13 @@ class TestLinearization:
         assert gaps[0] <= 5e-6 and gaps[1] <= 2e-7 and gaps[2] <= 1e-8
         assert gaps[0] >= 10 * gaps[1] and gaps[1] >= 10 * gaps[2]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_direction_rejected(self, bad):
+        rho = np.zeros(64)
+        rho[0] = bad
+        with pytest.raises(DomainError, match="direction"):
+            contour.linearized_rhs(two_mode_patch(64, 0.3), rho)
+
 
 class TestEvolution:
     def test_mean_conserved(self):
@@ -371,6 +384,11 @@ class TestEvolution:
     def test_step_rejects_nonfinite_dt(self, dt):
         with pytest.raises(DomainError):
             contour.step_rk4(two_mode_patch(64, 0.7), dt)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_bad_step_factor_rejected(self, c):
+        with pytest.raises(DomainError, match="c must be positive"):
+            contour.default_timestep(two_mode_patch(64, 0.3), c)
 
     @pytest.mark.parametrize("every", [-2, 0, 0.5, 2.5, math.nan, "2"])
     @pytest.mark.parametrize("T", [0.0, 0.6])
@@ -535,3 +553,18 @@ class TestVStateConversion:
         for _, p in snaps:
             assert p.rotation_offset == 0.5 and p.fold == 2
             assert abs(p.mean - patch.mean) < 1e-14
+
+    @pytest.mark.parametrize(
+        "M, error",
+        [(0, GridError), (-1, GridError), (30, GridError), (33, GridError),
+         (math.nan, DomainError), (math.inf, DomainError), (-math.inf, DomainError),
+         (64.5, DomainError)],
+    )
+    def test_grid_checked_before_the_inversion(self, M, error):
+        # no perturbation to invert: the grid must be rejected before it is read
+        point = vs.BranchPoint(
+            m=2, alpha=0.7, Omega=0.3, perturbation=None, residual=0.0, amplitude=0.0,
+            alias_tail=0.0, newton_steps=0, residual_history=(0.0,), jacobians=1,
+        )
+        with pytest.raises(error, match="grid size"):
+            contour.vstate_to_radial(point, M)

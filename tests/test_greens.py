@@ -92,6 +92,15 @@ class TestGreenKernel:
             with pytest.raises(DomainError):
                 greens.combined_boundary_kernel(alpha, np.array([0.0, 0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_rho_rejected_by_the_kernels(self, bad):
+        # the kernels name rho themselves, where K_0 would blame its own x
+        with pytest.raises(DomainError, match="rho must be nonnegative and finite"):
+            greens.combined_boundary_kernel(0.3, bad)
+        with pytest.raises(DomainError, match="rho must be positive and finite"):
+            greens.green_kernel(0.3, [bad, 1.0])
+        assert sf.k0_array(np.array([math.inf]))[0] == 0.0  # the documented underflow
+
     def test_strictly_increasing(self):
         rho = np.geomspace(1e-4, 50.0, 500)
         vals = greens.green_kernel(1.3, rho)

@@ -373,6 +373,11 @@ class TestCrandallRabinowitz:
             vs.check_crandall_rabinowitz(0.5, 3, 1)
         assert vs.check_crandall_rabinowitz(0.5, 3, 2).kernel_modes == (2,)
 
+    @pytest.mark.parametrize("Omega", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_omega_rejected(self, Omega):
+        with pytest.raises(DomainError, match="Omega must be finite"):
+            vs.check_crandall_rabinowitz(0.5, 3, 8, Omega=Omega)
+
     def test_kernel_and_transversality(self):
         rep = vs.check_crandall_rabinowitz(1.0, 3, 32)
         assert rep.kernel_dim == 1
