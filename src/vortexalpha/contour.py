@@ -389,7 +389,7 @@ def _energy(patch):
 
 def _linear_solution(S, amplitudes, Omega, alpha, t, M):
     """rho = sum a_j cos(j theta - w_j t) on M nodes and its time derivative."""
-    S = [_integer(j, "each element of S", least=1) for j in S]
+    S = spectrum._validate_tangential_set(S)
     amplitudes = _finite(amplitudes, "amplitudes")
     if np.shape(amplitudes) != (len(S),) or np.any(amplitudes == 0.0):
         raise DomainError("one nonzero amplitude per mode required")

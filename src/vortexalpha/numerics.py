@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _positive
 
 
 def central_fd_stencil(deriv, order, h):
@@ -18,8 +18,11 @@ def central_fd_stencil(deriv, order, h):
     test uses it; it stays here as the benchmark tracer wraps the
     ``spectrum`` alias, until ROADMAP direction 2 moves it into the tests.
     """
+    deriv = _integer(deriv, "derivative order deriv", least=1)
+    order = _integer(order, "accuracy order", least=2)
+    h = _positive(h, "step h")
     half = (deriv + order - 1) // 2
-    if deriv < 1 or order < 2 or order % 2 or 2 * half + 1 > 21:
+    if order % 2 or 2 * half + 1 > 21:
         raise DomainError(f"no central stencil of derivative {deriv}, order {order}")
     offsets = np.arange(-half, half + 1)
     weights = np.empty(offsets.size)

@@ -21,12 +21,12 @@ estimated truncation errors cross the accuracy targets, see below):
   |t| <= 1.  The relative error is a few ulp on the whole half-line, and
   the cost per point does not depend on x (both checked against mpmath in
   the tests).  ``k0_array`` multiplies the order-0 fit by ``e^-x/sqrt(x)``;
-  the products need only the ratio ``kappa_1 = K_1/K_0`` (``_k_ratio``),
-  in which that factor cancels.  On request ``k0_array`` also writes the
-  kernel slope ``1/x^2 - K_1(x)/x`` from the same tables: for x < 3 as
-  ``-log(x/2) p_2/2 + p_3/4`` (the ``1/x^2`` of ``K_1/x`` cancels
-  exactly, so nothing is lost at small x), for x >= 3 from the order-1
-  fit.
+  on request it also writes the kernel slope ``1/x^2 - K_1(x)/x`` from
+  the same tables: for x < 3 as ``-log(x/2) p_2/2 + p_3/4`` (the
+  ``1/x^2`` of ``K_1/x`` cancels exactly, so nothing is lost at small
+  x), for x >= 3 from the order-1 fit.  The products need only the ratio
+  ``kappa_1 = K_1/K_0`` (``_k_ratio``), read from that series and slope,
+  or from the fit, whose factor cancels.
 * ``I_{n+1}/I_n``: the order ratios ``rho_n`` from the downward
   recurrence ``rho_{n-1} = 1/(2n/x + rho_n)`` (W. Gautschi, SIAM Rev. 9
   (1967)), seeded well above the top order, at every x; its length grows
@@ -120,10 +120,9 @@ def _horner(u, coef, out):
 
     The loop runs in the order of operations of the plain form
     ``p = p * u + c``, so it is bitwise equal to it, in two passes per
-    degree and without a fresh array per step.  Entries of ``coef`` that
-    are (rows, 1) arrays sum one polynomial per row of a (rows,) + u.shape
-    ``out`` at once.  The ``evolve`` kernel path sums one column per call:
-    a stacked accumulator measured about 20 % slower there.
+    degree and without a fresh array per step.  Each call sums one
+    polynomial: on the ``evolve`` kernel path a stacked accumulator of
+    several measured about 20 % slower.
     """
     np.multiply(u, coef[-1], out=out)
     for c in coef[-2:0:-1]:
@@ -162,23 +161,22 @@ _K1_FIT = _K01E_POWERS[:, 1].tolist()
 def _k_ratio(x):
     """kappa_1 = K_1(x)/K_0(x) for positive x (vectorized).
 
-    Series for x < 3, the Chebyshev fit for x >= 3; the fit's common
-    factor e^-x/sqrt(x) cancels in the ratio.
+    For x < 3, K_0 and the slope s = 1/x^2 - K_1/x of ``_k0_series``, with
+    K_1 = 1/x - x s; for x >= 3 the two columns of the Chebyshev fit,
+    whose common factor e^-x/sqrt(x) cancels in the ratio.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     lo = x < _X_SWITCH_K_SERIES
     if lo.any():
         xs = x[lo]
-        lg = np.log(xs / 2.0)
-        u = xs * xs / 4.0
-        i0, s0, i1, s1 = _horner(u, _K_SERIES[:, :, None], np.empty((4,) + u.shape))
-        out[lo] = (1.0 / xs + lg * (xs / 2.0) * i1 - (xs / 4.0) * s1) / (-lg * i0 + s0)
+        k0, s = xs.copy(), np.empty_like(xs)
+        _k0_series(k0, np.empty((2, xs.size)), s)
+        out[lo] = (1.0 / xs - xs * s) / k0
     hi = ~lo
     if hi.any():
         t = 6.0 / x[hi] - 1.0
-        k0, k1 = _horner(t, _K01E_POWERS[:, :, None], np.empty((2,) + t.shape))
-        out[hi] = k1 / k0
+        out[hi] = _horner(t, _K1_FIT, np.empty_like(t)) / _horner(t, _K0_FIT, np.empty_like(t))
     return out
 
 

@@ -13,19 +13,19 @@ the first equilibrium frequency cannot resonate, and checked by every
 frequency table); 1/2 is the suggested default, with no claim of
 matching any canonical choice.
 
-Every frequency row on an alpha grid (``equilibrium_matrix``, ``v0_curve``
-and the non-degeneracy samples) comes from one I_n K_n table per call.
-The margins share their tables instead: every frequency combination is
-affine in the products P_n(alpha) = I_n K_n(1/alpha), and Omega enters
-only its constant term, so the alpha derivatives of P_1..P_nmax on one
-interval are fitted once (``_derivative_basis``) and each margin is a
-weighted sum of them.  The derivatives come from a Chebyshev interpolant:
-the P_n are analytic for Re alpha > 0, so a fit at a few Chebyshev
-points, differentiated coefficient-wise, gives every derivative up to q0
-on the whole sampling grid to near machine precision (Trefethen,
-*Approximation Theory and Approximation Practice*, 2013).  Margin routines
-still take the infimum over a uniform grid, which callers may double to
-check the stability of the reported value.
+Every frequency combination is affine in P_n(alpha) = I_n K_n(1/alpha),
+with Omega in its constant term only, and ``_affine_form`` states it:
+each row on an alpha grid (``equilibrium_matrix``, ``v0_curve`` and the
+non-degeneracy samples) is one, evaluated on one I_n K_n table per call.
+The margins share their tables instead: the alpha derivatives of
+P_1..P_nmax on one interval are fitted once (``_derivative_basis``) and
+each margin is a weighted sum of them.  The derivatives come from a
+Chebyshev interpolant: the P_n are analytic for Re alpha > 0, so a fit at
+a few Chebyshev points, differentiated coefficient-wise, gives every
+derivative up to q0 on the whole sampling grid to near machine precision
+(Trefethen, *Approximation Theory and Approximation Practice*, 2013).
+Margin routines still take the infimum over a uniform grid, which callers
+may double to check the stability of the reported value.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def omega_sw(m, lam):
 
 
 def omega_bifurcation(m, alpha):
-    """Bifurcation frequency (m-1)/(2m) - omega_sw(m, 1/alpha)."""
+    """Bifurcation frequency (m-1)/(2m) - omega_sw(m, 1/alpha): row m of ``bifurcation_table``."""
     m = _integer(m, "fold m", least=1)
-    return (m - 1) / (2.0 * m) - omega_sw(m, 1.0 / _positive(alpha, "alpha"))
+    return float(bifurcation_table(m, [_positive(alpha, "alpha")])[m - 1, 0])
 
 
 def omega_infinity(alpha):
@@ -85,20 +85,16 @@ def equilibrium_frequency(j, Omega, alpha):
 
 
 def _frequency_rows(js, Omega, alpha_grid):
-    """(W, V0) on the grid from one I_n K_n table: W[k] = Omega_{js[k]}^E, V0 = V_0.
+    """(W, V0) on the grid, W[k] = Omega_{js[k]}^E, from one ``_affine_form`` per row.
 
     Entries of ``js`` may be negative (odd extension) or zero (a zero row).
     """
-    Omega = _positive(Omega, "rotation offset Omega")
     alpha_grid = _positive(alpha_grid, "alpha")
     js = [_integer(j, "mode j") for j in js]
-    P = sf.product_IK_array(max([1] + [abs(j) for j in js]), 1.0 / alpha_grid)
-    W = np.zeros((len(js), P.shape[1]))
-    for k, j in enumerate(js):
-        if j != 0:
-            m = abs(j)
-            W[k] = j * (Omega + ((m - 1) / (2.0 * m) - (P[1] - P[m])))
-    return W, Omega + 0.5 - P[1]
+    forms = [_affine_form([j], [1], 0, Omega) for j in js] + [_affine_form([], [], 1, Omega)]
+    P = sf.product_IK_array(max(w.size for _, w in forms), 1.0 / alpha_grid)
+    rows = np.array([c + w @ P[1 : w.size + 1] for c, w in forms])
+    return rows[:-1], rows[-1]
 
 
 def equilibrium_matrix(js, Omega, alpha_grid):
@@ -368,7 +364,7 @@ def _derivative_envelope(const, weights, alpha_interval, q0, npts):
         D = _derivative_basis(*key)
     else:
         D = _derivative_basis.__wrapped__(*key)
-    coef = np.tensordot(weights, D, axes=1)
+    coef = (weights @ D.reshape(weights.size, -1)).reshape(D.shape[1:])
     if (deg + 2) * npts <= _CACHED_ENTRIES:
         alphas, h, T = _node_table(a0, a1, npts)
         values = coef @ T
@@ -435,12 +431,7 @@ def check_nondegeneracy(S, Omega, alpha_interval, augment="none", n_samples=None
         raise DomainError(f"n_samples must be at least {n_cols + 1} for {n_cols} columns")
     grid = np.linspace(*_interval(alpha_interval), n_samples)
     W, v0 = _frequency_rows(S, Omega, grid)
-    cols = list(W)
-    if augment in ("V0", "V0_and_1"):
-        cols.append(v0)
-    if augment == "V0_and_1":
-        cols.append(np.ones(grid.size))
-    A = np.column_stack(cols)
+    A = np.column_stack([*W, v0, np.ones(grid.size)][:n_cols])
     if augment != "V0_and_1":
         A = A - A.mean(axis=0)
     return float(np.linalg.svd(A, compute_uv=False)[-1])

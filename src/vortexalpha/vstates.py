@@ -33,9 +33,9 @@ Re((Phi_j - Phi_k) conj(conj(w_j)^n - conj(w_k)^n)) / A_jk, so every
 direction needs only the kernel slope g'(A)/A = (1/A)(1/A - K_1(A/alpha)/alpha),
 which the kernel evaluator writes on the same chord classes; all
 directions then share two matrix products.  At the disc the Jacobian is
-diagonal, with entries (n+1)(Omega^E_{n+1}(alpha) - Omega) for a_n (the
-sign convention relative to the frequency formulas is checked in the
-suite, not assumed).
+diagonal, with entries (n+1)(Omega_{n+1} - Omega) for a_n, where
+Omega_{n+1} = omega_bifurcation(n + 1, alpha) (the sign convention
+relative to the frequency formulas is checked in the suite, not assumed).
 
 Branches are parametrized by the fixed leading amplitude a_{m-1} = s and
 solved by chord Newton on {g_{nm} = 0} for the higher coefficients and
@@ -373,7 +373,7 @@ def continue_branch(
     max_steps = _integer(max_steps, "max_steps", least=0)
 
     u = np.zeros(N)
-    u[0] = spectrum.bifurcation_table(m, [alpha])[m - 1, 0]
+    u[0] = spectrum.omega_bifurcation(m, alpha)
     points, solved = [], [(0.0, u)]  # the disc is the branch point at s = 0
     for s in amplitudes:
         u, tail, pert, history, jacobians = _newton_solve(

@@ -159,6 +159,15 @@ class TestRhs:
             call(S, [1e-3], Omega, 0.7, 0.3, 64)
 
     @pytest.mark.parametrize("call", [contour.linear_qp_solution, contour.qp_residual])
+    @pytest.mark.parametrize("S", [[], [3, 2], [2, 2], [0, 2]])
+    def test_linear_solution_rejects_what_the_margins_reject(self, call, S):
+        # the tangential-set domain of spectrum, one amplitude per mode
+        with pytest.raises(DomainError, match="S must be|each element of S"):
+            call(S, [1e-3] * len(S), 0.5, 0.7, 0.3, 64)
+        with pytest.raises(DomainError, match="S must be|each element of S"):
+            spectrum.transversality_report(S, 0.5, [1] * len(S), "pure", (0.3, 0.7), 2)
+
+    @pytest.mark.parametrize("call", [contour.linear_qp_solution, contour.qp_residual])
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_linear_solution_rejects_nonfinite_time(self, call, t):
         with pytest.raises(DomainError, match="t must be finite"):

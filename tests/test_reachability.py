@@ -32,7 +32,6 @@ ENTRY_POINTS = (
     "difference_derivative_bound",
     "equilibrium_frequency",
     "linear_qp_solution",
-    "omega_bifurcation",
     "omega_infinity",
     "omega_sw",
     "qp_residual",

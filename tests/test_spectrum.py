@@ -68,6 +68,12 @@ class TestOmegaBifurcation:
                     m, 1.0 / alpha
                 )
 
+    def test_is_the_table_row(self):
+        # one code path: the scalar is row m of the table, bitwise
+        for alpha in np.geomspace(0.02, 20.0, 30):
+            for m in range(1, 41):
+                assert sp.omega_bifurcation(m, alpha) == sp.bifurcation_table(m, [alpha])[m - 1, 0]
+
     def test_range(self):
         # 0 <= value < Omega_inf(alpha)
         for alpha in [0.3, 1.0, 4.0]:
@@ -293,6 +299,12 @@ ENVELOPE_CASES = [
     ((2, 3, 4), 0.5, (2, -1, 0), "plus_Omega_j", 5, None),
     ((2, 3), 0.5, (1, -1), "difference", 5, 7),
 ]
+# zero and negative modes, which the frequency rows take and the margins do not
+FREQUENCY_ROW_CASES = [
+    pytest.param(((0, -2, 3), 0.5, (1, 2, -1), "pure", None, None), id="pure_zero_negative"),
+    pytest.param(((-1, 0, 4), 0.7, (3, 1, 1), "plus_Omega_j", -5, None), id="plus_j_negative"),
+    pytest.param(((-3, 2), 0.5, (1, -2), "difference", -4, 0), id="difference_zero"),
+]
 
 
 class TestDerivativeAccuracy:
@@ -314,7 +326,7 @@ class TestDerivativeAccuracy:
         ref = cauchy_envelope(case, rep.argmin_alpha, 4) / max(1, sum(map(abs, l)))
         assert rep.margin == pytest.approx(ref, rel=rtol)
 
-    @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=lambda c: c[3])
+    @pytest.mark.parametrize("case", ENVELOPE_CASES + FREQUENCY_ROW_CASES, ids=lambda c: c[3])
     def test_affine_form_matches_frequency_rows(self, case):
         (const, weights), (modes, coef, v0_coef) = affine_form(case)
         Omega = case[1]
