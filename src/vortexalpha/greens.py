@@ -26,10 +26,10 @@ diagonal.  On a near-circle the chords of one offset are nearly equal
 and grow with the offset, so the K_0 arguments in this order cross the
 series/fit switch at x = 3 only a few times.
 
-Both solvers share its chord-class step: :func:`_pair_chords` forms the
-representative chords from the node coordinates, and :func:`_kernel_block`
-evaluates the kernel (on request with its slope) once per class and
-gathers the block, both in the per-grid buffers of :class:`_Workspace`.
+Both solvers get their kernel block from one call: :func:`_kernel_block`
+forms the plan's chords from the node coordinates, rejects a crossing
+boundary, and evaluates the kernel (on request with its slope) once per
+class into the block, in the per-grid buffers of :class:`_Workspace`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .errors import DomainError, GridError, _positive
+from .errors import DomainError, GeometryError, GridError, _positive
 
 EULER_GAMMA = sf.EULER_GAMMA
 
@@ -190,15 +190,15 @@ class _Workspace:
     the other buffers fit the most chord classes a plan can have,
     M(M-1)/2 + 1: the pairs j < k and the diagonal.  ``kernel`` (M x M)
     holds the chords of :func:`_pair_chords` in its leading entries, then
-    the block of :func:`_kernel_block`; ``x`` holds A/alpha and then
-    log A, ``k0`` the kernel per class.  The first slope request adds a
-    third ``work`` row, ``slope`` and ``slopes``, so callers that never
-    ask for one keep the smaller footprint.  One instance serves one grid
-    size for both solvers, and is not reentrant.  The chords and blocks
-    are views, valid until chords are next formed on that grid size: a
-    :func:`vortexalpha.vstates.evaluate_F` call invalidates the views of a
-    :func:`vortexalpha.contour.rhs` call, and the reverse.  What the
-    solvers return owns its memory.
+    the block that :func:`_kernel_block` forms from them; ``x`` holds
+    A/alpha and then log A, ``k0`` the kernel per class.  The first slope
+    request adds a third ``work`` row, ``slope`` and ``slopes``, so callers
+    that never ask for one keep the smaller footprint.  One instance
+    serves one grid size for both solvers, and is not reentrant.  The
+    chords and blocks are views, valid until chords are next formed on
+    that grid size: a :func:`vortexalpha.vstates.evaluate_F` call
+    invalidates the views of a :func:`vortexalpha.contour.rhs` call, and
+    the reverse.  What the solvers return owns its memory.
     """
 
     def __init__(self, M):
@@ -239,19 +239,23 @@ def _pair_chords(x, y, ws, plan):
     return np.sqrt(A, out=A)
 
 
-def _kernel_block(alpha, chords, ws, plan, slope=False):
-    """Kernel block G of the plan's target rows and, with ``slope``, S = g'(A)/A.
+def _kernel_block(alpha, x, y, period, reflect=False, slope=False):
+    """Kernel block G on the nodes (x, y) and, with ``slope``, S = g'(A)/A.
 
-    The kernel of the representative ``chords`` from :func:`_pair_chords`
-    is evaluated once per class and gathered into ``ws.kernel``, over the
-    chords, and the slope into ``ws.slopes``; S is None without ``slope``.
-    On the full grid G is bitwise symmetric.
+    The rows are those of ``pair_plan(x.size, period, reflect)``.  Its
+    class chords (:func:`_pair_chords`), and so every chord of the block,
+    are checked first: one between distinct nodes below 1e-12, or NaN,
+    raises :class:`GeometryError`.  The kernel is evaluated once per class
+    and gathered into ``ws.kernel`` and the slope into ``ws.slopes``; S is
+    None without ``slope``.  On the full grid G is bitwise symmetric.
     """
+    ws, plan = _workspace(x.size), pair_plan(x.size, period, reflect)
+    chords = _pair_chords(x, y, ws, plan)
+    if not chords[1:].min() >= 1e-12:  # class 0 is the diagonal
+        raise GeometryError("boundary self-intersects on the grid")
     n, rows = plan.first.size, plan.inverse.shape[0]
     if slope and ws.slope is None:
-        classes = ws.x.size
-        ws.work = np.empty((3, classes))
-        ws.slope = np.empty(classes)
+        ws.work, ws.slope = np.empty((3, ws.x.size)), np.empty(ws.x.size)
         ws.slopes = np.empty_like(ws.kernel)
     K = _kernel_into(
         alpha, chords, 0, ws.x[:n], ws.k0[:n], ws.work[:, :n], ws.slope[:n] if slope else None

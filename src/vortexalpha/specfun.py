@@ -168,15 +168,12 @@ def _k_ratio(x):
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     lo = x < _X_SWITCH_K_SERIES
-    if lo.any():
-        xs = x[lo]
-        k0, s = xs.copy(), np.empty_like(xs)
-        _k0_series(k0, np.empty((2, xs.size)), s)
-        out[lo] = (1.0 / xs - xs * s) / k0
-    hi = ~lo
-    if hi.any():
-        t = 6.0 / x[hi] - 1.0
-        out[hi] = _horner(t, _K1_FIT, np.empty_like(t)) / _horner(t, _K0_FIT, np.empty_like(t))
+    xs = x[lo]
+    k0, s = xs.copy(), np.empty_like(xs)
+    _k0_series(k0, np.empty((2, xs.size)), s)
+    out[lo] = (1.0 / xs - xs * s) / k0
+    t = 6.0 / x[~lo] - 1.0
+    out[~lo] = _horner(t, _K1_FIT, np.empty_like(t)) / _horner(t, _K0_FIT, np.empty_like(t))
     return out
 
 
@@ -274,12 +271,8 @@ def k0_array(x, out=None, work=None, slope=None):
     zone = flat[a:b]
     out[a:s] = zone[lo]
     out[s:b] = zone[up]
-    if slope is None:
-        _k0_series(out[:s], work[:, :s])
-        _k0_fit(out[s:], work[:, s:n])
-    else:
-        _k0_series(out[:s], work[:, :s], slope[:s])
-        _k0_fit(out[s:], work[:, s:n], slope[s:n])
+    _k0_series(out[:s], work[:, :s], None if slope is None else slope[:s])
+    _k0_fit(out[s:], work[:, s:n], None if slope is None else slope[s:n])
     if a < b:
         for buf in (out,) if slope is None else (out, slope):
             values = buf[a:b].copy()

@@ -114,10 +114,6 @@ def v0_curve(Omega, alpha_grid):
 # transversality margins
 # ----------------------------------------------------------------------
 
-def _angle_bracket(l):
-    return max(1.0, float(np.sum(np.abs(l))))
-
-
 @dataclass(frozen=True)
 class MarginReport:
     """Result of a transversality-margin evaluation."""
@@ -206,7 +202,7 @@ def transversality_report(
         modes, coef = modes + [j, -j0], coef + [1, 1]
     const, weights = _affine_form(modes, coef, v0_coef, Omega)
     alphas, h, best = _derivative_envelope(const, weights, (a0, a1), q0, npts)
-    scaled = best / _angle_bracket(l)
+    scaled = best / max(1, sum(map(abs, l)))  # <l>: l holds validated integers
     k = int(np.argmin(scaled))
     return MarginReport(
         variant=variant,
@@ -390,17 +386,15 @@ def _chebyshev_derivative(a):
     """Coefficients b of d/dt sum_n a_n T_n(t) along the last axis, zero-padded.
 
     b_k = (2 / c_k) sum_{n > k, n - k odd} n a_n with c_0 = 2 and c_k = 1
-    otherwise: suffix sums over each parity class, O(len(a)) per row.
+    otherwise, by the recurrence b_{k-1} = b_{k+1} + 2 k a_k from the top,
+    with b_0 halved at the end.
     """
     size = a.shape[-1]
-    w = np.zeros(a.shape[:-1] + (size + 1,))
-    w[..., :-1] = 2.0 * np.arange(size) * a
-    tail = np.empty_like(w)  # tail[..., m] = w[..., m] + w[..., m + 2] + ...
-    tail[..., 0::2] = np.cumsum(w[..., 0::2][..., ::-1], axis=-1)[..., ::-1]
-    tail[..., 1::2] = np.cumsum(w[..., 1::2][..., ::-1], axis=-1)[..., ::-1]
-    b = tail[..., 1:]
+    b = np.zeros(a.shape[:-1] + (size + 1,))
+    for k in range(size - 1, 0, -1):
+        b[..., k - 1] = b[..., k + 1] + 2.0 * k * a[..., k]
     b[..., 0] *= 0.5
-    return b
+    return b[..., :size]
 
 
 # ----------------------------------------------------------------------

@@ -57,11 +57,11 @@ from .errors import ConvergenceError, DomainError, GeometryError, GridError
 from .errors import _finite, _integer, _positive
 # unused here: perfbench/smoke_tests.py wraps this alias as its example
 from .greens import combined_boundary_kernel  # noqa: F401
-from .greens import _kernel_block, _pair_chords, _workspace, pair_plan
+from .greens import _kernel_block
 from .numerics import sine_coefficients
 
 _MIN_PHI_PRIME = 1e-9
-_KERNEL_TOL = 1e-10  # |multiplier| below which a mode counts as kernel
+_KERNEL_TOL = 1e-10  # kernel: |multiplier| at most this times the window's largest
 _TAIL_TOL = 1e-8  # largest discarded sine coefficient of a resolved band
 
 
@@ -169,21 +169,12 @@ def _f_samples(alpha, Omega, pert, M, modes=None):
     # F has period 2 pi / m and is odd, so of the first msec target nodes
     # only 0..msec//2 are evaluated; node msec - k takes -F at node k, and
     # the sector is tiled m times.  The kernel is evaluated once per chord
-    # class of those rows and gathered into the h x M block.  Every chord
-    # is a rotation, reflection or transpose of a representative, so the
-    # self-intersection check below still sees every chord class.
+    # class of those rows and gathered into the h x M block.
     m = pert.fold
     msec = M // m if M % m == 0 else M
     h = msec // 2 + 1
     zr, wr, dphir = z[:h], w[:h], dphi[:h]
-    plan = pair_plan(M, msec, True)
-    ws = _workspace(M)
-    dist = _pair_chords(z.real, z.imag, ws, plan)
-    # checked before the kernel overwrites them: class 0 is the diagonal,
-    # and any other chord this short (or NaN) means a crossing
-    if not dist[1:].min() >= 1e-12:
-        raise GeometryError("boundary self-intersects on the grid")
-    G, S = _kernel_block(alpha, dist, ws, plan, slope=modes is not None)
+    G, S = _kernel_block(alpha, z.real, z.imag, msec, True, slope=modes is not None)
     # one real matrix product with c read as (Re c, Im c) columns; G @ c
     # with complex c would copy G to complex
     c = dphi * w
@@ -265,6 +256,10 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None):
     n_max.  At the bifurcation value Omega = omega_bifurcation(m, alpha)
     (the default) the kernel must be one-dimensional, spanned by the
     conj(w)^(m-1) direction, with transversality derivative exactly -m.
+    A mode is kernel when |multiplier| is at most ``_KERNEL_TOL`` times the
+    window's largest, since all multipliers shrink like Omega_m at large
+    alpha.  That holds to alpha = 1e6 at least; at 1e8 the frequencies differ
+    by less than the table's rounding, and false kernel modes are reported.
     """
     m = _integer(m, "fold m", least=1)
     n_max = _integer(n_max, "n_max")
@@ -275,7 +270,8 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None):
     Omega = table[m - 1] if Omega is None else _finite(Omega, "Omega")
     pattern = range(m - 1, n_max + 1, m)
     mults = [(n, float((n + 1) * (table[n] - Omega))) for n in pattern]
-    kernel_modes = tuple(n for n, v in mults if abs(v) < _KERNEL_TOL)
+    scale = max(abs(v) for _, v in mults)
+    kernel_modes = tuple(n for n, v in mults if abs(v) <= _KERNEL_TOL * scale)
     # d/dOmega of the multiplier is -(n+1); for the kernel direction this
     # is the transversality pairing against e_m
     trans = -(kernel_modes[0] + 1) if kernel_modes else 0.0
@@ -452,6 +448,10 @@ def _newton_solve(alpha, m, s, u, M, N, tol, max_steps):
                 pass  # trial point outside the bi-Lipschitz regime: reject it
             else:
                 if np.max(np.abs(trial[0])) < rnorm:
+                    u = u + lam * step
+                    r, tail, pert = trial
+                    history.append(float(np.max(np.abs(r))))
+                    fresh = False
                     break
             lam *= 0.5
         else:
@@ -460,15 +460,8 @@ def _newton_solve(alpha, m, s, u, M, N, tol, max_steps):
                     f"line search failed at s={s}",
                     last_iterate={"u": u, "residual": rnorm},
                 )
-            r, tail, pert, jac = _branch_residual(alpha, m, s, u, M, N, jacobian=True)
-            jacobians, fresh = jacobians + 1, True
-            continue
-        u = u + lam * step
-        r, tail, pert = trial
-        history.append(float(np.max(np.abs(r))))
-        fresh = False
         if tol <= history[-1] and history[-1] > 0.2 * rnorm:
-            # slow contraction under the chord Jacobian: take it afresh
+            # a failed line search (history[-1] is rnorm) or a slow step: refresh
             r, tail, pert, jac = _branch_residual(alpha, m, s, u, M, N, jacobian=True)
             jacobians, fresh = jacobians + 1, True
     return u, tail, pert, tuple(history), jacobians

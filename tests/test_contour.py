@@ -264,9 +264,9 @@ class TestRhs:
     def test_triangle_kernel_matches_full_matrix(self, alpha):
         patch = two_mode_patch(128, alpha)
         A = chord_matrix(patch.radii)
-        plan = full_plan(128)
         ws = greens._workspace(128)
-        G, _ = greens._kernel_block(alpha, pair_chords(patch.radii, plan), ws, plan)
+        R = patch.radii
+        G, _ = greens._kernel_block(alpha, R * ws.cos, R * ws.sin, 128)
         assert A.shape == G.shape == (128, 128)
         assert np.array_equal(G, combined_boundary_kernel(alpha, A))
         assert np.array_equal(G, G.T)
@@ -285,11 +285,27 @@ class TestRhs:
         slope = np.empty(n)
         work = (np.empty(n), np.empty(n), np.empty((3, n)))
         fresh = greens._kernel_into(alpha, chords, chords == 0.0, *work, slope)
-        G, S = greens._kernel_block(alpha, pair_chords(R, plan), ws, plan)
+        G, S = greens._kernel_block(alpha, R * ws.cos, R * ws.sin, 256)
         assert np.array_equal(G, fresh[plan.inverse]) and S is None
-        G, S = greens._kernel_block(alpha, pair_chords(R, plan), ws, plan, slope=True)
+        G, S = greens._kernel_block(alpha, R * ws.cos, R * ws.sin, 256, slope=True)
         assert np.array_equal(G, fresh[plan.inverse])
         assert np.array_equal(S, slope[plan.inverse])
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("bad", ["coincident", "nan"])
+    def test_kernel_block_rejects_crossing_before_the_kernel(self, monkeypatch, reflect, bad):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the kernel was evaluated on a crossing boundary")
+
+        monkeypatch.setattr(greens, "_kernel_into", no_kernel)
+        ws = greens._workspace(64)
+        x, y = ws.cos.copy(), ws.sin.copy()
+        if bad == "coincident":
+            x[5], y[5] = x[0], y[0]
+        else:
+            x[5] = math.nan
+        with pytest.raises(GeometryError, match="self-intersects"):
+            greens._kernel_block(0.3, x, y, 64, reflect)
 
     def test_warm_rhs_allocates_no_chord_sized_array(self):
         # chords, K_0 arguments, Horner sums and kernel matrix all live in

@@ -384,6 +384,15 @@ class TestCrandallRabinowitz:
         assert rep.kernel_modes == (2,)
         assert rep.transversality == -3.0
 
+    @pytest.mark.parametrize("alpha", [1e5, 1e6])
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_one_kernel_mode_at_large_alpha(self, alpha, m):
+        # every multiplier shrinks like Omega_m (Omega_2 = 2.9e-10 at 1e5)
+        rep = vs.check_crandall_rabinowitz(alpha, m, 41)
+        assert rep.kernel_dim == 1
+        assert rep.kernel_modes == (m - 1,)
+        assert rep.transversality == -m
+
     def test_high_fold_small_alpha(self):
         rep = vs.check_crandall_rabinowitz(0.2, 7, 64)
         assert rep.kernel_dim == 1
