@@ -211,35 +211,33 @@ def linearized_rhs(patch, direction):
     return out - out.mean()
 
 
-def default_timestep(patch, c=0.25):
-    """Step c / max(1/4, 20 sqrt(max|r'|), M max|r| / 2 pi) for :func:`step_rk4`.
+def default_timestep(patch):
+    """Step 0.25 / max(1/4, 20 sqrt(max|r'|), M max|r| / 2 pi) for :func:`step_rk4`.
 
     The flat-state rotation is stepped exactly, so the bound comes from
     the remainder N alone and is read from r (one FFT, no Bessel call):
 
-    - accuracy, c 0.05 / sqrt(max|r'|): N is quadratic in the amplitude,
+    - accuracy, 0.0125 / sqrt(max|r'|): N is quadratic in the amplitude,
       so at fixed dt the error falls like its square, and the square root
-      keeps the error level across amplitudes.  At the default c, the
-      end state at T = 1 is within 1.8e-13 of a fine reference on
-      two-mode patches and within 2.5e-10 on rough ones (k^-2 spectrum up
-      to the 2/3 cut), for M = 128 to 512, alpha = 0.3 and 0.7 and
-      amplitude 0.005 to 0.1: below the error of classical RK4 at its
-      1/M step in each of these 36 cases;
-    - stability, c (2 pi / M) / max|r|: the advection speed that the
+      keeps the error level across amplitudes.  With this step, the end
+      state at T = 1 is within 1.8e-13 of a fine reference on two-mode
+      patches and within 2.5e-10 on rough ones (k^-2 spectrum up to the
+      2/3 cut), for M = 128 to 512, alpha = 0.3 and 0.7 and amplitude
+      0.005 to 0.1: below the error of classical RK4 at its 1/M step in
+      each of these 36 cases;
+    - stability, (pi / 2M) / max|r|: the advection speed that the
       remainder adds stays below 0.41 max|r| (measured up to amplitude
       0.2), so with the largest kept mode M / 3, dt k dV stays below 0.43
-      at c = 0.5, well inside the RK4 stability region (2.8 on the
-      imaginary axis); this term sets the step at large M;
-    - a ceiling of 4c (1 at the default c), taken by the flat patch.
+      at twice this step, well inside the RK4 stability region (2.8 on
+      the imaginary axis); this term sets the step at large M;
+    - a ceiling of 1, taken by the flat patch.
 
-    c = 0.25 is the integration default, c = 0.5 the cap enforced by
-    :func:`step_rk4`.
+    This is the integration default; :func:`step_rk4` enforces twice it.
     """
-    c = _positive(c, "c")
     r = patch.samples
     slope = float(np.max(np.abs(spectral_derivative(r))))
     height = float(np.max(np.abs(r)))
-    return c / max(0.25, 20.0 * math.sqrt(slope), patch.size * height / (2 * np.pi))
+    return 0.25 / max(0.25, 20.0 * math.sqrt(slope), patch.size * height / (2 * np.pi))
 
 
 @functools.lru_cache(maxsize=4)
@@ -275,13 +273,13 @@ def step_rk4(patch, dt):
         v' = E^2 v + dt/6 (E^2 a + 2 E (b + c) + d),
 
     four :func:`rhs` calls, fourth order, and exact for the flat-state
-    rotation, so dt is bounded by the amplitude (:func:`default_timestep`
-    at c = 0.5), not by 1/M.  L_0 = 0 and N has zero mean, so the
-    spatial mean is kept to round-off.
+    rotation, so dt is bounded by the amplitude (twice
+    :func:`default_timestep`), not by 1/M.  L_0 = 0 and N has zero mean,
+    so the spatial mean is kept to round-off.
     """
     if not math.isfinite(dt) or dt == 0.0:
         raise DomainError(f"dt must be finite and nonzero, got {dt!r}")
-    cap = default_timestep(patch, c=0.5)
+    cap = 2 * default_timestep(patch)
     if abs(dt) > cap * (1 + 1e-12):
         raise DomainError(f"dt={dt} exceeds the step bound {cap:.3e}")
     M = patch.size

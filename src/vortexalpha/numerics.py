@@ -14,9 +14,11 @@ def central_fd_stencil(deriv, order, h):
 
     Offsets -half..half, half = (deriv + order - 1) // 2; weight j is deriv!
     times the x^deriv coefficient of offset j's Lagrange basis polynomial,
-    over h^deriv, and correctly rounded at h = 1 (up to 21 offsets).  Only a
-    test uses it; it stays here as the benchmark tracer wraps the
-    ``spectrum`` alias, until ROADMAP direction 2 moves it into the tests.
+    over h^deriv, and correctly rounded at h = 1 (up to 21 offsets).  A step
+    at which h^deriv or a weight overflows or underflows (h = 1e300 or
+    1e-200 for deriv = 2) raises DomainError.  Only a test uses it; it
+    stays here as the benchmark tracer wraps the ``spectrum`` alias, until
+    ROADMAP direction 2 moves it into the tests.
     """
     deriv = _integer(deriv, "derivative order deriv", least=1)
     order = _integer(order, "accuracy order", least=2)
@@ -29,7 +31,11 @@ def central_fd_stencil(deriv, order, h):
     for i, j in enumerate(offsets):
         others = offsets[offsets != j]
         weights[i] = math.factorial(deriv) * np.poly(others)[-1 - deriv] / np.prod(j - others)
-    return offsets, weights / h**deriv
+    try:
+        with np.errstate(all="raise"):
+            return offsets, weights / h**deriv
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"step h={h} gives stencil weights that are not finite floats") from None
 
 
 def spectral_derivative(samples):

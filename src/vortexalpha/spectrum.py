@@ -17,13 +17,14 @@ Every frequency combination is affine in P_n(alpha) = I_n K_n(1/alpha),
 with Omega in its constant term only, and ``_affine_form`` states it:
 each row on an alpha grid (``equilibrium_matrix``, ``v0_curve`` and the
 non-degeneracy samples) is one, evaluated on one I_n K_n table per call.
-The margins share their tables instead: the alpha derivatives of
-P_1..P_nmax on one interval are fitted once (``_derivative_basis``) and
-each margin is a weighted sum of them.  The derivatives come from a
-Chebyshev interpolant: the P_n are analytic for Re alpha > 0, so a fit at
-a few Chebyshev points, differentiated coefficient-wise, gives every
-derivative up to q0 on the whole sampling grid to near machine precision
-(Trefethen, *Approximation Theory and Approximation Practice*, 2013).
+The margins share cached tables instead, in 2 MiB blocks (16 MiB in all):
+the alpha derivatives of P_1..P_nmax on one interval are fitted once
+(``_derivative_basis``) and each margin is a weighted sum of them on the
+grid (``_node_table``).  The derivatives come from a Chebyshev
+interpolant: the P_n are analytic for Re alpha > 0, so a fit at a few
+Chebyshev points, differentiated coefficient-wise, gives every derivative
+up to q0 on the whole sampling grid to near machine precision (Trefethen,
+*Approximation Theory and Approximation Practice*, 2013).
 Margin routines still take the infimum over a uniform grid, which callers
 may double to check the stability of the reported value.
 """
@@ -149,20 +150,22 @@ def transversality_report(
     Method: f = c + sum_n w_n P_n with P_n = I_n K_n(1/alpha) (see
     ``_affine_form``), and every P_n is interpolated at Chebyshev points of
     a slightly widened interval, with the degree set by the Bernstein
-    ellipse through alpha = 0 (27 on [0.3, 0.7], 33 on [0.5, 1.5]); the
-    derivatives are exact derivatives of the interpolant (see
-    ``_derivative_basis``).
-    Cost: the first report on an interval makes one ``product_IK_array``
-    call on deg + 1 nodes and builds the Chebyshev table of the npts
-    nodes; both are cached, whatever Omega, l or the variant, so a later
-    report on the same interval, q0, npts and largest order computes only
-    the (q0 + 1) x (deg + 1) combination and its O(npts deg q0) values.
-    Against Cauchy-integral derivatives of the closed form (q0 = 4, all
-    four variants, one of them with l = (1, -2, 1) so that f -> 0 as alpha
-    grows; every fourth of 2001 nodes) the envelope was within 4.5e-8
-    relative on [0.3, 0.7], 1.4e-7 on [0.5, 1.5], 4.1e-6 on [0.1, 2.0] and
-    1.2e-5 on [0.05, 1.0].  The degree grows like 25 sqrt(a1 / a0) as
-    a0 / a1 shrinks (119 on [0.1, 2.0]).
+    ellipse through alpha = 0 (27 on [0.3, 0.7], 33 on [0.5, 1.5], 119 on
+    [0.1, 2.0]: about 25 sqrt(a1 / a0)); the derivatives are exact
+    derivatives of the interpolant (see ``_derivative_basis``).
+    Cost: the first report on an interval fits P_n on deg + 1 nodes and
+    builds the Chebyshev table of the npts nodes, both cached whatever
+    Omega, l or the variant, so a later report with the same interval,
+    q0, npts and largest order computes only the (q0 + 1) x (deg + 1)
+    combination and its O(npts deg q0) values (up to 37448 nodes on
+    [0.3, 0.7], 4 node blocks).  Error, against Cauchy-integral
+    derivatives of the closed form (all four variants, one with
+    l = (1, -2, 1) so that f -> 0 as alpha grows; every fourth of 2001
+    nodes): it grows fast with q0, which is not bounded; at q0 = 4, 6 and
+    7 it was 6.1e-8, 2.2e-5 and 2.6e-3 relative on [0.3, 0.7], 3.4e-7,
+    1.5e-4 and 2.0e-3 on [0.5, 1.5], 2.1e-5, 0.27 and 43 on [0.1, 2.0],
+    and 8.7e-6, 0.016 and 0.67 on [0.05, 1.0] (the oracle moves by at
+    most 4.8e-6 from 128 to 256 points).
     """
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}")
@@ -201,16 +204,17 @@ def transversality_report(
     elif variant == "difference":
         modes, coef = modes + [j, -j0], coef + [1, 1]
     const, weights = _affine_form(modes, coef, v0_coef, Omega)
-    alphas, h, best = _derivative_envelope(const, weights, (a0, a1), q0, npts)
+    best = _derivative_envelope(const, weights, (a0, a1), q0, npts)
     scaled = best / max(1, sum(map(abs, l)))  # <l>: l holds validated integers
     k = int(np.argmin(scaled))
+    h = (a1 - a0) / (npts - 1)
     return MarginReport(
         variant=variant,
         margin=float(scaled[k]),
         grid_size=npts,
         step=h,
         q0=q0,
-        argmin_alpha=float(alphas[k]),
+        argmin_alpha=a0 + h * k,
     )
 
 
@@ -221,8 +225,7 @@ def difference_derivative_bound(j, j0, Omega, alpha_interval, q0, npts=2001):
         raise DomainError("j and j0 must differ")
     a0, a1, q0, npts = _margin_grid(alpha_interval, q0, npts)
     const, weights = _affine_form([j, -j0], [1, 1], 0, Omega)
-    _, _, best = _derivative_envelope(const, weights, (a0, a1), q0, npts)
-    return float(np.max(best)) / abs(j - j0)
+    return float(np.max(_derivative_envelope(const, weights, (a0, a1), q0, npts))) / abs(j - j0)
 
 
 def _interval(alpha_interval):
@@ -267,7 +270,7 @@ def _affine_form(modes, coef, v0_coef, Omega):
     return const, weights
 
 
-# float64 entries that one cached array may hold (2 MiB); see _derivative_envelope
+# float64 entries in one cached margin block (2 MiB); 4 blocks in each of two caches: 16 MiB
 _CACHED_ENTRIES = 2**18
 
 
@@ -291,25 +294,23 @@ def _chebyshev_fit(a0, a1):
 
 
 @functools.lru_cache(maxsize=4)
-def _derivative_basis(a0, a1, q0, nmax):
-    """D[n - 1, q] = Chebyshev coefficients of d^q P_n / d alpha^q, read-only.
+def _derivative_basis(a0, a1, q0, first, last):
+    """D[n - first, q] = Chebyshev coefficients of d^q P_n / d alpha^q, read-only.
 
-    P_n(alpha) = I_n K_n(1/alpha) for n = 1..nmax and q = 0..q0, in
-    T_k((alpha - c) / r), k = 0..deg, with (c, r, deg) from
-    ``_chebyshev_fit``.  One ``product_IK_array`` call at the deg + 1
-    Chebyshev extreme points cos(pi k / deg), then one FFT of the even
-    extension along the node axis.  The key holds no Omega, l, variant,
-    j or j0: every report on the interval with the same q0 and largest
-    order shares the entry.  An entry holds nmax (q0 + 1) (deg + 1)
-    floats (6.6 KiB for nmax = 6, q0 = 4, deg = 27); entries above
-    ``_CACHED_ENTRIES`` are built uncached by ``_derivative_envelope``.
+    P_n(alpha) = I_n K_n(1/alpha) for the block of orders n = first..last
+    and q = 0..q0, in T_k((alpha - c) / r), k = 0..deg, with (c, r, deg)
+    from ``_chebyshev_fit``.  One ``product_IK_array`` call up to order
+    ``last`` at the deg + 1 Chebyshev extreme points cos(pi k / deg), then
+    one FFT of the even extension along the node axis.  The key holds no
+    Omega, l, variant, j or j0: every report on the interval with the same
+    q0 and largest order shares the entries (6.6 KiB for orders 1..6).
     """
     c, r, deg = _chebyshev_fit(a0, a1)
     nodes = c + r * np.cos(np.pi * np.arange(deg + 1) / deg)
-    v = sf.product_IK_array(nmax, 1.0 / nodes)[1:]
+    v = sf.product_IK_array(last, 1.0 / nodes)[first:]
     coef = np.fft.rfft(np.concatenate([v, v[:, -2:0:-1]], axis=1), axis=1).real / deg
     coef[:, [0, deg]] *= 0.5
-    D = np.empty((nmax, q0 + 1, deg + 1))
+    D = np.empty((v.shape[0], q0 + 1, deg + 1))
     D[:, 0] = coef
     for q in range(1, q0 + 1):
         D[:, q] = _chebyshev_derivative(D[:, q - 1]) / r
@@ -317,59 +318,57 @@ def _derivative_basis(a0, a1, q0, nmax):
     return D
 
 
-def _uniform_nodes(a0, a1, npts):
-    """(alphas, h): npts uniform nodes of [a0, a1] and their spacing."""
-    h = (a1 - a0) / (npts - 1)
-    return a0 + h * np.arange(npts), h
-
-
 @functools.lru_cache(maxsize=4)
-def _node_table(a0, a1, npts):
-    """(alphas, h, T) with T[k, i] = T_k((alphas[i] - c) / r), k = 0..deg; read-only.
+def _node_table(a0, a1, npts, start):
+    """T[k, i - start] = T_k((a0 + h i - c) / r), k = 0..deg, on one block of nodes; read-only.
 
-    (c, r, deg) from ``_chebyshev_fit``.  An entry holds (deg + 2) npts
-    floats: 453 KiB at the default 2001 nodes and deg = 27.  Tables above
-    ``_CACHED_ENTRIES`` are evaluated in blocks by ``_derivative_envelope``
-    instead.
+    The npts nodes a0 + h i, h = (a1 - a0) / (npts - 1), are split into
+    the fewest blocks of at most ``_CACHED_ENTRIES`` floats, the first
+    npts % blocks of them one node longer; this one starts at ``start``.
+    (c, r, deg) from ``_chebyshev_fit``: 2001 nodes on [0.3, 0.7] are one
+    block of 438 KiB.
     """
     c, r, deg = _chebyshev_fit(a0, a1)
-    alphas, h = _uniform_nodes(a0, a1, npts)
-    T = _chebyshev_table((alphas - c) / r, deg)
-    alphas.flags.writeable = T.flags.writeable = False
-    return alphas, h, T
+    h = (a1 - a0) / (npts - 1)
+    blocks = -(-npts // max(1, _CACHED_ENTRIES // (deg + 1)))  # ceil(npts / nodes per block)
+    size, extra = divmod(npts, blocks)
+    stop = start + size + (start < extra * (size + 1))
+    T = _chebyshev_table((a0 + h * np.arange(start, stop) - c) / r, deg)
+    T.flags.writeable = False
+    return T
 
 
 def _derivative_envelope(const, weights, alpha_interval, q0, npts):
-    """(alphas, h, max_{q <= q0} |d^q f / d alpha^q|) on npts uniform interval nodes.
+    """max_{q <= q0} |d^q f / d alpha^q| on npts uniform nodes of the interval.
 
     f = const + sum_n weights[n - 1] P_n, as from ``_affine_form``, and
     q = 0 is |f| itself.  Its Chebyshev coefficients are the weighted sum
-    of the ``_derivative_basis`` rows; the constant is added to the q = 0
-    values.  Arguments are those ``_margin_grid`` returns.
+    of the ``_derivative_basis`` blocks; the constant is added to the q = 0
+    values on each ``_node_table`` block.  Arguments are those
+    ``_margin_grid`` returns; node i is a0 + h i, h = (a1 - a0) / (npts - 1).
 
-    Retained memory: each of the two caches keeps at most 4 entries, and an
-    entry is cached only if it holds at most ``_CACHED_ENTRIES`` floats
-    (2 MiB), so the margins retain at most 16 MiB.  A larger basis is built
-    for the call alone, and a larger table is built and used in blocks of
-    at most ``_CACHED_ENTRIES`` floats.
+    Retained memory: each cache keeps at most 4 blocks of at most
+    ``_CACHED_ENTRIES`` floats, 16 MiB in all, unless one order,
+    (q0 + 1)(deg + 1) floats, or one node, deg + 1 floats, is more: from
+    q0 = 9362 on [0.3, 0.7], or for a1 / a0 above 9.6e7.
     """
     a0, a1 = alpha_interval
-    c, r, deg = _chebyshev_fit(a0, a1)
-    key = (a0, a1, q0, weights.size)
-    if weights.size * (q0 + 1) * (deg + 1) <= _CACHED_ENTRIES:
-        D = _derivative_basis(*key)
-    else:
-        D = _derivative_basis.__wrapped__(*key)
-    coef = (weights @ D.reshape(weights.size, -1)).reshape(D.shape[1:])
-    if (deg + 2) * npts <= _CACHED_ENTRIES:
-        alphas, h, T = _node_table(a0, a1, npts)
-        values = coef @ T
-    else:
-        alphas, h = _uniform_nodes(a0, a1, npts)
-        blocks = np.array_split((alphas - c) / r, 1 + npts * (deg + 1) // _CACHED_ENTRIES)
-        values = np.concatenate([coef @ _chebyshev_table(t, deg) for t in blocks], axis=1)
-    values[0] += const
-    return alphas, h, np.max(np.abs(values), axis=0)
+    deg = _chebyshev_fit(a0, a1)[2]
+    width = (q0 + 1) * (deg + 1)
+    orders = max(1, _CACHED_ENTRIES // width)
+    coef = None
+    for n in range(0, weights.size, orders):
+        w = weights[n : n + orders]
+        part = w @ _derivative_basis(a0, a1, q0, n + 1, n + w.size).reshape(-1, width)
+        coef = part if coef is None else coef + part
+    coef = coef.reshape(q0 + 1, deg + 1)
+    best, start = np.empty(npts), 0
+    while start < npts:
+        values = coef @ _node_table(a0, a1, npts, start)
+        values[0] += const
+        np.abs(values).max(axis=0, out=best[start : start + values.shape[1]])
+        start += values.shape[1]
+    return best
 
 
 def _chebyshev_table(t, deg):

@@ -258,8 +258,11 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None):
     conj(w)^(m-1) direction, with transversality derivative exactly -m.
     A mode is kernel when |multiplier| is at most ``_KERNEL_TOL`` times the
     window's largest, since all multipliers shrink like Omega_m at large
-    alpha.  That holds to alpha = 1e6 at least; at 1e8 the frequencies differ
-    by less than the table's rounding, and false kernel modes are reported.
+    alpha.  Omega_n is strictly increasing in n, so two kernel modes mean
+    that the frequencies differ by less than the table's rounding, and
+    DomainError is raised.  With n_max = 41 (alpha from 1e6 to 1e8) that
+    starts at alpha = 3.4e6 for m = 7, 5.5e6 for m = 5, 1.1e7 for m = 3
+    and 2.2e7 for m = 2, though some larger alpha still pass.
     """
     m = _integer(m, "fold m", least=1)
     n_max = _integer(n_max, "n_max")
@@ -272,6 +275,10 @@ def check_crandall_rabinowitz(alpha, m, n_max, Omega=None):
     mults = [(n, float((n + 1) * (table[n] - Omega))) for n in pattern]
     scale = max(abs(v) for _, v in mults)
     kernel_modes = tuple(n for n, v in mults if abs(v) <= _KERNEL_TOL * scale)
+    if len(kernel_modes) > 1:
+        raise DomainError(
+            f"alpha={alpha}: the frequency table cannot separate modes {kernel_modes}"
+        )
     # d/dOmega of the multiplier is -(n+1); for the kernel direction this
     # is the transversality pairing against e_m
     trans = -(kernel_modes[0] + 1) if kernel_modes else 0.0

@@ -68,7 +68,7 @@ CASES = [
          samples=0.01 * np.cos(2 * THETA), rotation_offset=0.5, alpha=0.3, fold=2),
     case(contour.rhs, patch=PATCH),
     case(contour.linearized_rhs, "direction", patch=PATCH, direction=1e-3 * np.sin(3 * THETA)),
-    case(contour.default_timestep, "c", patch=PATCH, c=0.25),
+    case(contour.default_timestep, patch=PATCH),
     case(contour.step_rk4, "dt", patch=PATCH, dt=0.01),
     case(contour.evolve, "T dt", "snapshot_every", patch=PATCH, T=0.02, dt=None, snapshot_every=1),
     case(contour.diagnostics, "", "n_radial", patch=PATCH, n_radial=None),

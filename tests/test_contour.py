@@ -391,7 +391,7 @@ class TestEvolution:
 
     def test_dt_bound(self):
         patch = two_mode_patch(64, 0.7)
-        cap = contour.default_timestep(patch, c=0.5)
+        cap = 2 * contour.default_timestep(patch)
         contour.step_rk4(patch, cap)
         with pytest.raises(DomainError):
             contour.step_rk4(patch, 1.01 * cap)
@@ -409,11 +409,6 @@ class TestEvolution:
     def test_step_rejects_nonfinite_dt(self, dt):
         with pytest.raises(DomainError):
             contour.step_rk4(two_mode_patch(64, 0.7), dt)
-
-    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.0, 0.0])
-    def test_bad_step_factor_rejected(self, c):
-        with pytest.raises(DomainError, match="c must be positive"):
-            contour.default_timestep(two_mode_patch(64, 0.3), c)
 
     @pytest.mark.parametrize("every", [-2, 0, 0.5, 2.5, math.nan, "2"])
     @pytest.mark.parametrize("T", [0.0, 0.6])
@@ -436,7 +431,7 @@ class TestEvolution:
         r[10], r[11] = -0.49, 0.5
         patch = contour.RadialPatch(r, 0.5, 0.7)
         with pytest.raises(InstabilityError, match="mid-step"):
-            contour.step_rk4(patch, contour.default_timestep(patch, c=0.5))
+            contour.step_rk4(patch, 2 * contour.default_timestep(patch))
 
 
 class TestIntegratingFactor:

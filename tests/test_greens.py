@@ -1,6 +1,7 @@
 """Tests for the Euler-alpha Green kernel and boundary-integral velocity."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -504,3 +505,9 @@ class TestCentralStencil:
     def test_rejects(self, deriv, order):
         with pytest.raises(DomainError):
             central_fd_stencil(deriv, order, 0.1)
+
+    # h^2 overflows, or underflows to 0 and the weights divide by zero
+    @pytest.mark.parametrize("h", [1e300, 1e-200])
+    def test_rejects_steps_without_finite_weights(self, h):
+        with pytest.raises(DomainError, match=re.escape(f"h={h}")):
+            central_fd_stencil(2, 2, h)

@@ -308,22 +308,29 @@ FREQUENCY_ROW_CASES = [
 
 
 class TestDerivativeAccuracy:
-    """The q0 = 4 envelope against Cauchy-integral derivatives of the closed form."""
+    """The envelope against Cauchy-integral derivatives of the closed form."""
 
+    # the error grows fast with q0 (see transversality_report): 2.2e-5 at
+    # q0 = 6 on (0.3, 0.7), against 6.1e-8 at q0 = 4
     @pytest.mark.parametrize(
-        "interval,rtol", [((0.3, 0.7), 1e-6), ((0.5, 1.5), 1e-6), ((0.1, 2.0), 1e-4)]
+        "interval,q0,rtol",
+        [
+            ((0.3, 0.7), 4, 1e-6), ((0.5, 1.5), 4, 1e-6), ((0.1, 2.0), 4, 1e-4),
+            ((0.3, 0.7), 6, 1e-4),
+        ],
     )
     @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=lambda c: c[3])
-    def test_envelope_matches_cauchy_oracle(self, case, interval, rtol):
+    def test_envelope_matches_cauchy_oracle(self, case, interval, q0, rtol):
         S, Omega, l, variant, j, j0 = case
         (const, weights), _ = affine_form(case)
-        alphas, _, best = sp._derivative_envelope(const, weights, interval, 4, 2001)
+        best = sp._derivative_envelope(const, weights, interval, q0, 2001)
         nodes = np.arange(0, 2001, 50)
-        ref = np.array([cauchy_envelope(case, a, 4) for a in alphas[nodes]])
+        alphas = interval[0] + (interval[1] - interval[0]) / 2000 * nodes
+        ref = np.array([cauchy_envelope(case, a, q0) for a in alphas])
         assert np.max(np.abs(best[nodes] - ref) / ref) <= rtol
 
-        rep = sp.transversality_report(S, Omega, l, variant, interval, 4, j=j, j0=j0)
-        ref = cauchy_envelope(case, rep.argmin_alpha, 4) / max(1, sum(map(abs, l)))
+        rep = sp.transversality_report(S, Omega, l, variant, interval, q0, j=j, j0=j0)
+        ref = cauchy_envelope(case, rep.argmin_alpha, q0) / max(1, sum(map(abs, l)))
         assert rep.margin == pytest.approx(ref, rel=rtol)
 
     @pytest.mark.parametrize("case", ENVELOPE_CASES + FREQUENCY_ROW_CASES, ids=lambda c: c[3])
@@ -498,11 +505,13 @@ VARIANT_ARGS = [
 
 
 class TestMarginCache:
-    """Reports on one interval share one fitted basis and one node table."""
+    """Reports on one interval share the fitted basis and node-table blocks."""
 
-    def test_warm_report_fits_nothing(self, monkeypatch):
+    # 20001 nodes of 28 floats are 3 node blocks, all kept
+    @pytest.mark.parametrize("npts", [2001, 20001])
+    def test_warm_report_fits_nothing(self, monkeypatch, npts):
         args = ((2, 3, 4), 0.5, (1, -1, 1), "plus_Omega_j", (0.3, 0.7), 4)
-        sp.transversality_report(*args, j=6)
+        sp.transversality_report(*args, j=6, npts=npts)
         calls = []
 
         def counted(fn):
@@ -513,8 +522,10 @@ class TestMarginCache:
 
         monkeypatch.setattr(specfun, "product_IK_array", counted(specfun.product_IK_array))
         monkeypatch.setattr(sp, "_chebyshev_table", counted(sp._chebyshev_table))
-        sp.transversality_report(*args, j=-6)
-        sp.transversality_report((2, 3, 4), 0.45, (0, 2, -1), "plus_Omega_j", (0.3, 0.7), 4, j=6)
+        sp.transversality_report(*args, j=-6, npts=npts)
+        sp.transversality_report(
+            (2, 3, 4), 0.45, (0, 2, -1), "plus_Omega_j", (0.3, 0.7), 4, j=6, npts=npts
+        )
         assert calls == []
 
     def test_omega_values_share_one_entry(self):
@@ -535,36 +546,45 @@ class TestMarginCache:
         assert warm == cold
 
     def test_cached_arrays_are_read_only_and_caches_bounded(self):
-        D = sp._derivative_basis(0.3, 0.7, 4, 6)
-        alphas, _, T = sp._node_table(0.3, 0.7, 2001)
+        D = sp._derivative_basis(0.3, 0.7, 4, 1, 6)
+        T = sp._node_table(0.3, 0.7, 2001, 0)
         assert D.shape == (6, 5, 28) and T.shape == (28, 2001)
-        for a in (D, alphas, T):
+        for a in (D, T):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
         for cache in (sp._derivative_basis, sp._node_table):
             assert cache.cache_info().maxsize == 4
 
-    def test_retained_memory_is_bounded(self, monkeypatch):
-        # the default-grid entry: 29 x 2001 floats, 453 KiB, under the 2 MiB bound
-        alphas, _, T = sp._node_table(0.3, 0.7, 2001)
-        assert alphas.nbytes + T.nbytes == 29 * 2001 * 8 <= 8 * sp._CACHED_ENTRIES
+    @pytest.mark.parametrize("entries", [2**18, 2**12, 100])
+    @pytest.mark.parametrize(
+        "interval,npts", [((0.3, 0.7), 2001), ((0.3, 0.7), 20001), ((0.1, 2.0), 2001)]
+    )
+    def test_retained_memory_is_bounded(self, monkeypatch, entries, interval, npts):
+        # at most 4 blocks of at most 2 MiB in each cache: 16 MiB in all
         assert 2 * 4 * 8 * sp._CACHED_ENTRIES <= 16 * 2**20
-        args = ((2, 3, 4), 0.5, (1, -2, 1), "pure", (0.3, 0.7), 4)
-        _clear_margin_caches()
-        kept = sp.transversality_report(*args)
-        # below the table (29 x 2001), above the basis (4 x 5 x 28): the
-        # table is evaluated in blocks and not kept
-        monkeypatch.setattr(sp, "_CACHED_ENTRIES", 2**12)
-        _clear_margin_caches()
-        blocked = sp.transversality_report(*args)
-        assert sp._node_table.cache_info().currsize == 0
-        assert sp._derivative_basis.cache_info().currsize == 1
+        args = ((2, 3, 4), 0.5, (1, -2, 1), "plus_Omega_j", interval, 4)
+        kept = sp.transversality_report(*args, j=9, npts=npts)
+        caches = (sp._derivative_basis, sp._node_table)
+        built = {cache: [] for cache in caches}
+        for cache in caches:
+
+            def recorded(*key, cache=cache):
+                block = cache(*key)
+                built[cache].append(block.size)
+                return block
+
+            monkeypatch.setattr(sp, cache.__name__, recorded)
+            cache.cache_clear()
+        monkeypatch.setattr(sp, "_CACHED_ENTRIES", entries)
+        blocked = sp.transversality_report(*args, j=9, npts=npts)
         assert blocked.argmin_alpha == kept.argmin_alpha
         assert blocked.margin == pytest.approx(kept.margin, rel=1e-13)
-        # below the basis too: nothing is kept
-        monkeypatch.setattr(sp, "_CACHED_ENTRIES", 100)
-        _clear_margin_caches()
-        assert sp.transversality_report(*args).margin == pytest.approx(kept.margin, rel=1e-13)
-        assert sp._node_table.cache_info().currsize == 0
-        assert sp._derivative_basis.cache_info().currsize == 0
+        # every order (q0 + 1)(deg + 1) floats, every node deg + 1 floats,
+        # in blocks of at least one; both exceed 100 on (0.1, 2.0)
+        deg = sp._chebyshev_fit(*interval)[2]
+        for cache, item, count in zip(caches, (5 * (deg + 1), deg + 1), (9, npts)):
+            assert cache.cache_info().currsize <= 4
+            assert sum(built[cache]) == count * item
+            assert max(built[cache]) <= max(entries, item)
+            cache.cache_clear()

@@ -393,6 +393,12 @@ class TestCrandallRabinowitz:
         assert rep.kernel_modes == (m - 1,)
         assert rep.transversality == -m
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_inseparable_frequencies_rejected(self, m):
+        # at alpha = 1e8 the frequencies differ by less than the table's rounding
+        with pytest.raises(DomainError, match="alpha=100000000.0"):
+            vs.check_crandall_rabinowitz(1e8, m, 41)
+
     def test_high_fold_small_alpha(self):
         rep = vs.check_crandall_rabinowitz(0.2, 7, 64)
         assert rep.kernel_dim == 1
