@@ -25,9 +25,8 @@ so one real product of the kernel matrix G with the M x 2 block
 [Re z', Im z'] gives F (contour-dynamics form, Dritschel, Comput. Phys.
 Rep. 10 (1989)).  A call costs one kernel evaluation on the chord
 classes of :func:`vortexalpha.greens.pair_plan` (the M(M-1)/2 chords
-j < k and the diagonal on the full grid, about M msec / 2 for a
-fold-symmetric sector of msec target rows), gathered into the kernel
-matrix, plus one M x M x 2 product, all in the workspace buffers of
+j < k and the diagonal), gathered into the kernel matrix, plus one
+M x M x 2 product, all in the workspace buffers of
 :mod:`vortexalpha.greens`; a call allocates no array of the chord count.
 
 The linearization uses d rho/dt = -d/dtheta (V rho + L rho) with
@@ -90,39 +89,25 @@ from .numerics import dealias_twothirds, spectral_derivative
 
 @dataclass(frozen=True)
 class RadialPatch:
-    """Radial deformation samples with the frame and model parameters.
-
-    ``fold > 1`` declares exact discrete fold-symmetry (the first sector is
-    tiled over the grid at construction); kernel sums then evaluate one
-    sector of targets only, which the flow preserves.
-    """
+    """Radial deformation samples on M nodes with the frame and model parameters."""
 
     samples: np.ndarray
     rotation_offset: float
     alpha: float
-    fold: int = 1
 
     def __post_init__(self):
         r = np.array(self.samples, dtype=float)
-        if r.ndim != 1 or r.size < 32 or r.size % 2:
-            raise GridError("samples must be a 1-d even array of size >= 32")
-        fold = _integer(self.fold, "fold")
-        if fold < 1 or r.size % fold:
-            raise GridError("fold must divide the grid size")
+        if r.ndim != 1:
+            raise GridError("samples must be a 1-d array")
+        _grid_size(r.size)
         if not np.isfinite(r).all():
             raise GeometryError("samples must be finite")
         if np.min(1.0 + 2.0 * r) <= 0.0:
             raise GeometryError("1 + 2r must stay positive")
-        if fold > 1:
-            sector = r[: r.size // fold]
-            if np.max(np.abs(r - np.tile(sector, fold))) > 1e-12:
-                raise GridError("samples are not fold-symmetric")
-            r = np.tile(sector, fold)
         r.flags.writeable = False  # a frozen patch owns its samples
         _positive(self.alpha, "alpha")
         _finite(self.rotation_offset, "rotation offset")
         object.__setattr__(self, "samples", r)
-        object.__setattr__(self, "fold", fold)
 
     @property
     def size(self):
@@ -137,7 +122,7 @@ class RadialPatch:
         return float(self.samples.mean())
 
     def replace_samples(self, samples):
-        return RadialPatch(samples, self.rotation_offset, self.alpha, self.fold)
+        return RadialPatch(samples, self.rotation_offset, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -150,30 +135,42 @@ class Diagnostics:
     mean_r: float
 
 
+def _grid_size(M):
+    """M as an int, rejected unless even and at least 32 (the grid of a patch)."""
+    M = _integer(M, "grid size")
+    if M < 32 or M % 2:
+        raise GridError(f"grid size must be even and at least 32, got {M}")
+    return M
+
+
 def _geometry(patch):
+    """R, R', the nodes x + i y = R e^{i theta} and the tangent x' + i y' = z'.
+
+    z' = (R' + i R) e^{i theta}, the theta-derivative of the nodes.
+    """
+    ws = _workspace(patch.size)
     R = patch.radii
     Rp = spectral_derivative(patch.samples) / R
-    return R, Rp
+    x, y = R * ws.cos, R * ws.sin
+    return R, Rp, x, y, Rp * ws.cos - y, Rp * ws.sin + x
 
 
-def _kernel_product(patch, msec, *columns):
-    """R, R', the rotated kernel average V and G @ columns / M on msec target rows.
+def _kernel_product(patch, *columns):
+    """R, R', the rotated kernel average V and G @ columns / M.
 
-    The kernel matrix G of the first msec rows is evaluated once per
-    chord class (transpose, and rotation by msec) and gathered in the
-    workspace; on the full grid it is bitwise symmetric.  V_j =
-    avg_k G_jk z'_k e^{-i theta_j} with the tangent z' = (R' + i R) e^{i eta}
-    comes from G @ [Re z', Im z', *columns], one real product.
+    The kernel matrix G is evaluated once per chord class (the
+    transpose) and gathered in the workspace; it is bitwise symmetric.
+    V_j = avg_k G_jk z'_k e^{-i theta_j} with the tangent z' of
+    :func:`_geometry` comes from G @ [Re z', Im z', *columns], one real
+    product.
     """
     M = patch.size
     ws = _workspace(M)
-    R, Rp = _geometry(patch)
-    c, s = ws.cos, ws.sin
-    x, y = R * c, R * s
-    G, _ = _kernel_block(patch.alpha, x, y, msec)
-    Y = G @ np.column_stack((Rp * c - y, Rp * s + x, *columns))
+    R, Rp, x, y, xp, yp = _geometry(patch)
+    G, _ = _kernel_block(patch.alpha, x, y, M)
+    Y = G @ np.column_stack((xp, yp, *columns))
     Y /= M
-    V = (c - 1j * s)[:msec] * (Y[:, 0] + 1j * Y[:, 1])
+    V = (ws.cos - 1j * ws.sin) * (Y[:, 0] + 1j * Y[:, 1])
     return R, Rp, V, Y[:, 2:]
 
 
@@ -183,12 +180,10 @@ def rhs(patch):
     The output has exactly zero mean (the analytic right-hand side is a
     theta-derivative; the numerical mean, already at round-off by kernel
     antisymmetry, is subtracted), and its modes above the 2/3 band are
-    zeroed.  Fold-symmetric patches evaluate one target sector and tile.
-    The advection term takes dr/dtheta = R R' from the geometry.
+    zeroed.  The advection term takes dr/dtheta = R R' from the geometry.
     """
-    msec = patch.size // patch.fold
-    R, Rp, V, _ = _kernel_product(patch, msec)
-    F = np.tile(Rp[:msec] * V.imag - R[:msec] * V.real, patch.fold)
+    R, Rp, V, _ = _kernel_product(patch)
+    F = Rp * V.imag - R * V.real
     out = dealias_twothirds(-patch.rotation_offset * (R * Rp) + F)
     return out - out.mean()
 
@@ -205,7 +200,7 @@ def linearized_rhs(patch, direction):
     rho = _finite(direction, "direction")
     if np.shape(rho) != patch.samples.shape:
         raise GridError("direction must match the patch grid")
-    R, _, V, rest = _kernel_product(patch, patch.size, rho)
+    R, _, V, rest = _kernel_product(patch, rho)
     speed = patch.rotation_offset - V.imag / R
     out = dealias_twothirds(-spectral_derivative(speed * rho + rest[:, 0]))
     return out - out.mean()
@@ -369,14 +364,10 @@ def _energy(patch):
     is added in closed form.
     """
     M, alpha = patch.size, patch.alpha
-    ws = _workspace(M)
-    R, Rp = _geometry(patch)
-    # Cartesian z = R e^{i theta} and z' = (R' + i R) e^{i theta}
-    x, y = R * ws.cos, R * ws.sin
-    xp, yp = Rp * ws.cos - y, Rp * ws.sin + x
+    R, Rp, x, y, xp, yp = _geometry(patch)
     plan = pair_plan(M, M, False)
     j, k = plan.first[1:], plan.second[1:]
-    a = _pair_chords(x, y, ws, plan)[1:]
+    a = _pair_chords(x, y, _workspace(M), plan)[1:]
     W = xp[j] * xp[k] + yp[j] * yp[k]
     F = a * a * (np.log(a) - 1.0) / 4.0
     F += (2 * np.pi * alpha * alpha) * green_kernel(alpha, a)
@@ -407,6 +398,7 @@ def linear_qp_solution(S, amplitudes, Omega, alpha, t, M):
 
 def qp_residual(S, amplitudes, Omega, alpha, t, M):
     """Max-norm defect of the linear solution in the flat-state equation."""
+    M = _grid_size(M)
     rho, drho = _linear_solution(S, amplitudes, Omega, alpha, t, M)
     flat = RadialPatch(np.zeros(M), Omega, alpha)
     return float(np.max(np.abs(drho - linearized_rhs(flat, rho))))
@@ -419,7 +411,9 @@ def vstate_to_radial(branch_point, M):
     evaluation of the finite coefficient series.  Returns the patch and
     the achieved phase residual max |arg z(phi_k) - theta_k|; the latter
     is reported, not assumed, since the conformal and polar
-    parametrizations are related only numerically.
+    parametrizations are related only numerically.  The patch is a plain
+    full-grid one: when m divides M its samples are m-fold symmetric,
+    and the flow keeps that symmetry to round-off.
 
     The resulting mean of r is (area/pi - 1)/2 < 0: conformal V-states
     enclose area pi (1 - sum n a_n^2).  Rescaling it away would change
@@ -431,9 +425,7 @@ def vstate_to_radial(branch_point, M):
     bifurcate at Omega = omega_bifurcation(m, alpha).  For another offset,
     ``dataclasses.replace(patch, rotation_offset=...)``.
     """
-    M = _integer(M, "grid size")
-    if M < 32 or M % 2:
-        raise GridError(f"grid size must be even and at least 32, got {M}")
+    M = _grid_size(M)
     pert = branch_point.perturbation
     theta = 2 * np.pi * np.arange(M) / M
     phi = theta.copy()
@@ -450,5 +442,4 @@ def vstate_to_radial(branch_point, M):
     z = pert.map_points(w)
     residual = float(np.max(np.abs(np.angle(z * np.exp(-1j * theta)))))
     r = 0.5 * (np.abs(z) ** 2 - 1.0)
-    fold = branch_point.m if M % branch_point.m == 0 else 1
-    return RadialPatch(r, -branch_point.Omega, branch_point.alpha, fold=fold), residual
+    return RadialPatch(r, -branch_point.Omega, branch_point.alpha), residual

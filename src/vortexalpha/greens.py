@@ -6,11 +6,11 @@ singularities, so their sum extends continuously to the diagonal with value
 log(2 alpha) - gamma.  :func:`combined_boundary_kernel` is the one
 evaluator of that sum in the package; the contour dynamics in
 :mod:`vortexalpha.contour` and the rotating-patch functional in
-:mod:`vortexalpha.vstates` call its buffered core :func:`_kernel_into`
-on their chords, and its zero entries take the analytic limit (the
-trapezoid weights and symmetry are preserved).  On request the buffered
-core also gives the slope g'(rho)/rho of the sum, from the same Bessel
-tables, for the exact V-state Jacobian.
+:mod:`vortexalpha.vstates` reach its buffered core :func:`_kernel_into`
+through :func:`_kernel_block` on their chords, and its zero entries take
+the analytic limit (the trapezoid weights and symmetry are preserved).
+On request the buffered core also gives the slope g'(rho)/rho of the
+sum, from the same Bessel tables, for the exact V-state Jacobian.
 
 :func:`pair_plan` is the one chord layout of those solvers.  A chord
 matrix |z_j - z_k| on M uniform nodes is symmetric, and a patch with
@@ -24,7 +24,9 @@ shorter offset and the least residue of the nodes that start it, modulo
 the period (and mirror images); all zero chords form class 0, the
 diagonal.  On a near-circle the chords of one offset are nearly equal
 and grow with the offset, so the K_0 arguments in this order cross the
-series/fit switch at x = 3 only a few times.
+series/fit switch at x = 3 only a few times.  The contour dynamics uses
+the full-grid plan (period M, no mirror); rotation plans serve only
+the conformal V-state sector.
 
 Both solvers get their kernel block from one call: :func:`_kernel_block`
 forms the plan's chords from the node coordinates, rejects a crossing

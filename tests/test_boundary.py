@@ -64,8 +64,8 @@ def case(fn, reals="", integers="", **kwargs):
 
 
 CASES = [
-    case(contour.RadialPatch, "samples rotation_offset alpha", "fold",
-         samples=0.01 * np.cos(2 * THETA), rotation_offset=0.5, alpha=0.3, fold=2),
+    case(contour.RadialPatch, "samples rotation_offset alpha",
+         samples=0.01 * np.cos(2 * THETA), rotation_offset=0.5, alpha=0.3),
     case(contour.rhs, patch=PATCH),
     case(contour.linearized_rhs, "direction", patch=PATCH, direction=1e-3 * np.sin(3 * THETA)),
     case(contour.default_timestep, patch=PATCH),

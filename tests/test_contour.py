@@ -72,20 +72,19 @@ def d_matrix_rhs(patch):
     and the kernel is evaluated on every chord, so it shares neither the
     chord formula nor the kernel product with :func:`contour.rhs`.
     """
-    M, fold = patch.size, patch.fold
-    msec = M // fold
+    M = patch.size
     R = patch.radii
     Rp = spectral_derivative(patch.samples) / R
     theta = 2 * np.pi * np.arange(M) / M
-    u = theta[None, :] - theta[:msec, None]  # eta - theta
-    Rr, Rpr = R[:msec, None], Rp[:msec, None]
+    u = theta[None, :] - theta[:, None]  # eta - theta
+    Rr, Rpr = R[:, None], Rp[:, None]
     a2 = Rr**2 + R[None, :] ** 2 - 2.0 * (Rr * R[None, :]) * np.cos(u)
-    a2[np.arange(msec), np.arange(msec)] = 0.0
+    np.fill_diagonal(a2, 0.0)
     G = combined_boundary_kernel(patch.alpha, np.sqrt(np.maximum(a2, 0.0)))
     D = (Rpr * Rp[None, :] + Rr * R[None, :]) * np.sin(u) + (
         Rpr * R[None, :] - Rr * Rp[None, :]
     ) * np.cos(u)
-    F = np.tile((G * D).mean(axis=1), fold)
+    F = (G * D).mean(axis=1)
     out = dealias_twothirds(
         -patch.rotation_offset * spectral_derivative(patch.samples) + F
     )
@@ -124,7 +123,7 @@ def disc_energy(alpha):
 
 
 def full_plan(M, msec=None):
-    """The chord classes of the first msec target rows that ``contour.rhs`` uses."""
+    """The chord classes of the first msec target rows, all M by default (``contour.rhs``)."""
     msec = msec or M
     return greens.pair_plan(M, msec, False)
 
@@ -141,10 +140,11 @@ def chord_matrix(R, msec=None):
     return pair_chords(R, plan)[plan.inverse]
 
 
-def two_mode_patch(M, alpha, amplitude=0.02, Omega=0.5, fold=1):
-    theta = 2 * np.pi * np.arange(M) / M
-    r = amplitude * (np.cos(2 * fold * theta + 0.4) + 0.5 * np.cos(3 * fold * theta - 1.1))
-    return contour.RadialPatch(r, Omega, alpha, fold=fold)
+def two_mode_patch(M, alpha, amplitude=0.02, Omega=0.5, m=1):
+    """Modes 2m and 3m on the first of m sectors, tiled: exactly m-fold samples."""
+    theta = 2 * np.pi * np.arange(M // m) / M
+    r = amplitude * (np.cos(2 * m * theta + 0.4) + 0.5 * np.cos(3 * m * theta - 1.1))
+    return contour.RadialPatch(np.tile(r, m), Omega, alpha)
 
 
 class TestRhs:
@@ -195,15 +195,19 @@ class TestRhs:
         got = contour.linear_qp_solution(S, a, 0.5, 0.7, t, M)
         assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps * np.sum(np.abs(a))
 
+    @pytest.mark.parametrize("M", [30, 33])
+    def test_residual_grid_checked_first(self, monkeypatch, M):
+        # the flat patch's grid is rejected before the linear solution is formed
+        def no_solution(*args):
+            raise AssertionError("the linear solution was formed on a bad grid")
+
+        monkeypatch.setattr(contour, "_linear_solution", no_solution)
+        with pytest.raises(GridError, match="grid size"):
+            contour.qp_residual([2], [0.01], 0.5, 0.3, 0.3, M)
+
     def test_flat_state_multiplier(self):
         res = contour.qp_residual([2, 3, 5], [1e-3, -2e-3, 5e-4], 0.5, 0.7, 0.3, 128)
         assert res <= 1e-10
-
-    @pytest.mark.parametrize("m", [2, 4])
-    def test_fold_tiling_matches_full_grid(self, m):
-        folded = two_mode_patch(128, 0.4, fold=m)
-        full = contour.RadialPatch(folded.samples, folded.rotation_offset, 0.4)
-        assert np.max(np.abs(contour.rhs(folded) - contour.rhs(full))) < 1e-13
 
     def test_workspace_keeps_one_grid_size(self):
         contour.rhs(two_mode_patch(64, 0.7))
@@ -213,11 +217,10 @@ class TestRhs:
         info = greens._workspace.cache_info()
         assert (info.maxsize, info.currsize, info.hits) == (1, 1, hits + 1)
 
-    @pytest.mark.parametrize("fold", [1, 2, 4])
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     @pytest.mark.parametrize("M", [128, 256])
-    def test_kernel_product_matches_d_matrix(self, M, alpha, fold):
-        patch = two_mode_patch(M, alpha, fold=fold)
+    def test_kernel_product_matches_d_matrix(self, M, alpha):
+        patch = two_mode_patch(M, alpha)
         assert np.max(np.abs(contour.rhs(patch) - d_matrix_rhs(patch))) <= 1e-15
 
     def test_result_owns_its_memory(self):
@@ -243,19 +246,20 @@ class TestRhs:
         assert np.all(np.diag(A) == 0.0)
         assert np.array_equal(A, A.T)
 
-    @pytest.mark.parametrize("fold", [1, 2, 4])
-    def test_sector_chords_match_direct_chords(self, fold):
-        # bitwise on the full grid; a rotated representative differs by the
-        # rounding of its node coordinates, relative to the largest chord
-        patch = two_mode_patch(128, 0.3, amplitude=0.2, fold=fold)
-        msec = 128 // fold
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_sector_chords_match_direct_chords(self, m):
+        # the plan of rotation period 128 / m on m-fold samples: bitwise on
+        # the full grid; a rotated representative differs by the rounding
+        # of its node coordinates, relative to the largest chord
+        patch = two_mode_patch(128, 0.3, amplitude=0.2, m=m)
+        msec = 128 // m
         R = patch.radii
         ws = greens._workspace(128)
         x, y = R * ws.cos, R * ws.sin
         direct = np.sqrt((x[:msec, None] - x) ** 2 + (y[:msec, None] - y) ** 2)
         A = chord_matrix(R, msec)
         assert A.shape == (msec, 128)
-        if fold == 1:
+        if m == 1:
             assert np.array_equal(A, direct)
         assert np.max(np.abs(A - direct)) <= 1e-15 * np.max(direct)
         assert np.array_equal(A == 0.0, direct == 0.0)
@@ -277,7 +281,7 @@ class TestRhs:
         # buffers on the pair chords of the evolve benchmark's grid and
         # amplitude, with and without the slope
         patch = two_mode_patch(256, alpha, amplitude=0.01)
-        R, _ = contour._geometry(patch)
+        R = patch.radii
         plan = full_plan(256)
         ws = greens._workspace(256)
         chords = pair_chords(R, plan).copy()
@@ -335,13 +339,12 @@ class TestRhs:
             patch.samples[5] = bad
 
     @pytest.mark.parametrize(
-        "offset, alpha, fold",
-        [(0.5, math.nan, 1), (0.5, math.inf, 1), (math.nan, 0.7, 1),
-         (-math.inf, 0.7, 1), (0.5, 0.7, 2.5)],
+        "offset, alpha",
+        [(0.5, math.nan), (0.5, math.inf), (math.nan, 0.7), (-math.inf, 0.7)],
     )
-    def test_bad_model_parameters_rejected(self, offset, alpha, fold):
+    def test_bad_model_parameters_rejected(self, offset, alpha):
         with pytest.raises(DomainError):
-            contour.RadialPatch(np.zeros(64), offset, alpha, fold=fold)
+            contour.RadialPatch(np.zeros(64), offset, alpha)
 
     def test_negative_offset_accepted(self):
         # vstate_to_radial sets the offset -Omega of a V-state
@@ -533,11 +536,6 @@ class TestEnergy:
         E = contour.diagnostics(patch).E
         assert abs(contour.diagnostics(rolled).E - E) <= 1e-14 * E
 
-    def test_fold_matches_full_grid(self):
-        folded = two_mode_patch(128, 0.4, fold=2)
-        full = contour.RadialPatch(folded.samples, folded.rotation_offset, 0.4)
-        assert contour.diagnostics(folded).E == contour.diagnostics(full).E
-
     def test_hamiltonian(self):
         patch = two_mode_patch(64, 0.3)
         d = contour.diagnostics(patch)
@@ -555,9 +553,10 @@ class TestEnergy:
 
 
 class TestVStateConversion:
-    def test_converted_vstate_is_steady(self):
-        point = vs.continue_branch(0.7, 3, [1e-4, 0.02, 0.04])[-1]
-        patch, phase_residual = contour.vstate_to_radial(point, 128)
+    @pytest.mark.parametrize("m, M", [(3, 128), (2, 256)])
+    def test_converted_vstate_is_steady(self, m, M):
+        point = vs.continue_branch(0.7, m, [1e-4, 0.02, 0.04])[-1]
+        patch, phase_residual = contour.vstate_to_radial(point, M)
         assert phase_residual < 1e-12
         assert patch.rotation_offset == -point.Omega
         assert np.max(np.abs(contour.rhs(patch))) < 1e-8
@@ -566,13 +565,26 @@ class TestVStateConversion:
         point = vs.continue_branch(0.7, 2, [1e-4])[-1]
         converted, _ = contour.vstate_to_radial(point, 64)
         patch = dataclasses.replace(converted, rotation_offset=0.5)
-        assert patch.rotation_offset == 0.5
-        assert patch.fold == 2 and patch.mean == converted.mean
+        assert patch.rotation_offset == 0.5 and patch.mean == converted.mean
         final, snaps = contour.evolve(patch, 0.05, dt=0.01, snapshot_every=1)
         assert len(snaps) >= 2 and snaps[-1][1] is final
         for _, p in snaps:
-            assert p.rotation_offset == 0.5 and p.fold == 2
+            assert p.rotation_offset == 0.5
             assert abs(p.mean - patch.mean) < 1e-14
+
+    @pytest.mark.parametrize("M", [128, 256])
+    def test_flow_keeps_the_fold_symmetry(self, M):
+        # a 2-fold V-state with a 2-fold mode added is no steady state; the
+        # full-grid flow keeps its symmetry to round-off
+        point = vs.continue_branch(0.3, 2, [1e-4, 0.05])[-1]
+        converted, _ = contour.vstate_to_radial(point, M)
+        theta = 2 * np.pi * np.arange(M) / M
+        patch = converted.replace_samples(converted.samples + 0.01 * np.cos(4 * theta + 0.3))
+        final, _ = contour.evolve(patch, 1.0)
+        r = final.samples
+        assert np.max(np.abs(r - patch.samples)) >= 1e-3
+        assert np.max(np.abs(r - np.roll(r, M // 2))) <= 1e-14
+        assert abs(final.mean - patch.mean) <= 1e-14
 
     @pytest.mark.parametrize(
         "M, error",

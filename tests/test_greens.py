@@ -247,7 +247,8 @@ PLAN_CASES = [
     sector_case(4, 128),
     sector_case(3, 256),
     sector_case(2, 90),
-    # contour dynamics, folds 1, 2 and 4: one sector of rows, no reflection
+    # the full grid of contour dynamics, and rotation periods 64 and 32
+    # without the mirror, on one sector of rows
     (128, 128, 128, False),
     (128, 64, 64, False),
     (128, 32, 32, False),

@@ -221,7 +221,7 @@ class TestEvaluateF:
 
         pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01]), fold=m)
         r = 0.01 * np.cos(m * 2 * np.pi * np.arange(M) / M)
-        patch = contour.RadialPatch(r, 0.5, 0.7, fold=m if M % m == 0 else 1)
+        patch = contour.RadialPatch(r, 0.5, 0.7)
         with monkeypatch.context() as context:
             context.setattr(greens, "_kernel_into", recording_kernel)
             vs.evaluate_F(0.7, 0.3, pert, M)
