@@ -412,8 +412,8 @@ def vstate_to_radial(branch_point, M):
     the achieved phase residual max |arg z(phi_k) - theta_k|; the latter
     is reported, not assumed, since the conformal and polar
     parametrizations are related only numerically.  The patch is a plain
-    full-grid one: when m divides M its samples are m-fold symmetric,
-    and the flow keeps that symmetry to round-off.
+    full-grid one: when m divides M its samples repeat under rotation by
+    2 pi / m, and the flow keeps that symmetry to round-off.
 
     The resulting mean of r is (area/pi - 1)/2 < 0: conformal V-states
     enclose area pi (1 - sum n a_n^2).  Rescaling it away would change
