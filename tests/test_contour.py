@@ -209,6 +209,12 @@ class TestRhs:
         res = contour.qp_residual([2, 3, 5], [1e-3, -2e-3, 5e-4], 0.5, 0.7, 0.3, 128)
         assert res <= 1e-10
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_fold_tiling_matches_full_grid(self, m):
+        # the full-grid rhs of m-fold samples is its first sector tiled
+        out = contour.rhs(two_mode_patch(128, 0.4, m=m))
+        assert np.max(np.abs(out - np.tile(out[: 128 // m], m))) < 1e-13
+
     def test_workspace_keeps_one_grid_size(self):
         contour.rhs(two_mode_patch(64, 0.7))
         contour.rhs(two_mode_patch(96, 0.7))
@@ -217,10 +223,11 @@ class TestRhs:
         info = greens._workspace.cache_info()
         assert (info.maxsize, info.currsize, info.hits) == (1, 1, hits + 1)
 
+    @pytest.mark.parametrize("m", [1, 2, 4])
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     @pytest.mark.parametrize("M", [128, 256])
-    def test_kernel_product_matches_d_matrix(self, M, alpha):
-        patch = two_mode_patch(M, alpha)
+    def test_kernel_product_matches_d_matrix(self, M, alpha, m):
+        patch = two_mode_patch(M, alpha, m=m)
         assert np.max(np.abs(contour.rhs(patch) - d_matrix_rhs(patch))) <= 1e-15
 
     def test_result_owns_its_memory(self):
@@ -535,6 +542,16 @@ class TestEnergy:
         rolled = patch.replace_samples(np.roll(patch.samples, 37))
         E = contour.diagnostics(patch).E
         assert abs(contour.diagnostics(rolled).E - E) <= 1e-14 * E
+
+    def test_fold_matches_full_grid(self):
+        # 2-fold samples tiled from one sector, against the same curve
+        # evaluated on every node
+        folded = two_mode_patch(128, 0.4, m=2)
+        theta = 2 * np.pi * np.arange(128) / 128
+        r = 0.02 * (np.cos(4 * theta + 0.4) + 0.5 * np.cos(6 * theta - 1.1))
+        full = folded.replace_samples(r)
+        E = contour.diagnostics(full).E
+        assert abs(contour.diagnostics(folded).E - E) <= 1e-14 * E
 
     def test_hamiltonian(self):
         patch = two_mode_patch(64, 0.3)
