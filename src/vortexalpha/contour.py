@@ -23,11 +23,14 @@ tangent z' = (R' + i R) e^{i eta}: with the rotated kernel average
 
 so one real product of the kernel matrix G with the M x 2 block
 [Re z', Im z'] gives F (contour-dynamics form, Dritschel, Comput. Phys.
-Rep. 10 (1989)).  A call costs one kernel evaluation on the chord
-classes of :func:`vortexalpha.greens.pair_plan` (the M(M-1)/2 chords
-j < k and the diagonal), gathered into the kernel matrix, plus one
-M x M x 2 product, all in the workspace buffers of
-:mod:`vortexalpha.greens`; a call allocates no array of the chord count.
+Rep. 10 (1989)).  A call forms the chords of the chord classes of
+:func:`vortexalpha.greens.pair_plan` (the M(M-1)/2 chords j < k and the
+diagonal) by circulant offset, sums the kernel on them from cached
+per-offset polynomials (no K_0 evaluation once the tables of the
+patch's width are built; one per class for a patch far from the
+circle), gathers it into the kernel matrix, and takes one M x M x 2
+product, all in the workspace buffers of :mod:`vortexalpha.greens`; a
+call allocates no array of the chord count.
 
 The linearization uses d rho/dt = -d/dtheta (V rho + L rho) with
 V = Omega - V^E - V^SW and L = L^E + L^SW.  Note the relative signs: they
@@ -82,7 +85,7 @@ from . import spectrum
 from .errors import DomainError, GeometryError, GridError, InstabilityError
 from .errors import _finite, _integer, _positive
 from .greens import (
-    EULER_GAMMA, _kernel_block, _pair_chords, _workspace, green_kernel, pair_plan,
+    EULER_GAMMA, _kernel_block, _offset_chords, _offset_rows, _workspace, green_kernel,
 )
 from .numerics import dealias_twothirds, spectral_derivative
 
@@ -357,18 +360,20 @@ def diagnostics(patch, n_radial=None):
 def _energy(patch):
     """mean_{j,k} Re(z'_j conj z'_k) F(|z_j - z_k|), with F of the module docstring.
 
-    The summand is symmetric: it is formed on the M(M-1)/2 pairs j < k
-    of the grid's plan (its classes after class 0, the diagonal), summed
-    once and doubled, and the diagonal, where
+    The summand is symmetric: it is formed on the M(M-1)/2 pairs j < k,
+    read from the offset rows of :func:`vortexalpha.greens._offset_chords`
+    (the full-grid chord classes after class 0, the diagonal, in their
+    order), summed once and doubled, and the diagonal, where
     F(0) = alpha^2 (log(2 alpha) - gamma) and |z'_j|^2 = R'_j^2 + R_j^2,
     is added in closed form.
     """
     M, alpha = patch.size, patch.alpha
     R, Rp, x, y, xp, yp = _geometry(patch)
-    plan = pair_plan(M, M, False)
-    j, k = plan.first[1:], plan.second[1:]
-    a = _pair_chords(x, y, _workspace(M), plan)[1:]
-    W = xp[j] * xp[k] + yp[j] * yp[k]
+    ws = _workspace(M)
+    pairs = M * (M - 1) // 2
+    a = _offset_chords(x, y, ws)[1 : pairs + 1]
+    Xp, Yp = _offset_rows(ws, xp, yp)
+    W = (xp * Xp + yp * Yp).reshape(-1)[:pairs]
     F = a * a * (np.log(a) - 1.0) / 4.0
     F += (2 * np.pi * alpha * alpha) * green_kernel(alpha, a)
     F0 = alpha * alpha * (math.log(2 * alpha) - EULER_GAMMA)

@@ -30,8 +30,19 @@ the conformal V-state sector.
 
 Both solvers get their kernel block from one call: :func:`_kernel_block`
 forms the plan's chords from the node coordinates, rejects a crossing
-boundary, and evaluates the kernel (on request with its slope) once per
-class into the block, in the per-grid buffers of :class:`_Workspace`.
+boundary, evaluates the kernel (on request with its slope) once per
+class, and gathers it into the block, in the per-grid buffers of
+:class:`_Workspace`.  The full-grid classes are the offset rows
+|z_r - z_(r+e)|, e = 1..M/2, in order, so their chords come from two
+sliding-window views without a gather (:func:`_offset_chords`).  Without
+a slope, their kernel comes from per-offset polynomials: on row e the
+chords lie within a relative width w of the unit-circle chord
+a_e = 2 sin(pi e / M), and g(a_e (1 + u)) is analytic for |u| < 1, so
+the Chebyshev interpolant on |u| <= 2^-L, the level L read from w,
+reproduces it to rounding at a degree from 18 (L = 2, w = 1/4, the cap)
+down to 2 (:func:`_offset_table`, built from a few kernel values per
+offset on first use).  Past the cap the classes take the direct path,
+:func:`_kernel_into`, as rotation plans and slope requests always do.
 """
 
 from __future__ import annotations
@@ -185,30 +196,46 @@ def _kernel_into(alpha, rho, zero, x, out, work, slope=None):
     return out
 
 
+def _disc_chords(M):
+    """Chords 2 sin(pi e / M) of the unit circle at the offsets e = 1..M/2."""
+    return 2.0 * np.sin(np.pi * np.arange(1, M // 2 + 1) / M)
+
+
 class _Workspace:
     """Per-grid node vectors and the buffers of the chord-class kernel block.
 
-    ``cos`` and ``sin`` hold cos theta_k and sin theta_k at the M nodes;
-    the other buffers fit the most chord classes a plan can have,
-    M(M-1)/2 + 1: the pairs j < k and the diagonal.  ``kernel`` (M x M)
+    ``cos`` and ``sin`` hold cos theta_k and sin theta_k at the M nodes,
+    ``disc`` the column of unit-circle chords of :func:`_disc_chords`.
+    ``ends`` holds two node vectors doubled, v || v[:M/2], and ``windows``
+    their sliding-window view of shape (2, M/2, M): row e - 1 holds
+    v[(r + e) mod M] for r = 0..M-1, so one subtraction of v forms the
+    differences at offset e without a gather (:func:`_offset_rows`).
+
+    The other buffers fit the offset rows behind one diagonal entry,
+    M^2/2 + 1 entries, which hold every chord class of a plan (at most
+    M(M-1)/2 + 1: the pairs j < k and the diagonal).  ``kernel`` (M x M)
     holds the chords of :func:`_pair_chords` in its leading entries, then
     the block that :func:`_kernel_block` forms from them; ``x`` holds
-    A/alpha and then log A, ``k0`` the kernel per class.  The first slope
-    request adds a third ``work`` row, ``slope`` and ``slopes``, so callers
-    that never ask for one keep the smaller footprint.  One instance
-    serves one grid size for both solvers, and is not reentrant.  The
-    chords and blocks are views, valid until chords are next formed on
-    that grid size: a :func:`vortexalpha.vstates.evaluate_F` call
-    invalidates the views of a :func:`vortexalpha.contour.rhs` call, and
-    the reverse.  What the solvers return owns its memory.
+    A/alpha and then log A (or the offset variable u), ``k0`` the kernel
+    per class.  The first slope request adds a third ``work`` row,
+    ``slope`` and ``slopes``, so callers that never ask for one keep the
+    smaller footprint.  One instance serves one grid size for both
+    solvers, and is not reentrant.  The chords and blocks are views,
+    valid until chords are next formed on that grid size: a
+    :func:`vortexalpha.vstates.evaluate_F` call invalidates the views of
+    a :func:`vortexalpha.contour.rhs` call, and the reverse.  What the
+    solvers return owns its memory.
     """
 
     def __init__(self, M):
         theta = 2 * np.pi * np.arange(M) / M
         self.cos = np.cos(theta)
         self.sin = np.sin(theta)
+        self.disc = _disc_chords(M)[:, None]
+        self.ends = np.empty((2, M + M // 2))
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.ends, M, axis=1)[:, 1:]
         self.kernel = np.empty((M, M))
-        classes = M * (M - 1) // 2 + 1
+        classes = M * M // 2 + 1
         self.x = np.empty(classes)
         self.k0 = np.empty(classes)
         self.work = np.empty((2, classes))
@@ -220,15 +247,57 @@ def _workspace(M):
     return _Workspace(M)
 
 
+def _offset_rows(ws, x, y):
+    """Views X, Y of shape (M/2, M): row e - 1 holds x, y at the nodes r + e mod M.
+
+    ``x`` and ``y`` are copied into the doubled vectors of ``ws``; the
+    views stay valid until the next call on that workspace.
+    """
+    M = x.size
+    ws.ends[0, :M], ws.ends[0, M:] = x, x[: M // 2]
+    ws.ends[1, :M], ws.ends[1, M:] = y, y[: M // 2]
+    return ws.windows
+
+
+def _offset_chords(x, y, ws):
+    """Chords |z_r - z_{r+e}| by offset rows, in the leading entries of ``ws.kernel``.
+
+    Returns a flat view of M^2/2 + 1 entries (M even): a zero (the
+    diagonal), then the rows e = 1..M/2 of r = 0..M-1.  The full-grid
+    classes of :func:`pair_plan` are offset-major with starts
+    r = 0..M-1 (r < M/2 at e = M/2), so class c is entry c: the row
+    layout is the class layout, and only the second half of the last
+    row repeats classes.  Every chord is bitwise the one a gather of
+    the node coordinates forms.
+    """
+    M = x.size
+    flat = ws.kernel.reshape(-1)[: M // 2 * M + 1]
+    flat[0] = 0.0
+    A = flat[1:].reshape(M // 2, M)
+    dy = ws.work[0, : A.size].reshape(A.shape)
+    X, Y = _offset_rows(ws, x, y)
+    np.subtract(X, x, out=A)
+    A *= A
+    np.subtract(Y, y, out=dy)
+    dy *= dy
+    A += dy
+    np.sqrt(A, out=A)
+    return flat
+
+
 def _pair_chords(x, y, ws, plan):
     """Chords |z_j - z_k| of the plan's representative pairs, in ``ws.kernel``.
 
-    ``x`` and ``y`` are the node coordinates; ``ws.work`` holds the
-    gathered ones.  The chord of class 0 is exactly zero, and every
-    chord is bitwise the entry of the full chord matrix at its
-    representative and at its transpose.
+    ``x`` and ``y`` are the node coordinates.  The full-grid plan (its
+    block is square) takes its chords from :func:`_offset_chords`; a
+    rotation plan gathers the coordinates of its pairs, through
+    ``ws.work``.  The chord of class 0 is exactly zero, and every chord
+    is bitwise the entry of the full chord matrix at its representative
+    and at its transpose.
     """
     n = plan.first.size
+    if plan.inverse.shape[0] == x.size:
+        return _offset_chords(x, y, ws)[:n]
     A = ws.kernel.reshape(-1)[:n]
     dy, gathered = ws.work[:2, :n]
     plan.take(x, plan.first, A)
@@ -241,6 +310,39 @@ def _pair_chords(x, y, ws, plan):
     return np.sqrt(A, out=A)
 
 
+@functools.lru_cache(maxsize=4)
+def _offset_table(M, alpha, level):
+    """Per-offset polynomials of the kernel on the chords A = a_e (1 + u), |u| <= 2^-level.
+
+    a_e = 2 sin(pi e / M) is the unit-circle chord at offset e.  On the
+    interval the kernel g(a_e (1 + u)) is analytic inside the Bernstein
+    ellipse through its singularity at u = -1 (A = 0), of parameter
+    rho = 1/w + sqrt(1/w^2 - 1), w = 2^-level, so the degree-K
+    Chebyshev interpolant with K = ceil(37 / ln rho) is within about
+    e^-37 of it: K = 18 at level 2, 9 at level 5, 2 from level 26.  Its
+    K + 1 node values per offset come from one :func:`_kernel_into` call
+    (through :func:`combined_boundary_kernel`).  Returns the coefficients
+    of u^0..u^K, shape (K + 1, M/2, 1), read-only, for Horner's rule with
+    each column broadcast along its offset row.  The four most recent
+    tables are kept.
+    """
+    w = math.ldexp(1.0, -level)
+    K = math.ceil(37.0 / math.log(1.0 / w + math.sqrt(1.0 / (w * w) - 1.0)))
+    theta = np.pi * (np.arange(K + 1) + 0.5) / (K + 1)
+    values = combined_boundary_kernel(alpha, np.outer(_disc_chords(M), 1.0 + w * np.cos(theta)))
+    mean = values.mean(axis=1)
+    values -= mean[:, None]  # the transform then sums variations, not the rounding of g
+    cheb = np.cos(np.outer(np.arange(K + 1), theta)) @ values.T
+    cheb *= 2.0 / (K + 1)
+    cheb[0] *= 0.5
+    cheb[0] += mean
+    table = sf._monomial(cheb)
+    table /= w ** np.arange(K + 1)[:, None]  # s = u / w, exact: w is a power of 2
+    table = table[:, :, None]
+    table.flags.writeable = False
+    return table
+
+
 def _kernel_block(alpha, x, y, period, reflect=False, slope=False):
     """Kernel block G on the nodes (x, y) and, with ``slope``, S = g'(A)/A.
 
@@ -250,17 +352,48 @@ def _kernel_block(alpha, x, y, period, reflect=False, slope=False):
     raises :class:`GeometryError`.  The kernel is evaluated once per class
     and gathered into ``ws.kernel`` and the slope into ``ws.slopes``; S is
     None without ``slope``.  On the full grid G is bitwise symmetric.
+
+    The full grid without ``slope`` takes the kernel from the offset
+    rows of :func:`_offset_chords` (:func:`_offset_kernel`); a rotation
+    plan, a slope request or a patch past the tables' width of 1/4
+    evaluates :func:`_kernel_into` per class.
     """
-    ws, plan = _workspace(x.size), pair_plan(x.size, period, reflect)
+    M = x.size
+    ws, plan = _workspace(M), pair_plan(M, period, reflect)
     chords = _pair_chords(x, y, ws, plan)
     if not chords[1:].min() >= 1e-12:  # class 0 is the diagonal
         raise GeometryError("boundary self-intersects on the grid")
     n, rows = plan.first.size, plan.inverse.shape[0]
-    if slope and ws.slope is None:
-        ws.work, ws.slope = np.empty((3, ws.x.size)), np.empty(ws.x.size)
-        ws.slopes = np.empty_like(ws.kernel)
-    K = _kernel_into(
-        alpha, chords, 0, ws.x[:n], ws.k0[:n], ws.work[:, :n], ws.slope[:n] if slope else None
-    )
+    K = _offset_kernel(alpha, ws, n) if rows == M and not slope else None
+    if K is None:
+        if slope and ws.slope is None:
+            ws.work, ws.slope = np.empty((3, ws.x.size)), np.empty(ws.x.size)
+            ws.slopes = np.empty_like(ws.kernel)
+        K = _kernel_into(
+            alpha, chords, 0, ws.x[:n], ws.k0[:n], ws.work[:, :n], ws.slope[:n] if slope else None
+        )
     G = plan.take(K, plan.inverse, ws.kernel[:rows])
     return G, plan.take(ws.slope[:n], plan.inverse, ws.slopes[:rows]) if slope else None
+
+
+def _offset_kernel(alpha, ws, n):
+    """The kernel on the n full-grid classes of :func:`_offset_chords`, in ``ws.k0``.
+
+    With u = A / a_e - 1 on each offset row and w = max |u|, the rows are
+    summed by Horner's rule from the :func:`_offset_table` of level
+    L = max(2, -k) for w = m 2^k, 1/2 <= m < 1, so w <= 2^-L (L = 2 at
+    w = 0).  Past w = 1/4 (a patch far from the circle) it returns None,
+    and :func:`_kernel_block` evaluates the classes directly.
+    """
+    M = ws.cos.size
+    size = M // 2 * M
+    A = ws.kernel.reshape(-1)[1 : size + 1].reshape(M // 2, M)
+    u = np.divide(A, ws.disc, out=ws.x[1 : size + 1].reshape(A.shape))
+    u -= 1.0
+    w = max(u.max(), -u.min())
+    if w > 0.25:
+        return None
+    table = _offset_table(M, alpha, max(2, -math.frexp(w)[1]))
+    sf._horner(u, table, ws.k0[1 : size + 1].reshape(A.shape))
+    ws.k0[0] = math.log(2 * alpha) - EULER_GAMMA
+    return ws.k0[:n]

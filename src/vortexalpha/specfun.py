@@ -121,8 +121,10 @@ def _horner(u, coef, out):
     The loop runs in the order of operations of the plain form
     ``p = p * u + c``, so it is bitwise equal to it, in two passes per
     degree and without a fresh array per step.  Each call sums one
-    polynomial: on the ``evolve`` kernel path a stacked accumulator of
-    several measured about 20 % slower.
+    polynomial, or one per row when the ``coef[m]`` are columns that
+    broadcast against ``u`` (the per-offset tables of
+    :mod:`vortexalpha.greens`); for the K_0 tables a stacked accumulator
+    of several polynomials measured about 20 % slower.
     """
     np.multiply(u, coef[-1], out=out)
     for c in coef[-2:0:-1]:

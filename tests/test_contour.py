@@ -273,20 +273,27 @@ class TestRhs:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_triangle_kernel_matches_full_matrix(self, alpha):
+        # the full grid's kernel comes from the per-offset tables, within
+        # 2e-14 of the kernel on the chord matrix; with a slope request it
+        # is evaluated per class, bitwise
         patch = two_mode_patch(128, alpha)
         A = chord_matrix(patch.radii)
         ws = greens._workspace(128)
         R = patch.radii
+        direct = combined_boundary_kernel(alpha, A)
         G, _ = greens._kernel_block(alpha, R * ws.cos, R * ws.sin, 128)
         assert A.shape == G.shape == (128, 128)
-        assert np.array_equal(G, combined_boundary_kernel(alpha, A))
+        assert np.max(np.abs(G - direct)) <= 2e-14
         assert np.array_equal(G, G.T)
+        G, _ = greens._kernel_block(alpha, R * ws.cos, R * ws.sin, 128, slope=True)
+        assert np.array_equal(G, direct)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_buffered_kernel_matches_fresh_on_evolve_chords(self, alpha):
         # the workspace-buffer kernel path against the kernel core in fresh
         # buffers on the pair chords of the evolve benchmark's grid and
-        # amplitude, with and without the slope
+        # amplitude: within 2e-14 from the offset tables, bitwise with the
+        # slope
         patch = two_mode_patch(256, alpha, amplitude=0.01)
         R = patch.radii
         plan = full_plan(256)
@@ -297,7 +304,8 @@ class TestRhs:
         work = (np.empty(n), np.empty(n), np.empty((3, n)))
         fresh = greens._kernel_into(alpha, chords, chords == 0.0, *work, slope)
         G, S = greens._kernel_block(alpha, R * ws.cos, R * ws.sin, 256)
-        assert np.array_equal(G, fresh[plan.inverse]) and S is None
+        assert np.max(np.abs(G - fresh[plan.inverse])) <= 2e-14 and S is None
+        assert np.array_equal(G, G.T)
         G, S = greens._kernel_block(alpha, R * ws.cos, R * ws.sin, 256, slope=True)
         assert np.array_equal(G, fresh[plan.inverse])
         assert np.array_equal(S, slope[plan.inverse])
@@ -309,6 +317,7 @@ class TestRhs:
             raise AssertionError("the kernel was evaluated on a crossing boundary")
 
         monkeypatch.setattr(greens, "_kernel_into", no_kernel)
+        monkeypatch.setattr(greens, "_offset_table", no_kernel)
         ws = greens._workspace(64)
         x, y = ws.cos.copy(), ws.sin.copy()
         if bad == "coincident":
@@ -356,6 +365,93 @@ class TestRhs:
     def test_negative_offset_accepted(self):
         # vstate_to_radial sets the offset -Omega of a V-state
         assert contour.RadialPatch(np.zeros(64), -0.3, 0.7).rotation_offset == -0.3
+
+
+class TestOffsetKernel:
+    """The full-grid kernel block from the per-offset tables of ``greens``."""
+
+    @staticmethod
+    def width(patch):
+        """max |A / a_e - 1| over the chords A = |z_r - z_(r+e)|, a_e = 2 sin(pi e / M)."""
+        M = patch.size
+        z = patch.radii * np.exp(2j * np.pi * np.arange(M) / M)
+        e = np.arange(1, M // 2 + 1)
+        A = np.abs(np.stack([np.roll(z, -k) for k in e]) - z)
+        return float(np.max(np.abs(A / (2 * np.sin(np.pi * e / M))[:, None] - 1)))
+
+    @staticmethod
+    def block(patch):
+        ws = greens._workspace(patch.size)
+        R = patch.radii
+        return greens._kernel_block(patch.alpha, R * ws.cos, R * ws.sin, patch.size)[0]
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.01, 0.1])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 5.0])
+    @pytest.mark.parametrize("M", [64, 256, 512])
+    def test_matches_the_direct_kernel(self, M, alpha, amplitude):
+        patch = two_mode_patch(M, alpha, amplitude)
+        assert self.width(patch) <= 0.25  # within the tables' reach
+        direct = combined_boundary_kernel(alpha, chord_matrix(patch.radii))
+        G = self.block(patch)
+        assert np.max(np.abs(G - direct)) <= 2e-14
+        assert np.array_equal(G, G.T)
+
+    def test_past_a_quarter_the_kernel_is_direct(self):
+        patch = two_mode_patch(256, 0.3, amplitude=0.2)
+        assert self.width(patch) > 0.25
+        direct = combined_boundary_kernel(0.3, chord_matrix(patch.radii))
+        assert np.array_equal(self.block(patch), direct)
+
+    @pytest.mark.parametrize(
+        "M, alpha, amplitude",
+        [(64, 0.05, 0.1), (256, 0.3, 0.01), (256, 0.7, 0.1), (256, 5.0, 0.0)],
+    )
+    def test_rhs_and_linearization_match_the_direct_path(self, monkeypatch, M, alpha, amplitude):
+        # a slope request keeps the per-class kernel; linearized_rhs
+        # differentiates the kernel term, so its bound is relative to its
+        # size (a random 1-ulp change of G moves it by about 3e-15 of it)
+        patch = two_mode_patch(M, alpha, amplitude)
+        theta = 2 * np.pi * np.arange(M) / M
+        rho = np.cos(4 * theta + 0.3) + 0.3 * np.cos(7 * theta - 0.2)
+
+        def both():
+            return contour.rhs(patch), contour.linearized_rhs(patch, rho)
+
+        rhs, lin = both()
+        block = greens._kernel_block
+        monkeypatch.setattr(contour, "_kernel_block", lambda *a: (block(*a, slope=True)[0], None))
+        direct_rhs, direct_lin = both()
+        assert np.max(np.abs(rhs - direct_rhs)) <= 1e-14
+        assert np.max(np.abs(lin - direct_lin)) <= 1e-14 * np.max(np.abs(direct_lin))
+
+    def test_warm_calls_evaluate_no_kernel_and_gather_no_node(self, monkeypatch):
+        M = 256
+        patch = two_mode_patch(M, 0.3, amplitude=0.01)
+        rho = np.cos(4 * 2 * np.pi * np.arange(M) / M)
+        contour.rhs(patch)
+        contour.linearized_rhs(patch, rho)
+        misses = greens._offset_table.cache_info().misses
+        take = greens.PairPlan.take
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm call evaluated the kernel per class")
+
+        def class_take(plan, values, indices, out):
+            assert values.size != M, "a warm call gathered node coordinates"
+            return take(plan, values, indices, out)
+
+        monkeypatch.setattr(greens, "_kernel_into", forbidden)
+        monkeypatch.setattr(sf, "k0_array", forbidden)
+        monkeypatch.setattr(greens.PairPlan, "take", class_take)
+        contour.rhs(patch)
+        contour.linearized_rhs(patch, rho)
+        assert greens._offset_table.cache_info().misses == misses
+
+    @pytest.mark.parametrize("level, degree", [(2, 18), (5, 9), (25, 3), (26, 2)])
+    def test_table_degree_and_layout(self, level, degree):
+        table = greens._offset_table(64, 0.3, level)
+        assert table.shape == (degree + 1, 32, 1)
+        assert not table.flags.writeable
 
 
 class TestLinearization:

@@ -222,6 +222,7 @@ class TestEvaluateF:
         pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01]), fold=m)
         r = 0.01 * np.cos(m * 2 * np.pi * np.arange(M) / M)
         patch = contour.RadialPatch(r, 0.5, 0.7)
+        contour.rhs(patch)  # builds the per-offset tables of this patch's level
         with monkeypatch.context() as context:
             context.setattr(greens, "_kernel_into", recording_kernel)
             vs.evaluate_F(0.7, 0.3, pert, M)
@@ -229,9 +230,9 @@ class TestEvaluateF:
             contour.rhs(patch)
             contour.linearized_rhs(patch, r - r.mean())
         assert greens._kernel_into is kernel_into
-        # one 1-d call per evaluation on the chord classes, not the
-        # (msec // 2 + 1) x M rows
-        assert len(calls) == 4 and all(len(shape) == 1 for shape, _ in calls)
+        # one 1-d call per V-state evaluation on the chord classes, not the
+        # (msec // 2 + 1) x M rows; the warm contour calls make none
+        assert len(calls) == 2 and all(len(shape) == 1 for shape, _ in calls)
         assert calls[0][0][0] <= M * msec // 4 + M
         # the diagonal is one class: a single zero chord, at index 0
         assert all(np.array_equal(zeros, [0]) for _, zeros in calls)
