@@ -6,11 +6,11 @@ singularities, so their sum extends continuously to the diagonal with value
 log(2 alpha) - gamma.  :func:`combined_boundary_kernel` is the one
 evaluator of that sum in the package; the contour dynamics in
 :mod:`vortexalpha.contour` and the rotating-patch functional in
-:mod:`vortexalpha.vstates` reach its buffered core :func:`_kernel_into`
+:mod:`vortexalpha.vstates` reach its core :func:`_kernel_values`
 through :func:`_kernel_block` on their chords, and its zero entries take
 the analytic limit (the trapezoid weights and symmetry are preserved).
-On request the buffered core also gives the slope g'(rho)/rho of the
-sum, from the same Bessel tables, for the exact V-state Jacobian.
+On request the core also returns the slope g'(rho)/rho of the sum,
+from the same Bessel tables, for the exact V-state Jacobian.
 
 :func:`pair_plan` is the one chord layout of those solvers.  A chord
 matrix |z_j - z_k| on M uniform nodes is symmetric, and a patch with
@@ -32,17 +32,17 @@ Both solvers get their kernel block from one call: :func:`_kernel_block`
 forms the plan's chords from the node coordinates, rejects a crossing
 boundary, evaluates the kernel (on request with its slope) once per
 class, and gathers it into the block, in the per-grid buffers of
-:class:`_Workspace`.  The full-grid classes are the offset rows
-|z_r - z_(r+e)|, e = 1..M/2, in order, so their chords come from two
-sliding-window views without a gather (:func:`_offset_chords`).  Without
-a slope, their kernel comes from per-offset polynomials: on row e the
-chords lie within a relative width w of the unit-circle chord
-a_e = 2 sin(pi e / M), and g(a_e (1 + u)) is analytic for |u| < 1, so
-the Chebyshev interpolant on |u| <= 2^-L, the level L read from w,
-reproduces it to rounding at a degree from 18 (L = 2, w = 1/4, the cap)
-down to 2 (:func:`_offset_table`, built from a few kernel values per
-offset on first use).  Past the cap the classes take the direct path,
-:func:`_kernel_into`, as rotation plans and slope requests always do.
+:class:`_Workspace` (the slope block is a fresh array).  The full-grid
+classes are the offset rows |z_r - z_(r+e)|, e = 1..M/2, in order, so
+their chords come from two sliding-window views without a gather
+(:func:`_offset_chords`).  Without a slope, their kernel comes from
+per-offset polynomials: on row e the chords lie within a relative width
+w of the unit-circle chord a_e = 2 sin(pi e / M), and g(a_e (1 + u)) is
+analytic for |u| < 1, so the Chebyshev interpolant on |u| <= 2^-L, the
+level L read from w, reproduces it to rounding at a degree from 18
+(L = 2, w = 1/4, the cap) down to 2 (:func:`_offset_table`, built from
+a few kernel values per offset on first use).  Past the cap the classes take the direct path,
+:func:`_kernel_values`, as rotation plans and slope requests always do.
 """
 
 from __future__ import annotations
@@ -165,35 +165,31 @@ def combined_boundary_kernel(alpha, rho):
     if not (arr.min(initial=0.0) >= 0 and math.isfinite(arr.max(initial=0.0))):  # nan propagates
         raise DomainError("rho must be nonnegative and finite")
     flat = arr.reshape(-1)
-    n = flat.size
-    out = _kernel_into(alpha, flat, flat == 0.0, np.empty(n), np.empty(n), np.empty((2, n)))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    K, _ = _kernel_values(alpha, flat, flat == 0.0)
+    return float(K[0]) if arr.ndim == 0 else K.reshape(arr.shape)
 
 
-def _kernel_into(alpha, rho, zero, x, out, work, slope=None):
-    """:func:`combined_boundary_kernel` of a flat rho into caller-owned buffers.
+def _kernel_values(alpha, rho, zero, slope=False):
+    """:func:`combined_boundary_kernel` of a flat rho, and on request its slope.
 
     ``zero`` indexes the zero entries of rho (a mask, or 0 for class 0 of
-    a :class:`PairPlan`, the diagonal); ``x`` and ``out`` have rho's size
-    and ``work`` is (2, rho.size) scratch for
-    :func:`vortexalpha.specfun.k0_array` (a third row goes unused).  Zero
-    entries are evaluated at rho = alpha, whose K_0 argument lies in the
-    series band, and then overwritten by the limit.  A ``slope`` buffer of
-    rho's size receives g'(rho)/rho = (1/x^2 - K_1(x)/x) / alpha^2,
+    a :class:`PairPlan`, the diagonal).  Zero entries are evaluated at
+    rho = alpha, whose K_0 argument lies in the series band, and then
+    overwritten by the limit.  Returns fresh arrays (K, S) of rho's size:
+    with ``slope``, S = g'(rho)/rho = (1/x^2 - K_1(x)/x) / alpha^2,
     x = rho/alpha, the kernel's derivative over the chord (0 at the zero
-    entries; the kernel values are the same as without it); ``work`` then
-    needs 3 rows.  Returns ``out``.
+    entries; the kernel values are the same as without it), else None.
     """
-    np.divide(rho, alpha, out=x)
+    x = rho / alpha
     x[zero] = 1.0
-    sf.k0_array(x, out, work, slope)
-    if slope is not None:
-        slope /= alpha * alpha
-        slope[zero] = 0.0
+    K, S = sf.k0_array(x, slope=True) if slope else (sf.k0_array(x), None)
+    if slope:
+        S /= alpha * alpha
+        S[zero] = 0.0
     with np.errstate(divide="ignore"):
-        out += np.log(rho, out=x)
-    out[zero] = math.log(2 * alpha) - EULER_GAMMA
-    return out
+        K += np.log(rho, out=x)
+    K[zero] = math.log(2 * alpha) - EULER_GAMMA
+    return K, S
 
 
 def _disc_chords(M):
@@ -215,11 +211,11 @@ class _Workspace:
     M^2/2 + 1 entries, which hold every chord class of a plan (at most
     M(M-1)/2 + 1: the pairs j < k and the diagonal).  ``kernel`` (M x M)
     holds the chords of :func:`_pair_chords` in its leading entries, then
-    the block that :func:`_kernel_block` forms from them; ``x`` holds
-    A/alpha and then log A (or the offset variable u), ``k0`` the kernel
-    per class.  The first slope request adds a third ``work`` row,
-    ``slope`` and ``slopes``, so callers that never ask for one keep the
-    smaller footprint.  One instance serves one grid size for both
+    the block that :func:`_kernel_block` forms from them; ``work`` is
+    scratch for the chords, ``x`` holds the offset variable u and ``k0``
+    the kernel per class from the offset tables.  The direct path,
+    :func:`_kernel_values`, returns the kernel per class and its slope
+    in fresh arrays instead.  One instance serves one grid size for both
     solvers, and is not reentrant.  The chords and blocks are views,
     valid until chords are next formed on that grid size: a
     :func:`vortexalpha.vstates.evaluate_F` call invalidates the views of
@@ -239,10 +235,9 @@ class _Workspace:
         self.x = np.empty(classes)
         self.k0 = np.empty(classes)
         self.work = np.empty((2, classes))
-        self.slope = self.slopes = None
 
 
-@functools.lru_cache(maxsize=1)  # one grid size at a time: about 3 M^2 doubles, 5 with slopes
+@functools.lru_cache(maxsize=1)  # one grid size at a time: about 3 M^2 doubles
 def _workspace(M):
     return _Workspace(M)
 
@@ -320,7 +315,7 @@ def _offset_table(M, alpha, level):
     rho = 1/w + sqrt(1/w^2 - 1), w = 2^-level, so the degree-K
     Chebyshev interpolant with K = ceil(37 / ln rho) is within about
     e^-37 of it: K = 18 at level 2, 9 at level 5, 2 from level 26.  Its
-    K + 1 node values per offset come from one :func:`_kernel_into` call
+    K + 1 node values per offset come from one :func:`_kernel_values` call
     (through :func:`combined_boundary_kernel`).  Returns the coefficients
     of u^0..u^K, shape (K + 1, M/2, 1), read-only, for Horner's rule with
     each column broadcast along its offset row.  The four most recent
@@ -350,13 +345,13 @@ def _kernel_block(alpha, x, y, period, reflect=False, slope=False):
     class chords (:func:`_pair_chords`), and so every chord of the block,
     are checked first: one between distinct nodes below 1e-12, or NaN,
     raises :class:`GeometryError`.  The kernel is evaluated once per class
-    and gathered into ``ws.kernel`` and the slope into ``ws.slopes``; S is
+    and gathered into ``ws.kernel``, the slope into a fresh array; S is
     None without ``slope``.  On the full grid G is bitwise symmetric.
 
     The full grid without ``slope`` takes the kernel from the offset
     rows of :func:`_offset_chords` (:func:`_offset_kernel`); a rotation
     plan, a slope request or a patch past the tables' width of 1/4
-    evaluates :func:`_kernel_into` per class.
+    evaluates :func:`_kernel_values` per class.
     """
     M = x.size
     ws, plan = _workspace(M), pair_plan(M, period, reflect)
@@ -365,15 +360,11 @@ def _kernel_block(alpha, x, y, period, reflect=False, slope=False):
         raise GeometryError("boundary self-intersects on the grid")
     n, rows = plan.first.size, plan.inverse.shape[0]
     K = _offset_kernel(alpha, ws, n) if rows == M and not slope else None
+    S = None
     if K is None:
-        if slope and ws.slope is None:
-            ws.work, ws.slope = np.empty((3, ws.x.size)), np.empty(ws.x.size)
-            ws.slopes = np.empty_like(ws.kernel)
-        K = _kernel_into(
-            alpha, chords, 0, ws.x[:n], ws.k0[:n], ws.work[:, :n], ws.slope[:n] if slope else None
-        )
+        K, S = _kernel_values(alpha, chords, 0, slope)
     G = plan.take(K, plan.inverse, ws.kernel[:rows])
-    return G, plan.take(ws.slope[:n], plan.inverse, ws.slopes[:rows]) if slope else None
+    return G, None if S is None else plan.take(S, plan.inverse, np.empty(plan.inverse.shape))
 
 
 def _offset_kernel(alpha, ws, n):

@@ -20,9 +20,11 @@ estimated truncation errors cross the accuracy targets, see below):
   values of 1.2 to 1.4, so the power form is well conditioned on
   |t| <= 1.  The relative error is a few ulp on the whole half-line, and
   the cost per point does not depend on x (both checked against mpmath in
-  the tests).  ``k0_array`` multiplies the order-0 fit by ``e^-x/sqrt(x)``;
-  on request it also writes the kernel slope ``1/x^2 - K_1(x)/x`` from
-  the same tables: for x < 3 as ``-log(x/2) p_2/2 + p_3/4`` (the
+  the tests).  ``k0_array`` splits its arguments at x = 3 by one mask,
+  runs each regime once on its copy of them and returns fresh arrays.
+  It multiplies the order-0 fit by ``e^-x/sqrt(x)``; on request it also
+  returns the kernel slope ``1/x^2 - K_1(x)/x`` from the same tables:
+  for x < 3 as ``-log(x/2) p_2/2 + p_3/4`` (the
   ``1/x^2`` of ``K_1/x`` cancels exactly, so nothing is lost at small
   x), for x >= 3 from the order-1 fit.  The products need only the ratio
   ``kappa_1 = K_1/K_0`` (``_k_ratio``), read from that series and slope,
@@ -171,116 +173,89 @@ def _k_ratio(x):
     out = np.empty_like(x)
     lo = x < _X_SWITCH_K_SERIES
     xs = x[lo]
-    k0, s = xs.copy(), np.empty_like(xs)
-    _k0_series(k0, np.empty((2, xs.size)), s)
+    k0, s = _k0_series(xs.copy(), True)
     out[lo] = (1.0 / xs - xs * s) / k0
     t = 6.0 / x[~lo] - 1.0
     out[~lo] = _horner(t, _K1_FIT, np.empty_like(t)) / _horner(t, _K0_FIT, np.empty_like(t))
     return out
 
 
-def _k0_series(v, work, slope=None):
+def _k0_series(v, slope):
     """K_0 for x < 3 in place: ``v`` holds x on entry and K_0 on return.
 
-    ``work`` is (2, v.size) scratch.  The operations are those of
-    -log(x/2) p_0(u) + p_1(u), u = x^2/4, with p_j column j of
-    ``_K_SERIES``, in the same order (negating a product is exact).
-    A ``slope`` buffer receives 1/x^2 - K_1(x)/x = -log(x/2) p_2/2 + p_3/4.
+    The operations are those of -log(x/2) p_0(u) + p_1(u), u = x^2/4, with
+    p_j column j of ``_K_SERIES``, in the same order (negating a product
+    is exact).  Returns (K_0, S): with ``slope``, S = 1/x^2 - K_1(x)/x =
+    -log(x/2) p_2/2 + p_3/4, else None.
     """
-    u, p = work[0], work[1]
-    np.multiply(v, v, out=u)
+    u = v * v
     u *= 0.25
     v *= 0.5
     np.log(v, out=v)
-    if slope is not None:
-        _horner(u, _K1_I1, slope)
-        slope *= v
-        slope *= -0.5
+    p, s = np.empty_like(v), None
+    if slope:
+        s = _horner(u, _K1_I1, np.empty_like(v))
+        s *= v
+        s *= -0.5
         _horner(u, _K1_PSI, p)
         p *= 0.25
-        slope += p
+        s += p
     _horner(u, _K0_I0, p)
     p *= v
     _horner(u, _K0_PSI, v)
     v -= p
-    return v
+    return v, s
 
 
-def _k0_fit(v, work, slope=None):
+def _k0_fit(v, slope):
     """K_0 for x >= 3 in place: ``v`` holds x on entry and K_0 on return.
 
-    ``work`` is (2, v.size) scratch; column 0 of the fit by Horner's rule,
-    times e^-x / sqrt(x).  A ``slope`` buffer receives
-    (1/x)(1/x - K_1(x)) from column 1 of the fit; it needs a third row of
-    ``work``.
+    Column 0 of the fit by Horner's rule, times e^-x / sqrt(x).  Returns
+    (K_0, S): with ``slope``, S = (1/x)(1/x - K_1(x)) from column 1 of
+    the fit, else None.
     """
-    t, p = work[0], work[1]
-    np.divide(6.0, v, out=t)
+    t = np.divide(6.0, v)
     t -= 1.0
-    _horner(t, _K0_FIT, p)
-    if slope is not None:
-        _horner(t, _K1_FIT, slope)
-        inv = np.divide(1.0, v, out=work[2])
+    p, s = _horner(t, _K0_FIT, np.empty_like(v)), None
+    if slope:
+        s = _horner(t, _K1_FIT, np.empty_like(v))
+        inv = np.divide(1.0, v)
     np.negative(v, out=t)
     np.sqrt(v, out=v)
     with np.errstate(under="ignore"):
         np.exp(t, out=t)
         t /= v
-        if slope is not None:
-            slope *= t
-            np.subtract(inv, slope, out=slope)
-            slope *= inv
-        return np.multiply(p, t, out=v)
+        if slope:
+            s *= t
+            np.subtract(inv, s, out=s)
+            s *= inv
+        return np.multiply(p, t, out=v), s
 
 
-def k0_array(x, out=None, work=None, slope=None):
+def k0_array(x, slope=False):
     """K_0 over a positive array (0 where e^-x underflows); kernel helper.
 
-    The result has the shape of ``x``, which is not modified.  Callers
-    that evaluate K_0 repeatedly may pass the buffers: ``out``, 1-d and
-    contiguous with x.size entries, receives the result (returned as a
-    view of it), and ``work``, shape (2, x.size) with contiguous rows, is
-    scratch; otherwise both are allocated here.  A ``slope`` buffer like
-    ``out`` also receives 1/x^2 - K_1(x)/x in flat order; ``work`` then
-    needs 3 rows.  The K_0 values do not depend on whether it is given.
+    Returns a fresh array of the shape of ``x``, which is not modified;
+    with ``slope``, the pair (K_0, 1/x^2 - K_1(x)/x), both of that shape.
+    The K_0 values do not depend on whether the slope is requested.
 
-    Every value depends on its own argument only, not on its position.
-    The series and the fit each run once, in place on ``out``: in flat
-    order the series takes the leading slice before the first x >= 3 and
-    the fit the trailing slice after the last x < 3, and the zone between
-    them is permuted so that its x < 3 entries follow the leading slice.
-    The zone is short when the arguments grow along the array (chords in
-    the diagonal order of :func:`vortexalpha.greens.pair_plan`).
+    One mask splits the arguments at the switch x = 3: the series runs in
+    place on the copy of the entries below it, the fit on the copy of the
+    rest, and both results are scattered back.  Every value depends on
+    its own argument only, not on its position.
     """
     x = np.asarray(x, dtype=float)
     if x.size and not x.min() > 0:
         raise DomainError("K_0 requires x > 0")
-    flat = x.reshape(-1)
-    n = flat.size
-    if out is None:
-        out = np.empty(n)
-    if work is None:
-        work = np.empty((2 if slope is None else 3, n))
-    # the mask borrows the bytes of ``out`` until the arguments are copied in
-    hi = np.greater_equal(flat, _X_SWITCH_K_SERIES, out=out.view(bool)[:n])
-    a = int(hi.argmax()) if hi.any() else n                # first x >= 3
-    b = n - int(hi[::-1].argmin()) if not hi.all() else 0  # one past the last x < 3
-    up = hi[a:b].copy()
-    lo = ~up
-    s = a + int(np.count_nonzero(lo))                      # series: out[:s]
-    out[:a] = flat[:a]
-    out[b:] = flat[b:]
-    zone = flat[a:b]
-    out[a:s] = zone[lo]
-    out[s:b] = zone[up]
-    _k0_series(out[:s], work[:, :s], None if slope is None else slope[:s])
-    _k0_fit(out[s:], work[:, s:n], None if slope is None else slope[s:n])
-    if a < b:
-        for buf in (out,) if slope is None else (out, slope):
-            values = buf[a:b].copy()
-            buf[a:b][lo] = values[: s - a]
-            buf[a:b][up] = values[s - a :]
-    return out.reshape(x.shape)
+    lo = x < _X_SWITCH_K_SERIES
+    K = np.empty(x.shape)
+    S = np.empty(x.shape) if slope else None
+    for zone, regime in ((lo, _k0_series), (~lo, _k0_fit)):
+        k, s = regime(x[zone], slope)
+        K[zone] = k
+        if slope:
+            S[zone] = s
+    return (K, S) if slope else K
 
 
 def _i_ratio_seq(nmax, x):

@@ -11,10 +11,10 @@ functional
 
 vanishes exactly on V-states.  It is sampled on M uniform circle nodes,
 with the kernel block of :func:`vortexalpha.greens.combined_boundary_kernel`
-(diagonal limit log(2 alpha) - gamma) formed in the workspace buffers of
-:mod:`vortexalpha.greens`, shared with :mod:`vortexalpha.contour`, and
-reduced by one real product with the two node columns Re c, Im c of
-c = Phi'(w) w; the samples are projected onto sine modes, and outputs
+(diagonal limit log(2 alpha) - gamma), evaluated once per chord class and
+gathered into the workspace block of :mod:`vortexalpha.greens`, shared
+with :mod:`vortexalpha.contour`, and reduced by one real product with
+the two node columns Re c, Im c of c = Phi'(w) w; the samples are projected onto sine modes, and outputs
 live in the sine-coefficient basis e_n(w) = Im(w^n).
 
 The coefficients are real, so Phi(conj w) = conj Phi(w) and F is odd,
@@ -31,7 +31,7 @@ The exact derivatives of the sampled F come from the same evaluation.
 Moving a_n moves the chord A_jk = |Phi(w_j) - Phi(w_k)| by
 Re((Phi_j - Phi_k) conj(conj(w_j)^n - conj(w_k)^n)) / A_jk, so every
 direction needs only the kernel slope g'(A)/A = (1/A)(1/A - K_1(A/alpha)/alpha),
-which the kernel evaluator writes on the same chord classes; all
+which the kernel evaluator returns on the same chord classes; all
 directions then share two matrix products.  At the disc the Jacobian is
 diagonal, with entries (n+1)(Omega_{n+1} - Omega) for a_n, where
 Omega_{n+1} = omega_bifurcation(n + 1, alpha) (the sign convention

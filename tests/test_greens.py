@@ -161,11 +161,8 @@ def mp_slope(alpha, rho):
 
 
 def kernel_and_slope(alpha, rho):
-    """Kernel and slope of a flat rho from the buffered core, in fresh buffers."""
-    n = rho.size
-    slope = np.empty(n)
-    work = (np.empty(n), np.empty(n), np.empty((3, n)))
-    return greens._kernel_into(alpha, rho, rho == 0.0, *work, slope), slope
+    """Kernel and slope of a flat rho from the kernel core."""
+    return greens._kernel_values(alpha, rho, rho == 0.0, slope=True)
 
 
 class TestKernelSlope:

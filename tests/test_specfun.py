@@ -294,18 +294,17 @@ class TestKSeries:
             assert np.array_equal(sf.k0_array(x), k0_series_plain(x))
 
     def test_k0_array_leaves_input_unmodified(self):
-        # shuffled arguments across the switch: the mixed zone is the array
+        # shuffled arguments across the switch, in both regimes
         x = np.random.default_rng(5).uniform(0.01, 8.0, (40, 100))
         kept = x.copy()
         fresh = sf.k0_array(x)
         assert np.array_equal(x, kept)
-        out, work = np.empty(x.size), np.empty((2, x.size))
-        assert np.array_equal(sf.k0_array(x, out, work), fresh)
+        assert np.array_equal(sf.k0_array(x, slope=True)[0], fresh)
         assert np.array_equal(x, kept)
 
     @pytest.mark.parametrize("low, high", [(0.01, 8.0), (2.9, 3.1), (0.01, 2.9), (3.0, 9.0)])
     def test_k0_array_independent_of_order(self, low, high):
-        # sorted input has no mixed zone, shuffled input is nearly all mixed
+        # sorted input crosses the switch once, shuffled input many times
         rng = np.random.default_rng(11)
         x = np.sort(np.append(rng.uniform(low, high, 4001), [3.0, low + 1e-3]))
         perm = rng.permutation(x.size)
@@ -316,14 +315,27 @@ class TestKSeries:
 
     @pytest.mark.parametrize("low, high", [(0.01, 8.0), (2.9, 3.1), (3.0, 9.0)])
     def test_slope_leaves_k0_alone_and_follows_order(self, low, high):
-        # the slope rides through the same mixed-zone permutation as K_0
+        # the slope is scattered back through the same mask as K_0
         rng = np.random.default_rng(13)
         x = np.sort(np.append(rng.uniform(low, high, 4001), [3.0, low + 1e-3]))
         perm = rng.permutation(x.size)
-        slope, shuffled = np.empty(x.size), np.empty(x.size)
-        assert np.array_equal(sf.k0_array(x, slope=slope), sf.k0_array(x))
-        assert np.array_equal(sf.k0_array(x[perm], slope=shuffled), sf.k0_array(x[perm]))
+        k0, slope = sf.k0_array(x, slope=True)
+        assert np.array_equal(k0, sf.k0_array(x))
+        k0, shuffled = sf.k0_array(x[perm], slope=True)
+        assert np.array_equal(k0, sf.k0_array(x[perm]))
         assert np.array_equal(shuffled, slope[perm])
+
+    def test_slope_return_form(self):
+        # 2-d input gives both arrays its shape; where e^-x underflows
+        # (x = 800) K_0 is 0 and the slope is exactly 1/x^2
+        x = np.random.default_rng(19).uniform(0.01, 8.0, (30, 40))
+        x[3, 5] = 800.0
+        kept = x.copy()
+        k0, slope = sf.k0_array(x, slope=True)
+        assert k0.shape == slope.shape == x.shape
+        assert np.array_equal(k0, sf.k0_array(x))
+        assert k0[3, 5] == 0.0 and slope[3, 5] == 1.0 / 800.0**2
+        assert np.array_equal(x, kept)
 
     def test_slope_bitwise_full_series(self):
         # the slope's in-place Horner sums over the whole table give the
@@ -341,8 +353,7 @@ class TestKSeries:
         u = x * x * 0.25
         full = plain(sf._K_SERIES[:, 2], u) * np.log(x * 0.5) * -0.5
         full += plain(sf._K_SERIES[:, 3], u) * 0.25
-        slope = np.empty(x.size)
-        sf.k0_array(x, slope=slope)
+        _, slope = sf.k0_array(x, slope=True)
         assert np.array_equal(slope, full)
 
     def test_table_truncation_at_the_switch(self):

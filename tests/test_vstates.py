@@ -213,23 +213,23 @@ class TestEvaluateF:
         M = 256
         msec = M // m if M % m == 0 else M
         calls = []
-        kernel_into = greens._kernel_into
+        kernel_values = greens._kernel_values
 
-        def recording_kernel(alpha, rho, *buffers):
+        def recording_kernel(alpha, rho, *args):
             calls.append((np.shape(rho), np.flatnonzero(rho == 0.0)))
-            return kernel_into(alpha, rho, *buffers)
+            return kernel_values(alpha, rho, *args)
 
         pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01]), fold=m)
         r = 0.01 * np.cos(m * 2 * np.pi * np.arange(M) / M)
         patch = contour.RadialPatch(r, 0.5, 0.7)
         contour.rhs(patch)  # builds the per-offset tables of this patch's level
         with monkeypatch.context() as context:
-            context.setattr(greens, "_kernel_into", recording_kernel)
+            context.setattr(greens, "_kernel_values", recording_kernel)
             vs.evaluate_F(0.7, 0.3, pert, M)
             vs._f_samples(0.7, 0.3, pert, M, [m - 1])  # with Jacobian columns
             contour.rhs(patch)
             contour.linearized_rhs(patch, r - r.mean())
-        assert greens._kernel_into is kernel_into
+        assert greens._kernel_values is kernel_values
         # one 1-d call per V-state evaluation on the chord classes, not the
         # (msec // 2 + 1) x M rows; the warm contour calls make none
         assert len(calls) == 2 and all(len(shape) == 1 for shape, _ in calls)
@@ -278,21 +278,21 @@ class TestSharedKernelBlock:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_warm_evaluation_allocates_no_chord_sized_array(self, m):
-        # chords, K_0 arguments, kernel and slope blocks live in the greens
-        # workspace; with a small band the Jacobian's own M x 6N products
-        # stay below one chord-sized array too (at m = 3, where msec = M)
+    def test_jacobian_rows_allocate_less_than_a_chord_sized_array(self, m):
+        # with the kernel and slope blocks given, the Jacobian's own
+        # M x 6N products for a small band stay below one array of the
+        # chord-class count
         M, N = 256, 2
         msec = M // m if M % m == 0 else M
         chord_bytes = 8 * greens.pair_plan(M, msec, True).first.size
         pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.002]), fold=m)
-        assert self.warm_peak(lambda: vs.evaluate_F(0.7, 0.3, pert, M)) < chord_bytes
-        if m == 3:
-            u = np.array([0.3, 0.002])
-            peak = self.warm_peak(
-                lambda: vs._branch_residual(0.7, m, 0.05, u, M, N, jacobian=True)
-            )
-            assert peak < chord_bytes
+        w, z, dphi = vs._boundary_samples(pert, M)
+        G, S = greens._kernel_block(0.7, z.real, z.imag, msec, True, slope=True)
+        c = dphi * w
+        I = (G @ c.view(float).reshape(M, 2) / M).view(complex)[:, 0]
+        modes = np.arange(2, N + 1) * m - 1
+        peak = self.warm_peak(lambda: vs._derivative_rows(0.3, modes, w, z, dphi, c, I, G, S))
+        assert peak < chord_bytes
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_disc_block_rows_match_contour(self, alpha):
