@@ -26,9 +26,9 @@ so one real product of the kernel matrix G with the M x 2 block
 Rep. 10 (1989)).  A call forms the chords of the chord classes of
 :func:`vortexalpha.greens.pair_plan` (the M(M-1)/2 chords j < k and the
 diagonal) by circulant offset, sums the kernel on them from cached
-per-offset polynomials (no K_0 evaluation once the tables of the
-patch's width are built; one per class for a patch far from the
-circle), gathers it into the kernel matrix, and takes one M x M x 2
+per-offset polynomials (no K_0 evaluation once the table of (M, alpha)
+is built; one per class for a patch far from the circle), gathers it
+into the kernel matrix, and takes one M x M x 2
 product, all in the workspace buffers of :mod:`vortexalpha.greens`; a
 call allocates no array of the chord count.
 

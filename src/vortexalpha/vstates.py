@@ -24,14 +24,15 @@ msec = M) only the nodes 0..msec//2 are evaluated, and the rest follow by
 oddness.  The chords of those rows repeat under transpose, under rotation
 by msec and under the reflection (j, k) -> (-j, -k), so the kernel is
 evaluated once per chord class of :func:`vortexalpha.greens.pair_plan`,
-the diagonal as one class: one sample of F costs at most
-M msec / 4 + M / 4 + 1 kernel entries.
+the diagonal as one class: one sample of F sums M/2 offset rows of
+msec//2 + 1 slots from the per-offset tables of :mod:`vortexalpha.greens`,
+at most M msec / 4 + M / 2 + 1 kernel entries.
 
 The exact derivatives of the sampled F come from the same evaluation.
 Moving a_n moves the chord A_jk = |Phi(w_j) - Phi(w_k)| by
 Re((Phi_j - Phi_k) conj(conj(w_j)^n - conj(w_k)^n)) / A_jk, so every
 direction needs only the kernel slope g'(A)/A = (1/A)(1/A - K_1(A/alpha)/alpha),
-which the kernel evaluator returns on the same chord classes; all
+which the per-offset tables return on the same chord classes; all
 directions then share two matrix products.  At the disc the Jacobian is
 diagonal, with entries (n+1)(Omega_{n+1} - Omega) for a_n, where
 Omega_{n+1} = omega_bifurcation(n + 1, alpha) (the sign convention
@@ -39,10 +40,15 @@ relative to the frequency formulas is checked in the suite, not assumed).
 
 Branches are parametrized by the fixed leading amplitude a_{m-1} = s and
 solved by chord Newton on {g_{nm} = 0} for the higher coefficients and
-Omega, with the exact Jacobian and a backtracking line search.  The branch
-is symmetric under s -> -s (rotation by pi/m), so each point starts at an
-interpolant in s^2 through the latest solved points, anchored at the disc;
-pseudo-arclength is an extension point, not needed at these amplitudes.
+Omega, with a backtracking line search.  The branch is symmetric under
+s -> -s (rotation by pi/m), so each point starts at an interpolant in
+s^2 through the latest solved points, anchored at the disc.  The first
+three points take the exact Jacobian at their start; later ones start
+with its Lagrange extrapolation in s through the latest three exact
+Jacobians, and take an exact one only when a step contracts too little
+(chord Newton with a predicted Jacobian: Allgower & Georg, Introduction
+to Numerical Continuation Methods, SIAM 2003, ch. 7).  Pseudo-arclength
+is an extension point, not needed at these amplitudes.
 """
 
 from __future__ import annotations
@@ -300,7 +306,8 @@ class BranchPoint:
     ``residual_history`` holds max |g_nm| at each Newton iterate, from the
     predicted start (``residual_history[0]``) to the solution (whose value
     is ``residual``);
-    ``jacobians`` counts the exact Jacobians the point took.
+    ``jacobians`` counts the exact Jacobians the point took: 0 at a point
+    that converged with the extrapolated Jacobian it started with.
     """
 
     m: int
@@ -355,11 +362,14 @@ def continue_branch(
     point at s = 0.  Each point starts at the interpolant in s^2 through
     the latest three known points, the disc among them at first, with
     the coefficients that are odd in s divided by s; the first point
-    thus starts at the disc.  Each point is solved by chord Newton with
-    the exact Jacobian of its start; the Jacobian is recomputed at the
+    thus starts at the disc.  Each point is solved by chord Newton: the
+    first three with the exact Jacobian of their start, the later ones
+    with the Lagrange extrapolation in s of the latest three exact
+    Jacobians of the branch.  The Jacobian is recomputed exactly at the
     current iterate when a step contracts the residual by less than a
-    factor 5 or when the line search fails.  A line-search trial point
-    outside the bi-Lipschitz regime counts as a rejected step.  Raises
+    factor 5 or when the line search fails, and each exact Jacobian
+    joins the extrapolation stencil.  A line-search trial point outside
+    the bi-Lipschitz regime counts as a rejected step.  Raises
     :class:`ConvergenceError` carrying the last iterate when Newton
     stalls, and :class:`GridError` when the discarded sine tail exceeds
     1e-8 (under-resolved band).
@@ -378,9 +388,10 @@ def continue_branch(
     u = np.zeros(N)
     u[0] = spectrum.omega_bifurcation(m, alpha)
     points, solved = [], [(0.0, u)]  # the disc is the branch point at s = 0
+    exact = []  # the latest exact Jacobians, (amplitude, J)
     for s in amplitudes:
         u, tail, pert, history, jacobians = _newton_solve(
-            alpha, m, s, _predict(solved, s), M, N, tol, max_steps
+            alpha, m, s, _predict(solved, s), M, N, tol, max_steps, exact
         )
         if tail > _TAIL_TOL:
             raise GridError(
@@ -405,6 +416,14 @@ def continue_branch(
     return points
 
 
+def _lagrange_weights(nodes, x):
+    """Weights of the values at ``nodes`` in their Lagrange interpolant at x."""
+    return [
+        math.prod((x - b) / (a - b) for b in nodes[:j] + nodes[j + 1 :])
+        for j, a in enumerate(nodes)
+    ]
+
+
 def _predict(solved, s):
     """Start at amplitude s: Lagrange interpolation in s^2 through ``solved``.
 
@@ -414,10 +433,9 @@ def _predict(solved, s):
     u[i] of odd i are even in s and those of even i >= 2 are odd: the odd
     ones are interpolated as u[i]/s (0 at the disc) and multiplied back.
     """
-    q = [t * t for t, _ in solved]
+    weights = _lagrange_weights([t * t for t, _ in solved], s * s)
     u = np.zeros_like(solved[0][1])
-    for j, (t, uj) in enumerate(solved):
-        weight = math.prod((s * s - ql) / (q[j] - ql) for ql in q[:j] + q[j + 1 :])
+    for weight, (t, uj) in zip(weights, solved):
         v = uj.copy()
         v[2::2] = uj[2::2] / t if t else 0.0
         u += weight * v
@@ -425,15 +443,31 @@ def _predict(solved, s):
     return u
 
 
-def _newton_solve(alpha, m, s, u, M, N, tol, max_steps):
+def _newton_solve(alpha, m, s, u, M, N, tol, max_steps, exact):
     """Chord Newton for one branch point from the start u.
 
+    ``exact`` holds the branch's latest exact Jacobians as (amplitude, J)
+    pairs, at most three, at distinct amplitudes.  With three, the start
+    takes their Lagrange extrapolation in s and no exact Jacobian; else
+    it takes the exact one.  Each exact Jacobian taken joins ``exact``,
+    in place of one at the same amplitude or else of the oldest.
     Returns the solution, its alias tail and perturbation, the residual
     history and the number of exact Jacobians taken.
     """
-    r, tail, pert, jac = _branch_residual(alpha, m, s, u, M, N, jacobian=True)
+    def take_exact(u):
+        r, tail, pert, jac = _branch_residual(alpha, m, s, u, M, N, jacobian=True)
+        exact[:] = [e for e in exact if e[0] != s][-2:] + [(s, jac)]
+        return r, tail, pert, jac
+
+    if len(exact) < 3:
+        r, tail, pert, jac = take_exact(u)
+        jacobians, fresh = 1, True  # fresh: jac was taken at u
+    else:
+        r, tail, pert = _branch_residual(alpha, m, s, u, M, N)
+        weights = _lagrange_weights([t for t, _ in exact], s)
+        jac = sum(weight * J for weight, (_, J) in zip(weights, exact))
+        jacobians, fresh = 0, False
     history = [float(np.max(np.abs(r)))]
-    jacobians, fresh = 1, True  # fresh: jac was taken at u
     while history[-1] >= tol:
         rnorm = history[-1]
         if len(history) > max_steps:
@@ -469,6 +503,6 @@ def _newton_solve(alpha, m, s, u, M, N, tol, max_steps):
                 )
         if tol <= history[-1] and history[-1] > 0.2 * rnorm:
             # a failed line search (history[-1] is rnorm) or a slow step: refresh
-            r, tail, pert, jac = _branch_residual(alpha, m, s, u, M, N, jacobian=True)
+            r, tail, pert, jac = take_exact(u)
             jacobians, fresh = jacobians + 1, True
     return u, tail, pert, tuple(history), jacobians

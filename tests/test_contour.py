@@ -274,8 +274,8 @@ class TestRhs:
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_triangle_kernel_matches_full_matrix(self, alpha):
         # the full grid's kernel comes from the per-offset tables, within
-        # 2e-14 of the kernel on the chord matrix; with a slope request it
-        # is evaluated per class, bitwise
+        # 2e-14 of the kernel on the chord matrix; a slope request leaves
+        # it bitwise as it is
         patch = two_mode_patch(128, alpha)
         A = chord_matrix(patch.radii)
         ws = greens._workspace(128)
@@ -285,14 +285,15 @@ class TestRhs:
         assert A.shape == G.shape == (128, 128)
         assert np.max(np.abs(G - direct)) <= 2e-14
         assert np.array_equal(G, G.T)
+        kept = G.copy()
         G, _ = greens._kernel_block(alpha, R * ws.cos, R * ws.sin, 128, slope=True)
-        assert np.array_equal(G, direct)
+        assert np.array_equal(G, kept)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_buffered_kernel_matches_fresh_on_evolve_chords(self, alpha):
-        # the workspace-buffer kernel path against the kernel core on the
-        # pair chords of the evolve benchmark's grid and amplitude: within
-        # 2e-14 from the offset tables, bitwise with the slope
+        # the workspace-buffer table path against the kernel core on the
+        # pair chords of the evolve benchmark's grid and amplitude: the
+        # kernel within 2e-14, the slope within 1e-12 of max(1, |S|)
         patch = two_mode_patch(256, alpha, amplitude=0.01)
         R = patch.radii
         plan = full_plan(256)
@@ -303,8 +304,9 @@ class TestRhs:
         assert np.max(np.abs(G - fresh[plan.inverse])) <= 2e-14 and S is None
         assert np.array_equal(G, G.T)
         G, S = greens._kernel_block(alpha, R * ws.cos, R * ws.sin, 256, slope=True)
-        assert np.array_equal(G, fresh[plan.inverse])
-        assert np.array_equal(S, slope[plan.inverse])
+        assert np.max(np.abs(G - fresh[plan.inverse])) <= 2e-14
+        ref = slope[plan.inverse]
+        assert np.max(np.abs(S - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
     @pytest.mark.parametrize("reflect", [False, True])
     @pytest.mark.parametrize("bad", ["coincident", "nan"])
@@ -403,9 +405,10 @@ class TestOffsetKernel:
         [(64, 0.05, 0.1), (256, 0.3, 0.01), (256, 0.7, 0.1), (256, 5.0, 0.0)],
     )
     def test_rhs_and_linearization_match_the_direct_path(self, monkeypatch, M, alpha, amplitude):
-        # a slope request keeps the per-class kernel; linearized_rhs
-        # differentiates the kernel term, so its bound is relative to its
-        # size (a random 1-ulp change of G moves it by about 3e-15 of it)
+        # without the offset tables every class is evaluated directly;
+        # linearized_rhs differentiates the kernel term, so its bound is
+        # relative to its size (a random 1-ulp change of G moves it by
+        # about 3e-15 of it)
         patch = two_mode_patch(M, alpha, amplitude)
         theta = 2 * np.pi * np.arange(M) / M
         rho = np.cos(4 * theta + 0.3) + 0.3 * np.cos(7 * theta - 0.2)
@@ -414,8 +417,7 @@ class TestOffsetKernel:
             return contour.rhs(patch), contour.linearized_rhs(patch, rho)
 
         rhs, lin = both()
-        block = greens._kernel_block
-        monkeypatch.setattr(contour, "_kernel_block", lambda *a: (block(*a, slope=True)[0], None))
+        monkeypatch.setattr(greens, "_offset_kernel", lambda *a: None)
         direct_rhs, direct_lin = both()
         assert np.max(np.abs(rhs - direct_rhs)) <= 1e-14
         assert np.max(np.abs(lin - direct_lin)) <= 1e-14 * np.max(np.abs(direct_lin))
@@ -445,9 +447,13 @@ class TestOffsetKernel:
 
     @pytest.mark.parametrize("level, degree", [(2, 18), (5, 9), (25, 3), (26, 2)])
     def test_table_degree_and_layout(self, level, degree):
-        table = greens._offset_table(64, 0.3, level)
-        assert table.shape == (degree + 1, 32, 1)
+        # one table per (M, alpha), kernel and slope at level 2; a width
+        # of level L reads its leading _degree(L) + 1 rows
+        table = greens._offset_table(64, 0.3)
+        assert table.shape == (2, 19, 32, 1)
         assert not table.flags.writeable
+        assert greens._degree(level) == degree
+        assert greens._offset_table(64, 0.3) is table
 
 
 class TestLinearization:

@@ -267,13 +267,26 @@ class TestPairPlan:
     def test_every_pair_maps_into_its_own_orbit(self, M, rows, period, reflect):
         plan = greens.pair_plan(M, period, reflect)
         ids = orbit_ids(M, period, reflect)
+        W = period // 2 + 1 if reflect else period
         assert plan.inverse.shape == (period // 2 + 1 if reflect else period, M)
-        reps = [ids[(int(j), int(k))] for j, k in zip(plan.first, plan.second)]
-        # each class once, and every pair's representative in its orbit
-        assert len(set(reps)) == len(reps) == len(set(ids.values()))
+        assert plan.width == W and plan.first.size == 1 + M // 2 * W
+        reps = np.array([ids[(int(j), int(k))] for j, k in zip(plan.first, plan.second)])
+        # every orbit has a slot; each offset row lists its classes once
+        # and repeats them cyclically to its width, and no class is in two rows
+        assert set(reps.tolist()) == set(ids.values())
+        counts = []
+        for row in reps[1:].reshape(M // 2, W):
+            counts.append(len(set(row.tolist())))
+            assert np.array_equal(row, np.resize(row[: counts[-1]], W))
+        assert 1 + sum(counts) == len(set(ids.values()))
+        # every pair's slot is the first slot of its orbit
         block = np.array([[ids[(j, k)] for k in range(M)] for j in range(rows)])
         classes = row_classes(plan, M, rows, period, reflect)
-        assert np.array_equal(np.array(reps)[classes], block)
+        assert np.array_equal(reps[classes], block)
+        first_slot = {}
+        for slot, orbit in enumerate(reps.tolist()):
+            first_slot.setdefault(orbit, slot)
+        assert all(first_slot[reps[c]] == c for c in np.unique(plan.inverse))
 
     @pytest.mark.parametrize("M, rows, period, reflect", PLAN_CASES)
     def test_diagonal_order(self, M, rows, period, reflect):
@@ -289,10 +302,17 @@ class TestPairPlan:
         assert np.array_equal(classes == 0, np.eye(rows, M, dtype=bool))
 
     def test_class_counts_halve_the_half_sector(self):
-        # m = 2: 65 x 256 rows; m = 3 (does not divide 256): 129 x 256
-        assert greens.pair_plan(256, 128, True).first.size == 8257
-        assert greens.pair_plan(256, 256, True).first.size == 16385
-        assert greens.pair_plan(256, 256, False).first.size == 256 * 255 // 2 + 1
+        # m = 2: 65 x 256 rows, offset rows of 65 slots; m = 3 (does not
+        # divide 256): 129 x 256 rows, offset rows of 129 slots; the full
+        # grid: offset rows of 256 slots
+        for period, reflect, width, classes in [
+            (128, True, 65, 8257),
+            (256, True, 129, 16385),
+            (256, False, 256, 256 * 255 // 2 + 1),
+        ]:
+            plan = greens.pair_plan(256, period, reflect)
+            assert plan.width == width and plan.first.size == 1 + 128 * width
+            assert np.unique(plan.inverse).size == classes
 
     def test_cache_stays_bounded(self):
         for M in (32, 40, 48, 56, 64, 72):

@@ -1,7 +1,9 @@
 """Tests for the rotating-patch functional and branch continuation."""
 
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,10 @@ from vortexalpha import spectrum as sp
 from vortexalpha import vstates as vs
 from vortexalpha.errors import ConvergenceError, DomainError, GeometryError, GridError
 from vortexalpha.numerics import sine_coefficients
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def single_mode(n, value, fold=1, size=None):
@@ -213,29 +219,32 @@ class TestEvaluateF:
         M = 256
         msec = M // m if M % m == 0 else M
         calls = []
-        kernel_values = greens._kernel_values
+        offset_kernel = greens._offset_kernel
 
-        def recording_kernel(alpha, rho, *args):
-            calls.append((np.shape(rho), np.flatnonzero(rho == 0.0)))
-            return kernel_values(alpha, rho, *args)
+        def recording_kernel(alpha, ws, chords, width, slope):
+            calls.append((chords.shape, width, np.flatnonzero(chords == 0.0)))
+            return offset_kernel(alpha, ws, chords, width, slope)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm V-state evaluation evaluated the kernel directly")
 
         pert = vs.ConformalPerturbation(fold_coefficients(m, [0.05, 0.01]), fold=m)
-        r = 0.01 * np.cos(m * 2 * np.pi * np.arange(M) / M)
-        patch = contour.RadialPatch(r, 0.5, 0.7)
-        contour.rhs(patch)  # builds the per-offset tables of this patch's level
+        vs.evaluate_F(0.7, 0.3, pert, M)  # builds the offset table of (M, alpha)
         with monkeypatch.context() as context:
-            context.setattr(greens, "_kernel_values", recording_kernel)
+            context.setattr(greens, "_offset_kernel", recording_kernel)
+            context.setattr(greens, "_kernel_values", forbidden)
             vs.evaluate_F(0.7, 0.3, pert, M)
             vs._f_samples(0.7, 0.3, pert, M, [m - 1])  # with Jacobian columns
-            contour.rhs(patch)
-            contour.linearized_rhs(patch, r - r.mean())
-        assert greens._kernel_values is kernel_values
-        # one 1-d call per V-state evaluation on the chord classes, not the
-        # (msec // 2 + 1) x M rows; the warm contour calls make none
-        assert len(calls) == 2 and all(len(shape) == 1 for shape, _ in calls)
-        assert calls[0][0][0] <= M * msec // 4 + M
-        # the diagonal is one class: a single zero chord, at index 0
-        assert all(np.array_equal(zeros, [0]) for _, zeros in calls)
+        assert greens._offset_kernel is offset_kernel
+        # one table call per V-state evaluation on the 1-d slots of the
+        # plan, M/2 offset rows of msec // 2 + 1, not on the
+        # (msec // 2 + 1) x M rows; no direct kernel call
+        slots = 1 + M // 2 * (msec // 2 + 1)
+        assert [shape for shape, _, _ in calls] == [(slots,)] * 2
+        assert all(width == msec // 2 + 1 for _, width, _ in calls)
+        assert slots <= M * msec // 4 + M // 2 + 1
+        # the diagonal is one slot: a single zero chord, at index 0
+        assert all(np.array_equal(zeros, [0]) for _, _, zeros in calls)
 
     def test_grid_validation(self):
         pert = vs.ConformalPerturbation(np.zeros(10), fold=1)
@@ -294,6 +303,17 @@ class TestSharedKernelBlock:
         peak = self.warm_peak(lambda: vs._derivative_rows(0.3, modes, w, z, dphi, c, I, G, S))
         assert peak < chord_bytes
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_warm_evaluate_F_keeps_its_arrays_in_the_workspace(self, m):
+        # chords, u, the Horner sums and the block live in workspace
+        # buffers; what is left is O(M) vectors and the 8192-double buffer
+        # that numpy's iterator takes for a broadcast operand (about 81 kB
+        # in all, against 361 kB at m = 2 and 703 kB at m = 3 when the
+        # kernel of each slot was a fresh array)
+        pert = vs.ConformalPerturbation(fold_coefficients(m, [0.1, 0.002]), fold=m)
+        peak = self.warm_peak(lambda: vs.evaluate_F(0.7, 0.3, pert, 256))
+        assert peak < 128 * 1024
+
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_disc_block_rows_match_contour(self, alpha):
         # both solvers leave their block in the shared workspace buffer; the
@@ -307,6 +327,56 @@ class TestSharedKernelBlock:
         vs.evaluate_F(alpha, 0.3, vs.ConformalPerturbation(np.zeros(m), fold=m), M)
         assert greens._workspace(M) is ws
         assert np.max(np.abs(ws.kernel[:h] - G[:h])) <= 2e-15
+
+
+def sector_block_case(m, M, width):
+    """Node coordinates and plan period of an m-fold patch of chord width near ``width``.
+
+    a_{m-1} = width / (m - 1) and a_{2m-1} = a_{m-1}^2 / 10 give
+    max |A / a_e - 1| close to ``width`` for m = 2..5.
+    """
+    s = width / (m - 1)
+    pert = vs.ConformalPerturbation(fold_coefficients(m, [s, 0.1 * s * s]), fold=m)
+    _, z, _ = vs._boundary_samples(pert, M)
+    e = np.arange(1, M // 2 + 1)
+    A = np.abs(np.stack([np.roll(z, -k) for k in e]) - z)
+    w = float(np.max(np.abs(A / (2 * np.sin(np.pi * e / M))[:, None] - 1)))
+    return z.real.copy(), z.imag.copy(), (M // m if M % m == 0 else M), w
+
+
+class TestSectorTables:
+    """The V-state kernel block and slope from the per-offset tables of ``greens``."""
+
+    @staticmethod
+    def direct(alpha, x, y, period):
+        """Kernel and slope of :func:`greens._kernel_values` on the plan's slot chords."""
+        ws, plan = greens._workspace(x.size), greens.pair_plan(x.size, period, True)
+        chords = greens._pair_chords(x, y, ws, plan).copy()
+        K, S = greens._kernel_values(alpha, chords, 0, slope=True)
+        return K[plan.inverse], S[plan.inverse]
+
+    @pytest.mark.parametrize("width", [0.0, 0.05, 0.23])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 5.0])
+    @pytest.mark.parametrize("M", [64, 192, 256])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_block_and_slope_match_the_direct_kernel(self, m, M, alpha, width):
+        x, y, period, w = sector_block_case(m, M, width)
+        assert w <= 0.25 and (width < 0.2 or w > 0.2)  # up to the tables' reach
+        K, S = self.direct(alpha, x, y, period)
+        G, slope = greens._kernel_block(alpha, x, y, period, True, slope=True)
+        assert np.max(np.abs(G - K)) <= 2e-14
+        assert np.max(np.abs(slope - S) / np.maximum(1.0, np.abs(S))) <= 1e-12
+        kept = G.copy()
+        G, none = greens._kernel_block(alpha, x, y, period, True)
+        assert np.array_equal(G, kept) and none is None
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_past_a_quarter_the_block_is_direct(self, m):
+        x, y, period, w = sector_block_case(m, 256, 0.35)
+        assert w > 0.25
+        K, S = self.direct(0.7, x, y, period)
+        G, slope = greens._kernel_block(0.7, x, y, period, True, slope=True)
+        assert np.array_equal(G, K) and np.array_equal(slope, S)
 
 
 class TestMultiplierAndSuperposition:
@@ -506,7 +576,13 @@ class TestBranchContinuation:
             assert len(hist) == p.newton_steps + 1
             assert hist[-1] == p.residual < 1e-11
             assert all(b < a for a, b in zip(hist, hist[1:]))
-            assert p.jacobians >= 1
+        # the first three points start with an exact Jacobian, the fourth
+        # with their extrapolation; after that only a step that contracts
+        # by less than 5 takes one (no line search fails on this ladder)
+        for k, p in enumerate(pts):
+            hist = p.residual_history
+            slow = sum(1e-11 <= b > 0.2 * a for a, b in zip(hist, hist[1:]))
+            assert p.jacobians == (k < 3) + slow
 
     def test_residual_is_bitwise_evaluate_F(self):
         alpha, m, N, M = 0.7, 3, 6, 192
@@ -522,7 +598,8 @@ class TestBranchContinuation:
 
     def test_evaluate_F_calls_per_point(self, monkeypatch):
         # chord Newton from the predicted start: one evaluation per step,
-        # one step per point on this ladder and two to spare
+        # and one at the start of each point that extrapolates its
+        # Jacobian; the first three points take the only exact Jacobians
         calls = []
         evaluate = vs.evaluate_F
 
@@ -533,8 +610,9 @@ class TestBranchContinuation:
         monkeypatch.setattr(vs, "evaluate_F", counting)
         ladder = [1e-4] + [0.01 * k for k in range(1, 11)]
         pts = vs.continue_branch(0.7, 2, ladder, band=8, grid_size=128)
-        assert len(calls) <= len(ladder) + 2
-        assert sum(p.jacobians for p in pts) == len(ladder)
+        assert [p.jacobians for p in pts] == [1] * 3 + [0] * (len(ladder) - 3)
+        assert len(calls) <= len(ladder) - 3 + sum(p.newton_steps for p in pts) + 2
+        assert max(p.newton_steps for p in pts) <= 3
 
     def test_predictor_is_exact_on_a_symmetric_branch(self):
         # Omega, a_{2m-1} and a_{4m-1} quadratic in s^2 and a_{3m-1} s times
@@ -579,13 +657,85 @@ class TestBranchContinuation:
         monkeypatch.setattr(vs, "_branch_residual", stub)
         tol = 1e-12
         _, _, _, history, jacobians = vs._newton_solve(
-            0.7, 2, 0.0, np.array([0.8]), 64, 1, tol, 30
+            0.7, 2, 0.0, np.array([0.8]), 64, 1, tol, 30, []
         )
         assert jacobians == 2 and history[-1] < tol
         # one accepted step, ten rejected trials, then the Jacobian afresh
         # at the accepted iterate
         assert [jac for jac, _ in calls[:13]] == [True] + [False] * 11 + [True]
         assert calls[12][1] == calls[1][1] == pytest.approx(0.8 - residual(0.8) / -1.08)
+
+
+class TestJacobianExtrapolation:
+    """Branch points that start from Jacobians extrapolated through exact ones."""
+
+    ALPHA, BAND, GRID = 0.7, 10, 256
+
+    def ladders(self, seed):
+        return workloads.Branch().make_input(np.random.default_rng(seed))
+
+    def branch(self, m, ladder):
+        return vs.continue_branch(self.ALPHA, m, ladder, band=self.BAND, grid_size=self.GRID)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_benchmark_ladders(self, monkeypatch, seed):
+        # three exact Jacobians per branch, then none: no step contracts
+        # by less than 5; Omega as with an exact Jacobian at every point
+        ladders = self.ladders(seed)
+        got = {m: self.branch(m, ladder) for m, ladder in ladders.items()}
+        solve = vs._newton_solve
+        monkeypatch.setattr(vs, "_newton_solve", lambda *args: solve(*args[:-1], []))
+        ref = {m: self.branch(m, ladder) for m, ladder in ladders.items()}
+        for m, pts in got.items():
+            assert [p.jacobians for p in pts] == [1] * 3 + [0] * (len(pts) - 3)
+            assert all(p.residual < 1e-11 for p in pts)
+            assert max(abs(p.Omega - q.Omega) for p, q in zip(pts, ref[m])) <= 1e-10
+            assert all(p.jacobians == 1 for p in ref[m])
+
+    def test_poor_extrapolation_is_refreshed(self):
+        # every stencil Jacobian tripled: the step is a third of Newton's,
+        # contracts by about 3/2, and the point takes an exact Jacobian
+        alpha, m, N, M = 0.7, 2, 6, 128
+        pts = vs.continue_branch(alpha, m, [1e-4, 0.02, 0.05], band=N, grid_size=M)
+        solved = [(p.amplitude, branch_unknowns(p, m, N)) for p in pts]
+        exact = [
+            (s, 3.0 * vs._branch_residual(alpha, m, s, u, M, N, jacobian=True)[3])
+            for s, u in solved
+        ]
+        u, _, _, history, jacobians = vs._newton_solve(
+            alpha, m, 0.08, vs._predict(solved, 0.08), M, N, 1e-11, 40, exact
+        )
+        assert jacobians >= 1 and history[-1] < 1e-11
+        assert history[1] > 0.2 * history[0]  # the slow step that refreshed
+        # the fresh Jacobian replaced the oldest in the stencil
+        assert [s for s, _ in exact] == [0.02, 0.05, 0.08]
+        ref = vs.continue_branch(alpha, m, [1e-4, 0.02, 0.05, 0.08], band=N, grid_size=M)
+        assert abs(u[0] - ref[-1].Omega) <= 1e-10
+
+    def test_refresh_at_one_amplitude_replaces_its_stencil_entry(self, monkeypatch):
+        # two exact Jacobians at one amplitude keep the stencil nodes
+        # distinct, so the extrapolation stays defined
+        def residual(u):
+            return u**3 - 3 * u - 0.7
+
+        def stub(alpha, m, s, u, M, N, jacobian=False):
+            out = (residual(u), 0.0, None)
+            return out + (np.array([[3 * u[0] ** 2 - 3]]),) if jacobian else out
+
+        monkeypatch.setattr(vs, "_branch_residual", stub)
+        exact = [(0.1, np.eye(1)), (0.2, np.eye(1))]
+        *_, jacobians = vs._newton_solve(0.7, 2, 0.0, np.array([0.8]), 64, 1, 1e-12, 30, exact)
+        assert jacobians == 2
+        assert [s for s, _ in exact] == [0.1, 0.2, 0.0]
+
+    def test_warm_branch_builds_no_table(self):
+        ladders = self.ladders(1)
+        for m, ladder in ladders.items():
+            self.branch(m, ladder)
+        misses = greens._offset_table.cache_info().misses
+        for m, ladder in ladders.items():
+            self.branch(m, ladder)
+        assert greens._offset_table.cache_info().misses == misses
 
 
 def branch_unknowns(point, m, N):
