@@ -41,14 +41,16 @@ relative to the frequency formulas is checked in the suite, not assumed).
 Branches are parametrized by the fixed leading amplitude a_{m-1} = s and
 solved by chord Newton on {g_{nm} = 0} for the higher coefficients and
 Omega, with a backtracking line search.  The branch is symmetric under
-s -> -s (rotation by pi/m), so each point starts at an interpolant in
-s^2 through the latest solved points, anchored at the disc.  The first
-three points take the exact Jacobian at their start; later ones start
-with its Lagrange extrapolation in s through the latest three exact
-Jacobians, and take an exact one only when a step contracts too little
-(chord Newton with a predicted Jacobian: Allgower & Georg, Introduction
-to Numerical Continuation Methods, SIAM 2003, ch. 7).  Pseudo-arclength
-is an extension point, not needed at these amplitudes.
+s -> -s (rotation by pi/m), which flips the sign of some unknowns and of
+some Jacobian entries and fixes the rest; so each point starts at an
+interpolant in s^2 through the disc and the latest four solved points,
+the odd entries interpolated as entry/s.  The first two points take the
+exact Jacobian at their start; later ones start with the same parity
+interpolant through the latest two exact Jacobians, and take an exact
+one only when a step contracts too little or the extrapolated Jacobian
+is singular (chord Newton with a predicted Jacobian: Allgower & Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003, ch. 7).
+Pseudo-arclength is an extension point, not needed at these amplitudes.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .errors import ConvergenceError, DomainError, GeometryError, GridError
 from .errors import _finite, _integer, _positive
 # unused here: perfbench/smoke_tests.py wraps this alias as its example
 from .greens import combined_boundary_kernel  # noqa: F401
-from .greens import _kernel_block
+from .greens import _kernel_block, _workspace
 from .numerics import sine_coefficients
 
 _MIN_PHI_PRIME = 1e-9
@@ -81,13 +83,13 @@ class ConformalPerturbation:
     def __post_init__(self):
         coeffs = np.atleast_1d(np.array(_finite(self.coefficients, "coefficients")))
         m = _integer(self.fold, "fold", least=1)
-        live = np.nonzero(coeffs)[0]
-        bad = [int(n) for n in live if n % m != (m - 1) % m]
-        if bad:
+        n = np.arange(coeffs.size)
+        bad = np.flatnonzero((coeffs != 0) & (n % m != m - 1))
+        if bad.size:
             raise DomainError(
-                f"coefficients {bad} violate the {m}-fold pattern n = m-1 (mod m)"
+                f"coefficients {bad.tolist()} violate the {m}-fold pattern n = m-1 (mod m)"
             )
-        weight = float(np.sum(np.arange(len(coeffs)) * np.abs(coeffs)))
+        weight = float(np.sum(n * np.abs(coeffs)))
         if weight >= 1.0:
             raise GeometryError(
                 f"sum n |a_n| = {weight:.3f} >= 1: bi-Lipschitz regime violated"
@@ -155,8 +157,8 @@ def _boundary_samples(pert, M):
     coefficients, so Phi = w + fft(a) and Phi' = 1 - conj(w) fft(n a_n),
     one FFT each (the degree is below M).
     """
-    theta = 2 * np.pi * np.arange(M) / M
-    w = np.exp(1j * theta)
+    ws = _workspace(M)
+    w = ws.cos + 1j * ws.sin
     a = pert.coefficients
     z = w + np.fft.fft(a, M)
     dphi = 1.0 - np.conj(w) * np.fft.fft(np.arange(a.size) * a, M)
@@ -306,8 +308,9 @@ class BranchPoint:
     ``residual_history`` holds max |g_nm| at each Newton iterate, from the
     predicted start (``residual_history[0]``) to the solution (whose value
     is ``residual``);
-    ``jacobians`` counts the exact Jacobians the point took: 0 at a point
-    that converged with the extrapolated Jacobian it started with.
+    ``jacobians`` counts the exact Jacobians the point took: 1 or more on
+    the first two points of a branch, 0 at a later point that converged
+    with the extrapolated Jacobian it started with.
     """
 
     m: int
@@ -360,19 +363,21 @@ def continue_branch(
     (Omega, a_{2m-1}, ..., a_{band*m-1}).  The disc, with Omega at the
     bifurcation frequency and zero higher coefficients, is the branch
     point at s = 0.  Each point starts at the interpolant in s^2 through
-    the latest three known points, the disc among them at first, with
-    the coefficients that are odd in s divided by s; the first point
-    thus starts at the disc.  Each point is solved by chord Newton: the
-    first three with the exact Jacobian of their start, the later ones
-    with the Lagrange extrapolation in s of the latest three exact
-    Jacobians of the branch.  The Jacobian is recomputed exactly at the
-    current iterate when a step contracts the residual by less than a
-    factor 5 or when the line search fails, and each exact Jacobian
-    joins the extrapolation stencil.  A line-search trial point outside
-    the bi-Lipschitz regime counts as a rejected step.  Raises
-    :class:`ConvergenceError` carrying the last iterate when Newton
-    stalls, and :class:`GridError` when the discarded sine tail exceeds
-    1e-8 (under-resolved band).
+    the disc and the latest four solved points, with the entries that
+    are odd in s divided by s; the first point thus starts at the disc,
+    and it leaves the stencil once the second point is solved.  Each
+    point is solved by chord Newton: the first two with the exact
+    Jacobian of their start, the later ones with the interpolant in s^2
+    through the latest two exact Jacobians of the branch, each entry
+    extrapolated by its parity in s as the start is.  The Jacobian is recomputed exactly at the current
+    iterate when a step contracts the residual by less than a factor 5,
+    when the line search fails or when the extrapolated Jacobian is
+    singular, and each exact Jacobian joins the extrapolation stencil.
+    A line-search trial point outside the bi-Lipschitz regime counts as
+    a rejected step.  Raises :class:`ConvergenceError` carrying the last
+    iterate when Newton stalls or an exact Jacobian is singular, and
+    :class:`GridError` when the discarded sine tail exceeds 1e-8
+    (under-resolved band).
     """
     m = _integer(m, "fold m", least=2)
     amplitudes = [float(s) for s in _positive(amplitudes, "amplitudes")]
@@ -387,18 +392,21 @@ def continue_branch(
 
     u = np.zeros(N)
     u[0] = spectrum.omega_bifurcation(m, alpha)
-    points, solved = [], [(0.0, u)]  # the disc is the branch point at s = 0
+    disc = (0.0, u)  # the branch point at s = 0
+    points, recent = [], []  # recent: the latest four solved (amplitude, u)
     exact = []  # the latest exact Jacobians, (amplitude, J)
     for s in amplitudes:
         u, tail, pert, history, jacobians = _newton_solve(
-            alpha, m, s, _predict(solved, s), M, N, tol, max_steps, exact
+            alpha, m, s, _predict([disc] + recent, s), M, N, tol, max_steps, exact
         )
         if tail > _TAIL_TOL:
             raise GridError(
                 f"alias tail {tail:.2e} above {_TAIL_TOL:.0e} at s={s}; "
                 "increase band or grid"
             )
-        solved = solved[-2:] + [(s, u)]
+        # the first point, next to the disc, only makes the weights of a
+        # longer stencil ill-conditioned: it leaves once a second is solved
+        recent = (recent if len(points) > 1 else [])[-3:] + [(s, u)]
         points.append(
             BranchPoint(
                 m=m,
@@ -424,48 +432,68 @@ def _lagrange_weights(nodes, x):
     ]
 
 
-def _predict(solved, s):
-    """Start at amplitude s: Lagrange interpolation in s^2 through ``solved``.
+def _parity(N):
+    """Signs of u = (Omega, a_{2m-1}, ..., a_{Nm-1}) and of J = d g_nm / d u under s -> -s.
 
-    ``solved`` holds up to three (amplitude, u) pairs, the first of them
-    possibly the disc (0, u_b).  Rotation by pi/m maps the branch at s to
-    the one at -s with a_{km-1} -> (-1)^k a_{km-1}, so Omega and the entries
-    u[i] of odd i are even in s and those of even i >= 2 are odd: the odd
-    ones are interpolated as u[i]/s (0 at the disc) and multiplied back.
+    Rotation by pi/m maps the branch at s to the one at -s, with
+    a_{km-1} -> (-1)^k a_{km-1} and Omega fixed, and it maps g_nm to
+    (-1)^n g_nm; so u(-s) = sigma u(s) and J(-s, sigma u) = P J(s, u)
+    with P[n, i] = (-1)^n sigma_i.  Returns (sigma, P).
     """
-    weights = _lagrange_weights([t * t for t, _ in solved], s * s)
-    u = np.zeros_like(solved[0][1])
-    for weight, (t, uj) in zip(weights, solved):
-        v = uj.copy()
-        v[2::2] = uj[2::2] / t if t else 0.0
-        u += weight * v
-    u[2::2] *= s
-    return u
+    rho = (-1.0) ** np.arange(1, N + 1)  # g_m, g_2m, ..., g_Nm
+    sigma = np.concatenate(([1.0], rho[1:]))  # u[i] is a_{(i+1)m-1} for i >= 1
+    return sigma, np.outer(rho, sigma)
+
+
+def _interpolate_in_s2(nodes, s, parity):
+    """Value at amplitude s of the Lagrange interpolant in s^2 through ``nodes``.
+
+    ``nodes`` holds (amplitude, value) pairs at distinct amplitudes, and
+    ``parity`` the sign of each value entry under s -> -s.  Even entries
+    are interpolated as they are; odd ones as value/t (0 at a node t = 0), then
+    multiplied by s.
+    """
+    odd = parity < 0
+    weights = _lagrange_weights([t * t for t, _ in nodes], s * s)
+    out = np.zeros_like(nodes[0][1])
+    for weight, (t, value) in zip(weights, nodes):
+        out += weight * np.where(odd, 1.0 / t if t else 0.0, 1.0) * value
+    return out * np.where(odd, s, 1.0)
+
+
+def _predict(solved, s):
+    """Start at amplitude s: the interpolant in s^2 through ``solved``.
+
+    ``solved`` holds (amplitude, u) pairs, the first of them possibly
+    the disc (0, u_b); Omega and the entries u[i] of odd i are even in s
+    and those of even i >= 2 odd (:func:`_parity`).
+    """
+    return _interpolate_in_s2(solved, s, _parity(solved[0][1].size)[0])
 
 
 def _newton_solve(alpha, m, s, u, M, N, tol, max_steps, exact):
     """Chord Newton for one branch point from the start u.
 
     ``exact`` holds the branch's latest exact Jacobians as (amplitude, J)
-    pairs, at most three, at distinct amplitudes.  With three, the start
-    takes their Lagrange extrapolation in s and no exact Jacobian; else
-    it takes the exact one.  Each exact Jacobian taken joins ``exact``,
-    in place of one at the same amplitude or else of the oldest.
-    Returns the solution, its alias tail and perturbation, the residual
-    history and the number of exact Jacobians taken.
+    pairs, at most two, at distinct amplitudes.  With two, the start
+    takes their interpolant in s^2, each entry by its parity
+    (:func:`_parity`), and no exact Jacobian; else it takes the exact
+    one.  Each exact Jacobian taken joins ``exact``, in place of one at
+    the same amplitude or else of the oldest.  Returns the solution, its
+    alias tail and perturbation, the residual history and the number of
+    exact Jacobians taken.
     """
     def take_exact(u):
         r, tail, pert, jac = _branch_residual(alpha, m, s, u, M, N, jacobian=True)
-        exact[:] = [e for e in exact if e[0] != s][-2:] + [(s, jac)]
+        exact[:] = [e for e in exact if e[0] != s][-1:] + [(s, jac)]
         return r, tail, pert, jac
 
-    if len(exact) < 3:
+    if len(exact) < 2:
         r, tail, pert, jac = take_exact(u)
         jacobians, fresh = 1, True  # fresh: jac was taken at u
     else:
         r, tail, pert = _branch_residual(alpha, m, s, u, M, N)
-        weights = _lagrange_weights([t for t, _ in exact], s)
-        jac = sum(weight * J for weight, (_, J) in zip(weights, exact))
+        jac = _interpolate_in_s2(exact, s, _parity(N)[1])
         jacobians, fresh = 0, False
     history = [float(np.max(np.abs(r)))]
     while history[-1] >= tol:
@@ -478,31 +506,36 @@ def _newton_solve(alpha, m, s, u, M, N, tol, max_steps, exact):
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"singular Jacobian at s={s}", last_iterate={"u": u, "residual": rnorm}
-            ) from exc
-        lam = 1.0
-        for _ in range(10):
-            try:
-                trial = _branch_residual(alpha, m, s, u + lam * step, M, N)
-            except GeometryError:
-                pass  # trial point outside the bi-Lipschitz regime: reject it
-            else:
-                if np.max(np.abs(trial[0])) < rnorm:
-                    u = u + lam * step
-                    r, tail, pert = trial
-                    history.append(float(np.max(np.abs(r))))
-                    fresh = False
-                    break
-            lam *= 0.5
-        else:
+            # an extrapolated Jacobian can be singular (its odd entries
+            # vanish at s = 0): refresh below, as after a failed line search
             if fresh:
                 raise ConvergenceError(
-                    f"line search failed at s={s}",
-                    last_iterate={"u": u, "residual": rnorm},
-                )
+                    f"singular Jacobian at s={s}", last_iterate={"u": u, "residual": rnorm}
+                ) from exc
+        else:
+            lam = 1.0
+            for _ in range(10):
+                try:
+                    trial = _branch_residual(alpha, m, s, u + lam * step, M, N)
+                except GeometryError:
+                    pass  # trial point outside the bi-Lipschitz regime: reject it
+                else:
+                    if np.max(np.abs(trial[0])) < rnorm:
+                        u = u + lam * step
+                        r, tail, pert = trial
+                        history.append(float(np.max(np.abs(r))))
+                        fresh = False
+                        break
+                lam *= 0.5
+            else:
+                if fresh:
+                    raise ConvergenceError(
+                        f"line search failed at s={s}",
+                        last_iterate={"u": u, "residual": rnorm},
+                    )
         if tol <= history[-1] and history[-1] > 0.2 * rnorm:
-            # a failed line search (history[-1] is rnorm) or a slow step: refresh
+            # no step (a singular Jacobian or a failed line search, so
+            # history[-1] is rnorm) or a slow one: refresh
             r, tail, pert, jac = take_exact(u)
             jacobians, fresh = jacobians + 1, True
     return u, tail, pert, tuple(history), jacobians

@@ -576,13 +576,13 @@ class TestBranchContinuation:
             assert len(hist) == p.newton_steps + 1
             assert hist[-1] == p.residual < 1e-11
             assert all(b < a for a, b in zip(hist, hist[1:]))
-        # the first three points start with an exact Jacobian, the fourth
+        # the first two points start with an exact Jacobian, the third
         # with their extrapolation; after that only a step that contracts
         # by less than 5 takes one (no line search fails on this ladder)
         for k, p in enumerate(pts):
             hist = p.residual_history
             slow = sum(1e-11 <= b > 0.2 * a for a, b in zip(hist, hist[1:]))
-            assert p.jacobians == (k < 3) + slow
+            assert p.jacobians == (k < 2) + slow
 
     def test_residual_is_bitwise_evaluate_F(self):
         alpha, m, N, M = 0.7, 3, 6, 192
@@ -599,7 +599,7 @@ class TestBranchContinuation:
     def test_evaluate_F_calls_per_point(self, monkeypatch):
         # chord Newton from the predicted start: one evaluation per step,
         # and one at the start of each point that extrapolates its
-        # Jacobian; the first three points take the only exact Jacobians
+        # Jacobian; the first two points take the only exact Jacobians
         calls = []
         evaluate = vs.evaluate_F
 
@@ -610,28 +610,32 @@ class TestBranchContinuation:
         monkeypatch.setattr(vs, "evaluate_F", counting)
         ladder = [1e-4] + [0.01 * k for k in range(1, 11)]
         pts = vs.continue_branch(0.7, 2, ladder, band=8, grid_size=128)
-        assert [p.jacobians for p in pts] == [1] * 3 + [0] * (len(ladder) - 3)
-        assert len(calls) <= len(ladder) - 3 + sum(p.newton_steps for p in pts) + 2
+        assert [p.jacobians for p in pts] == [1] * 2 + [0] * (len(ladder) - 2)
+        assert len(calls) <= len(ladder) - 2 + sum(p.newton_steps for p in pts) + 2
         assert max(p.newton_steps for p in pts) <= 3
 
     def test_predictor_is_exact_on_a_symmetric_branch(self):
-        # Omega, a_{2m-1} and a_{4m-1} quadratic in s^2 and a_{3m-1} s times
+        # Omega, a_{2m-1} and a_{4m-1} quartic in s^2 and a_{3m-1} s times
         # one, all through the disc (0.4, 0, 0, 0) at s = 0: the interpolant
-        # in s^2 reproduces such a branch from any three of its points
-        def branch(s):
+        # in s^2 reproduces such a branch from the disc and four of its
+        # points, and a quadratic one from any three
+        def branch(s, quartic=True):
             q = s * s
+            r = 5.0 * q**3 - 20.0 * q**4 if quartic else 0.0
             return np.array(
-                [0.4 + 0.3 * q - 2.0 * q * q, -1.5 * q + 4.0 * q * q,
-                 s * (0.7 * q - 3.0 * q * q), 0.2 * q * q]
+                [0.4 + 0.3 * q - 2.0 * q * q + r, -1.5 * q + 4.0 * q * q - r,
+                 s * (0.7 * q - 3.0 * q * q + r), 0.2 * q * q + 3.0 * r]
             )
 
         disc = (0.0, branch(0.0))
         assert np.array_equal(vs._predict([disc], 1e-4), branch(0.0))
-        for solved, s in [
-            ([disc, (0.01, branch(0.01)), (0.02, branch(0.02))], 0.03),
-            ([(0.01, branch(0.01)), (0.02, branch(0.02)), (0.035, branch(0.035))], 0.05),
-        ]:
-            assert np.max(np.abs(vs._predict(solved, s) - branch(s))) <= 1e-14
+        nodes = [disc] + [(t, branch(t)) for t in (0.012, 0.021, 0.029, 0.04)]
+        assert np.max(np.abs(vs._predict(nodes, 0.05) - branch(0.05))) <= 1e-14
+        nodes = [disc] + [(t, branch(t)) for t in (0.05, 0.07, 0.09, 0.1)]
+        assert np.max(np.abs(vs._predict(nodes, 0.12) - branch(0.12))) <= 1e-14
+        for ts, s in [((0.0, 0.01, 0.02), 0.03), ((0.01, 0.02, 0.035), 0.05)]:
+            solved = [(t, branch(t, quartic=False)) for t in ts]
+            assert np.max(np.abs(vs._predict(solved, s) - branch(s, quartic=False))) <= 1e-14
 
     def test_predicted_start_needs_at_most_two_steps(self):
         # a start extrapolated linearly in s needs three steps per point here
@@ -679,15 +683,18 @@ class TestJacobianExtrapolation:
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_benchmark_ladders(self, monkeypatch, seed):
-        # three exact Jacobians per branch, then none: no step contracts
-        # by less than 5; Omega as with an exact Jacobian at every point
+        # two exact Jacobians per branch, then none: no step contracts
+        # by less than 5; Omega as with an exact Jacobian at every point.
+        # Three-point starts and three-Jacobian stencils in s took 30 and
+        # 31 Newton steps per op at these seeds
         ladders = self.ladders(seed)
         got = {m: self.branch(m, ladder) for m, ladder in ladders.items()}
+        assert sum(p.newton_steps for pts in got.values() for p in pts) <= 26
         solve = vs._newton_solve
         monkeypatch.setattr(vs, "_newton_solve", lambda *args: solve(*args[:-1], []))
         ref = {m: self.branch(m, ladder) for m, ladder in ladders.items()}
         for m, pts in got.items():
-            assert [p.jacobians for p in pts] == [1] * 3 + [0] * (len(pts) - 3)
+            assert [p.jacobians for p in pts] == [1] * 2 + [0] * (len(pts) - 2)
             assert all(p.residual < 1e-11 for p in pts)
             assert max(abs(p.Omega - q.Omega) for p, q in zip(pts, ref[m])) <= 1e-10
             assert all(p.jacobians == 1 for p in ref[m])
@@ -700,7 +707,7 @@ class TestJacobianExtrapolation:
         solved = [(p.amplitude, branch_unknowns(p, m, N)) for p in pts]
         exact = [
             (s, 3.0 * vs._branch_residual(alpha, m, s, u, M, N, jacobian=True)[3])
-            for s, u in solved
+            for s, u in solved[-2:]
         ]
         u, _, _, history, jacobians = vs._newton_solve(
             alpha, m, 0.08, vs._predict(solved, 0.08), M, N, 1e-11, 40, exact
@@ -708,7 +715,7 @@ class TestJacobianExtrapolation:
         assert jacobians >= 1 and history[-1] < 1e-11
         assert history[1] > 0.2 * history[0]  # the slow step that refreshed
         # the fresh Jacobian replaced the oldest in the stencil
-        assert [s for s, _ in exact] == [0.02, 0.05, 0.08]
+        assert [s for s, _ in exact] == [0.05, 0.08]
         ref = vs.continue_branch(alpha, m, [1e-4, 0.02, 0.05, 0.08], band=N, grid_size=M)
         assert abs(u[0] - ref[-1].Omega) <= 1e-10
 
@@ -726,7 +733,46 @@ class TestJacobianExtrapolation:
         exact = [(0.1, np.eye(1)), (0.2, np.eye(1))]
         *_, jacobians = vs._newton_solve(0.7, 2, 0.0, np.array([0.8]), 64, 1, 1e-12, 30, exact)
         assert jacobians == 2
-        assert [s for s, _ in exact] == [0.1, 0.2, 0.0]
+        assert [s for s, _ in exact] == [0.2, 0.0]
+
+    def test_jacobian_interpolant_is_exact_on_a_symmetric_jacobian(self):
+        # even entries (P = +1) linear in s^2 and odd ones s times such a
+        # function: two exact Jacobians determine J at every amplitude
+        N = 5
+        P = vs._parity(N)[1]
+        rng = np.random.default_rng(3)
+        A, B = rng.uniform(-1.0, 1.0, (2, N, N))
+
+        def jac(s):
+            return np.where(P > 0, 1.0, s) * (A + s * s * B)
+
+        for t0, t1, s in [(0.02, 0.05, 0.07), (0.1, 0.12, 0.15), (0.05, 0.1, 0.0)]:
+            got = vs._interpolate_in_s2([(t0, jac(t0)), (t1, jac(t1))], s, P)
+            assert np.max(np.abs(got - jac(s))) <= 1e-14
+
+    @pytest.mark.parametrize("slope", [1.0, 0.0])  # the exact Jacobian
+    def test_singular_extrapolation_takes_an_exact_jacobian(self, monkeypatch, slope):
+        # at s = 0 the odd entries of an extrapolated Jacobian vanish (the
+        # 1 x 1 Jacobian d g_m / d Omega is odd): Newton takes an exact one
+        # at the same iterate instead, and stops only if that is singular
+        calls = []
+
+        def stub(alpha, m, s, u, M, N, jacobian=False):
+            calls.append((jacobian, float(u[0])))
+            out = (u - 1.0, 0.0, None)
+            return out + (np.array([[slope]]),) if jacobian else out
+
+        monkeypatch.setattr(vs, "_branch_residual", stub)
+        exact = [(0.1, np.eye(1)), (0.2, np.eye(1))]
+        args = (0.7, 2, 0.0, np.array([0.5]), 64, 1, 1e-12, 30, exact)
+        if slope:
+            u, _, _, history, jacobians = vs._newton_solve(*args)
+            assert jacobians == 1 and u[0] == 1.0 and history == (0.5, 0.0)
+            assert calls == [(False, 0.5), (True, 0.5), (False, 1.0)]
+        else:
+            with pytest.raises(ConvergenceError, match="singular Jacobian"):
+                vs._newton_solve(*args)
+            assert calls == [(False, 0.5), (True, 0.5)]
 
     def test_warm_branch_builds_no_table(self):
         ladders = self.ladders(1)
@@ -769,6 +815,22 @@ class TestExactJacobian:
         jac = vs._branch_residual(alpha, m, s, u, M, N, jacobian=True)[3]
         ref = central_jacobian(alpha, m, s, u, M, N)
         assert np.max(np.abs(jac - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m, M", [(2, 256), (3, 192)])
+    def test_rotation_by_pi_over_m_flips_the_odd_entries(self, m, M):
+        # the symmetry that the start and Jacobian stencils rely on:
+        # g(-s, sigma u) = (-1)^n g(s, u) and J(-s, sigma u) = P J(s, u)
+        # (measured 3.2e-16 and 5.6e-16 for J, 6.8e-17 and 5.2e-17 for g)
+        alpha, s, N = 0.7, 0.1, 6
+        rng = np.random.default_rng(m)
+        u = np.empty(N)
+        u[0] = sp.omega_bifurcation(m, alpha) + 0.01
+        u[1:] = rng.uniform(-1.0, 1.0, N - 1) * s ** np.arange(2, N + 1)
+        sigma, P = vs._parity(N)
+        g, _, _, jac = vs._branch_residual(alpha, m, s, u, M, N, jacobian=True)
+        g_, _, _, jac_ = vs._branch_residual(alpha, m, -s, sigma * u, M, N, jacobian=True)
+        assert np.max(np.abs(g_ - (-1.0) ** np.arange(1, N + 1) * g)) <= 1e-14
+        assert np.max(np.abs(jac_ - P * jac)) <= 1e-14
 
     @pytest.mark.parametrize("alpha, m", [(0.3, 2), (0.7, 3), (1.0, 4)])
     def test_disc_jacobian_is_diagonal(self, alpha, m):
