@@ -450,8 +450,8 @@ def _interpolate_in_s2(nodes, s, parity):
 
     ``nodes`` holds (amplitude, value) pairs at distinct amplitudes, and
     ``parity`` the sign of each value entry under s -> -s.  Even entries
-    are interpolated as they are; odd ones as value/t (0 at a node t = 0), then
-    multiplied by s.
+    are interpolated as they are; odd ones as value/t (0 at a node
+    t = 0), then multiplied by s.
     """
     odd = parity < 0
     weights = _lagrange_weights([t * t for t, _ in nodes], s * s)
